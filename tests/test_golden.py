@@ -1,0 +1,93 @@
+"""Golden byte corpus: the sha256 of each CLI output must match its pinned value.
+
+Reruns of the same code are covered by criterion 12; this file pins the bytes
+across code changes, so a refactor shows it changed no output byte.  A change
+that alters output bytes on purpose declares it in CHANGES.md and re-pins with
+``python tests/test_golden.py``, which rewrites ``golden/hashes.json``.
+
+Hashes of additive-family outputs depend on the BLAS kernel: the evaluator's
+``(points - 0.5) @ c`` goes through gemv, whose bits vary with the batch shape
+and the CPU path the library selects.  They were pinned with OpenBLAS 0.3.31
+(DYNAMIC_ARCH, Haswell kernels, x86-64) and may differ on another BLAS until
+the additive evaluator is made shape-invariant (ROADMAP item 1).  Product-family
+and chain outputs do not go through BLAS.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from truncmlmc.cli import main
+
+HASHES = Path(__file__).parent / "golden" / "hashes.json"
+
+GRID_CONFIG = """\
+seed = 21
+methods = mc,mlmc,mlmc-fixed
+d_grid = 2,4,8
+eps = 0.05,0.01
+reps = 40
+integrand.family = product
+integrand.decay_r = 0.8
+"""
+
+INVOCATIONS = {
+    # the eight invocations of acceptance criterion 12
+    "anova_product_mc": ["anova", "--family", "product", "--d", "6", "--method", "mc",
+                         "--pairs", "2000", "--seed", "12"],
+    "estimate_mlmc": ["estimate", "--family", "additive", "--d", "16", "--method",
+                      "mlmc", "--reps", "50", "--seed", "12"],
+    "estimate_mlmc_fixed_sample": ["estimate", "--family", "additive", "--d", "8",
+                                   "--method", "mlmc-fixed", "--fix-v", "sample",
+                                   "--reps", "50", "--seed", "12"],
+    "estimate_mc": ["estimate", "--family", "additive", "--d", "8", "--method", "mc",
+                    "--reps", "50", "--seed", "12"],
+    "bench_additive": ["bench", "--family", "additive", "--d-grid", "4,16",
+                       "--eps", "0.05", "--methods", "mc,mlmc", "--reps", "100",
+                       "--seed", "12"],
+    "markov_d32": ["markov", "--d", "32", "--gamma", "-2", "--reps", "50",
+                   "--seed", "12"],
+    "markov_decay_d32": ["markov", "decay", "--d", "32", "--gamma", "-2", "--i",
+                         "2,4,8", "--n", "2000", "--seed", "12"],
+    "lemma1_additive_d8": ["lemma1", "--family", "additive", "--d", "8", "--reps",
+                           "200", "--seed", "12"],
+    # a configured grid; the thread count must not change a byte
+    "grid_threads1": ["estimate", "--config", "{config}", "--threads", "1"],
+    "grid_threads2": ["estimate", "--config", "{config}", "--threads", "2"],
+    "markov_d256": ["markov", "--d", "256", "--reps", "20", "--seed", "12"],
+    # d = 2 has a single level: pooled level sums over one column
+    "lemma1_product_d2_d8": ["lemma1", "--family", "product", "--d-grid", "2,8",
+                             "--seed", "12"],
+}
+
+
+def output_hash(name: str, workdir: Path) -> str:
+    config = workdir / "grid.cfg"
+    config.write_text(GRID_CONFIG, encoding="utf-8")
+    out = workdir / f"{name}.csv"
+    argv = [arg.replace("{config}", str(config)) for arg in INVOCATIONS[name]]
+    assert main(argv + ["--out", str(out)]) == 0, argv
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(INVOCATIONS))
+def test_output_matches_pinned_hash(name, tmp_path):
+    pinned = json.loads(HASHES.read_text(encoding="utf-8"))
+    assert output_hash(name, tmp_path) == pinned[name], INVOCATIONS[name]
+
+
+def test_every_invocation_is_pinned():
+    assert sorted(json.loads(HASHES.read_text(encoding="utf-8"))) == sorted(INVOCATIONS)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        hashes = {name: output_hash(name, Path(tmp)) for name in sorted(INVOCATIONS)}
+    HASHES.parent.mkdir(exist_ok=True)
+    HASHES.write_text(json.dumps(hashes, indent=2) + "\n", encoding="utf-8")
+    print(f"pinned {len(hashes)} hashes -> {HASHES}", file=sys.stderr)
