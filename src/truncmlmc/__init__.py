@@ -21,10 +21,10 @@ from .markov import (ChainModel, ChainPath, DecayReport, chain_integrand,
                      simulate_chain, simulate_restart, standard_mc_chain,
                      uniform_increments)
 from .mlmc import (EstimateRecord, EstimateSummary, LevelBudgetReport,
-                   LevelSchedule, LevelStats, check_level_budget_bound,
+                   LevelSchedule, check_level_budget_bound,
                    dyadic_prefixes, estimate_mlmc, estimate_mlmc_fixed,
                    level_budget_rhs_se, level_variance_estimates,
-                   optimal_allocation, pool_level_stats, predicted_variance,
+                   optimal_allocation, predicted_variance,
                    replicate, samples_needed, standard_mc, summarize,
                    total_budget, truncation_schedule,
                    work_normalized_variance)

@@ -129,6 +129,8 @@ def analytic_profile(integrand: Integrand) -> VarianceProfile:
         var_f = float(prefix[-1] - 1.0)
         # grouping subsets by their largest element j gives weight a_j * prefix[j-1]
         dt_var = float(np.dot(idx, a * prefix[:-1]))
+    if var_f <= 0.0:
+        raise DegenerateIntegrandError("profile requires positive variance")
     return VarianceProfile(D=D, var_f=var_f, d_t=dt_var / var_f, source="analytic")
 
 

@@ -10,18 +10,18 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from pathlib import Path
 
 import numpy as np
 
-from .anova import analytic_profile, mc_profile
-from .config import (ConfigError, as_int, as_int_list, chain_from_config,
+from .anova import DegenerateIntegrandError, analytic_profile, mc_profile
+from .config import (ConfigError, as_float_list, as_int, as_int_list,
+                     chain_from_config, decay_from_config,
                      integrand_from_config, load_config)
 from .markov import measure_decay
-from .mlmc import total_budget, work_normalized_variance
-from .runner import (FORK_LABELS, CellResult, NumericalFailure,
-                     compare_scaling, lemma1_diagnostic, run_config,
-                     run_estimator_cell, run_markov_cell)
+from .mlmc import NumericalFailure, total_budget, work_normalized_variance
+from .runner import (FORK_LABELS, CellResult, compare_scaling,
+                     lemma1_diagnostic, run_config, run_estimator_cell,
+                     run_markov_cell)
 from .streams import new_stream
 
 RUN_HEADER = ("rep", "value", "cost_units", "level", "level_sum", "level_count")
@@ -74,24 +74,20 @@ def _seed(args, cfg) -> int:
     return as_int(cfg, "seed", 0)
 
 
-def _threads(args, cfg) -> int:
-    if args.threads is not None:
-        return max(args.threads, 1)
-    return max(as_int(cfg, "threads", 1), 1)
-
-
 def _out(args, cfg, default: str) -> str:
     return args.out or cfg.get("out") or default
 
 
 def _run_rows(cell: CellResult):
-    for rep, record in enumerate(cell.records):
-        if record.per_level:
-            for stats in record.per_level:
-                yield (rep, record.value, record.cost_units, stats.level,
-                       stats.total, stats.count)
-        else:
-            yield (rep, record.value, record.cost_units, "", "", "")
+    summary = cell.summary
+    cost_units = summary.costs.sum(axis=1)
+    for rep, value in enumerate(summary.values):
+        if summary.level_sum is None:
+            yield (rep, value, cost_units[rep], "", "", "")
+            continue
+        for k, count in enumerate(summary.level_count):
+            yield (rep, value, cost_units[rep], k + 1, summary.level_sum[rep, k],
+                   count)
 
 
 def cmd_anova(args) -> int:
@@ -102,7 +98,9 @@ def cmd_anova(args) -> int:
         profile = analytic_profile(integrand)
         se = np.zeros(integrand.dimension + 1)
     else:
-        pairs = args.pairs if args.pairs is not None else as_int(cfg, "pairs", 100_000)
+        pairs = as_int(cfg, "pairs", 100_000)
+        if pairs < 2:
+            raise ConfigError("config key 'pairs': need at least 2 pairs")
         stream = new_stream(seed).fork(FORK_LABELS["anova"]).fork(integrand.dimension)
         profile = mc_profile(integrand, pairs, stream)
         se = profile.se
@@ -123,7 +121,7 @@ def cmd_estimate(args) -> int:
         cell = run_estimator_cell(
             args.method, integrand, as_int(cfg, "reps", 1000), new_stream(seed),
             mc_n=as_int(cfg, "mc_n", 1), fix_v=cfg.get("fix_v", "midpoint"),
-            fix_v_values=_float_tuple(cfg.get("fix_v_values")))
+            fix_v_values=as_float_list(cfg, "fix_v_values", None))
         _write_csv(out, RUN_HEADER, _run_rows(cell))
         summary = cell.summary
         print(f"estimate {args.method} d={cell.d}: mean={_fmt(summary.mean)} "
@@ -131,7 +129,7 @@ def cmd_estimate(args) -> int:
               f"mean_cost={_fmt(summary.mean_cost)} -> {out}")
         return 0
     # no single method requested: run the configured (method, d, eps) grid
-    cells, eps_list = run_config(cfg, seed, _threads(args, cfg))
+    cells, eps_list = run_config(cfg, seed)
     rows = []
     for cell in cells:
         for eps in eps_list:
@@ -149,16 +147,10 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _float_tuple(raw: str | None):
-    if raw is None:
-        return None
-    return tuple(float(p) for p in raw.split(",") if p.strip())
-
-
 def cmd_bench(args) -> int:
     cfg = _merged_config(args)
     seed = _seed(args, cfg)
-    rows = compare_scaling(cfg, seed, _threads(args, cfg))
+    rows = compare_scaling(cfg, seed)
     out = _out(args, cfg, "bench.csv")
     _write_csv(out, BENCH_HEADER,
                [(r.method, r.d, r.mean, r.sample_variance, r.mean_cost, r.wnv,
@@ -173,8 +165,7 @@ def cmd_markov(args) -> int:
     root = new_stream(seed)
     if args.mode == "decay":
         model, _ = chain_from_config(cfg)
-        i_values = as_int_list(cfg, "decay.i", ...)
-        n = as_int(cfg, "decay.n", 10_000)
+        i_values, n = decay_from_config(cfg, model.horizon)
         stream = root.fork(FORK_LABELS["decay"]).fork(model.horizon)
         report = measure_decay(model, i_values, n, stream)
         out = _out(args, cfg, "decay.csv")
@@ -230,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="root seed (decimal 64-bit integer)")
     common.add_argument("--out", help="output CSV path")
     common.add_argument("--config", help="flat key=value config file")
-    common.add_argument("--threads", type=int, help="concurrent grid cells")
+    common.add_argument("--threads", type=int,
+                        help="accepted and ignored; cells run in grid order")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("anova", parents=[common],
@@ -238,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     overrides = _add_integrand_flags(p)
     p.add_argument("--method", choices=("analytic", "mc"), default="analytic")
     p.add_argument("--pairs", type=int, help="sample pairs per index (mc method)")
-    p.set_defaults(handler=cmd_anova, override_map=overrides)
+    p.set_defaults(handler=cmd_anova, override_map={**overrides, "pairs": "pairs"})
 
     p = sub.add_parser("estimate", parents=[common],
                        help="run one estimator or the configured grid")
@@ -305,12 +297,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NumericalFailure as exc:
+    except (NumericalFailure, DegenerateIntegrandError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -153,6 +153,16 @@ def integrand_from_config(cfg: dict[str, str], d: int | None = None) -> Integran
         raise ConfigError(f"config key 'integrand.coeffs': {exc}") from exc
 
 
+def decay_from_config(cfg: dict[str, str], horizon: int) -> tuple[tuple[int, ...], int]:
+    """Restart depths and coupled path count of the payoff-gap decay measurement."""
+    i_values, n = as_int_list(cfg, "decay.i"), as_int(cfg, "decay.n", 10_000)
+    if any(not 0 <= i <= horizon for i in i_values):
+        raise ConfigError(f"config key 'decay.i': restart depths must lie in [0, {horizon}]")
+    if n < 2:
+        raise ConfigError("config key 'decay.n': need at least 2 coupled paths")
+    return i_values, n
+
+
 def chain_from_config(cfg: dict[str, str], d: int | None = None) -> tuple[ChainModel, float]:
     """Build the configured chain model and its decay exponent for scheduling."""
     as_choice(cfg, "chain.preset", {"lindley"}, "lindley")

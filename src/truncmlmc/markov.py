@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .integrands import Integrand
-from .mlmc import (EstimateRecord, LevelSchedule, LevelStats, dyadic_prefixes,
+from .mlmc import (EstimateRecord, LevelSchedule, _telescope, dyadic_prefixes,
                    record_from_snapshot)
 from .streams import CostLedger, UniformStream
 
@@ -159,34 +159,27 @@ def estimate_chain_mlmc(model: ChainModel, gamma: float, stream: UniformStream,
     if schedule.dimension != d:
         raise ValueError("schedule dimension must match the chain horizon")
     ledger = stream.ledger
-    before = ledger.snapshot()
-    value = 0.0
-    stats = []
-    for level in range(1, schedule.levels + 1):
-        m_hi = schedule.m[level]
-        m_lo = schedule.m[level - 1]
-        n_l = schedule.n[level - 1]
-        substream = stream.fork(level)
-        ys = substream.draw_matrix(n_l, m_hi)
-        hi = np.full(n_l, float(model.initial_state))
-        lo = np.full(n_l, float(model.initial_state))
-        start_lo = m_hi - m_lo
+    x0 = float(model.initial_state)
+
+    def sample(level: int, n_l: int, m_lo: int, m_hi: int) -> np.ndarray:
+        ys = stream.fork(level).draw_matrix(n_l, m_hi)
+        hi = np.full(n_l, x0)
+        lo = np.full(n_l, x0)
         for k in range(m_hi):
             t = d - m_hi + k
             hi = model.step(t, hi, ys[:, k])
             ledger.step_applications += n_l
-            if k >= start_lo and m_lo > 0:
+            if k >= m_hi - m_lo:
                 lo = model.step(t, lo, ys[:, k])
                 ledger.step_applications += n_l
-        diffs = np.asarray(model.payoff(hi), dtype=float)
         ledger.payoff_evals += n_l
-        if m_lo > 0:
-            diffs = diffs - np.asarray(model.payoff(lo), dtype=float)
-            ledger.payoff_evals += n_l
-        value += float(diffs.mean())
-        stats.append(LevelStats(level=level, total=float(diffs.sum()),
-                                total_sq=float(np.dot(diffs, diffs)), count=n_l))
-    return record_from_snapshot(value, before, ledger, tuple(stats))
+        fine = np.asarray(model.payoff(hi), dtype=float)
+        if m_lo == 0:
+            return fine
+        ledger.payoff_evals += n_l
+        return fine - np.asarray(model.payoff(lo), dtype=float)
+
+    return _telescope(schedule, sample, ledger, ledger.snapshot())
 
 
 def standard_mc_chain(model: ChainModel, n: int, stream: UniformStream) -> EstimateRecord:

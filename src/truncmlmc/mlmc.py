@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .anova import DegenerateIntegrandError
 from .integrands import Integrand
 from .streams import CostLedger, UniformStream
 
@@ -53,37 +54,50 @@ class LevelSchedule:
         return self.m[-1]
 
 
-@dataclass(frozen=True)
-class LevelStats:
-    """Running sums of one level's increment samples."""
-
-    level: int
-    total: float
-    total_sq: float
-    count: int
+class NumericalFailure(RuntimeError):
+    """Replications produced a non-finite value, sample variance or level sum."""
 
 
 @dataclass(frozen=True)
 class EstimateRecord:
-    """One replication: value, exact unit costs, and optional per-level sums."""
+    """One replication: value, exact unit costs, and optional per-level sums.
+
+    For multilevel estimators ``level_sum``/``level_sq`` hold, per level, the
+    sum and the sum of squares of its ``level_count`` increment samples.
+    """
 
     value: float
     cost_units: int
     draw_units: int
     step_units: int
     eval_units: int
-    per_level: tuple[LevelStats, ...] | None = None
+    level_sum: np.ndarray | None = None
+    level_sq: np.ndarray | None = None
+    level_count: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
 class EstimateSummary:
-    """Aggregate of R independent replications (unbiased variance, R-1 divisor)."""
+    """R independent replications in columns, with their mean, unbiased sample
+    variance (R-1 divisor) and mean cost.
+
+    ``values`` is [R], ``costs`` [R, 3] (draw, step and eval units).  Multilevel
+    estimators add ``level_sum`` and ``level_sq`` [R, L] and the increments per
+    level of one replication, ``level_count`` [L].
+    """
 
     mean: float
     sample_variance: float
     mean_cost: float
-    replications: int
-    per_level: tuple[LevelStats, ...] | None = None
+    values: np.ndarray
+    costs: np.ndarray
+    level_sum: np.ndarray | None = None
+    level_sq: np.ndarray | None = None
+    level_count: np.ndarray | None = None
+
+    @property
+    def replications(self) -> int:
+        return self.values.size
 
 
 def dyadic_prefixes(d: int) -> tuple[int, ...]:
@@ -103,58 +117,77 @@ def truncation_schedule(d: int) -> LevelSchedule:
     return LevelSchedule(m=m, n=n)
 
 
-def _run_levels(integrand: Integrand, suffix_source: np.ndarray,
-                schedule: LevelSchedule, stream: UniformStream,
-                ledger: CostLedger) -> tuple[float, tuple[LevelStats, ...]]:
-    """Telescoping sum over levels against a fixed suffix source."""
-    d = integrand.dimension
-    value = 0.0
-    stats = []
-    for level in range(1, schedule.levels + 1):
-        m_hi = schedule.m[level]
-        m_lo = schedule.m[level - 1]
-        n_l = schedule.n[level - 1]
-        prefixes = stream.draw_matrix(n_l, m_hi)
-        points = np.broadcast_to(suffix_source, (n_l, d)).copy()
-        points[:, :m_hi] = prefixes
-        f_hi = integrand.eval_batch(points, ledger)
-        if level == 1:
-            diffs = f_hi  # level-0 term is identically zero
-        else:
-            points[:, m_lo:m_hi] = suffix_source[m_lo:m_hi]
-            diffs = f_hi - integrand.eval_batch(points, ledger)
-        value += float(diffs.mean())
-        stats.append(LevelStats(level=level, total=float(diffs.sum()),
-                                total_sq=float(np.dot(diffs, diffs)), count=n_l))
-    return value, tuple(stats)
-
-
 def record_from_snapshot(value: float, before: tuple[int, int, int],
-                         ledger: CostLedger,
-                         per_level: tuple[LevelStats, ...] | None = None) -> EstimateRecord:
+                         ledger: CostLedger, level_sum=None, level_sq=None,
+                         level_count=None) -> EstimateRecord:
     """Close out one replication against the ledger state captured at its start."""
     draws, steps, evals = (a - b for a, b in zip(ledger.snapshot(), before))
     return EstimateRecord(value=value, cost_units=draws + steps + evals,
                           draw_units=draws, step_units=steps, eval_units=evals,
-                          per_level=per_level)
+                          level_sum=level_sum, level_sq=level_sq,
+                          level_count=level_count)
+
+
+def _telescope(schedule: LevelSchedule,
+               sample: Callable[[int, int, int, int], np.ndarray],
+               ledger: CostLedger, before: tuple[int, int, int]) -> EstimateRecord:
+    """One replication of the telescoping sum of level means over ``schedule``.
+
+    ``sample(level, n_l, m_lo, m_hi)`` returns the level's n_l coupled
+    increments: the payoff at prefix length m_hi minus the payoff at m_lo,
+    with no coarse term when m_lo = 0 (the level-0 term is identically zero).
+    """
+    levels = schedule.levels
+    level_sum = np.empty(levels)
+    level_sq = np.empty(levels)
+    value = 0.0
+    for k in range(levels):
+        diffs = sample(k + 1, schedule.n[k], schedule.m[k], schedule.m[k + 1])
+        level_sum[k] = diffs.sum()
+        level_sq[k] = np.dot(diffs, diffs)
+        value += float(diffs.mean())
+    return record_from_snapshot(value, before, ledger, level_sum, level_sq,
+                                schedule.n)
+
+
+def _cube_telescope(integrand: Integrand, base: np.ndarray, schedule: LevelSchedule,
+                    stream: UniformStream, before: tuple[int, int, int]) -> EstimateRecord:
+    """The telescope with fresh prefixes from ``stream`` spliced onto ``base``."""
+    if schedule.dimension != integrand.dimension:
+        raise ValueError("schedule dimension must match the integrand")
+    d = integrand.dimension
+    ledger = stream.ledger
+
+    def sample(level: int, n_l: int, m_lo: int, m_hi: int) -> np.ndarray:
+        prefixes = stream.draw_matrix(n_l, m_hi)
+        points = np.broadcast_to(base, (n_l, d)).copy()
+        points[:, :m_hi] = prefixes
+        fine = integrand.eval_batch(points, ledger)
+        if m_lo == 0:
+            return fine
+        # the coarse rows are a batch of their own: batched evaluators need
+        # not give the same bits for a row in batches of different shapes
+        points[:, m_lo:m_hi] = base[m_lo:m_hi]
+        return fine - integrand.eval_batch(points, ledger)
+
+    return _telescope(schedule, sample, ledger, before)
 
 
 def estimate_mlmc(integrand: Integrand, schedule: LevelSchedule,
                   stream: UniformStream) -> EstimateRecord:
     """One replication of the truncation-coupled estimator with a random base point.
 
-    Draws the base point once (d draws, one payoff evaluation up front, as the
-    cost model assumes), then runs the level telescope with all levels sharing
+    Draws the base point once (d draws; the cost model charges one payoff
+    evaluation there), then runs the level telescope with all levels sharing
     that base point.  Unbiased for the integral for any level schedule.
     """
-    if schedule.dimension != integrand.dimension:
-        raise ValueError("schedule dimension must match the integrand")
     ledger = stream.ledger
     before = ledger.snapshot()
     u_prime = stream.draw(integrand.dimension)
-    integrand.eval_batch(u_prime[None, :], ledger)  # base payoff computed once, cached
-    value, stats = _run_levels(integrand, u_prime, schedule, stream, ledger)
-    return record_from_snapshot(value, before, ledger, stats)
+    # no level needs the value f(u'), so its payoff is charged, not evaluated
+    ledger.payoff_evals += 1
+    ledger.step_applications += integrand.steps_per_eval
+    return _cube_telescope(integrand, u_prime, schedule, stream, before)
 
 
 def estimate_mlmc_fixed(integrand: Integrand, v, schedule: LevelSchedule,
@@ -170,12 +203,7 @@ def estimate_mlmc_fixed(integrand: Integrand, v, schedule: LevelSchedule,
         raise ValueError(f"fixed suffix must have length {integrand.dimension}")
     if np.any((v < 0.0) | (v > 1.0)):
         raise ValueError("fixed suffix must lie in the unit cube")
-    if schedule.dimension != integrand.dimension:
-        raise ValueError("schedule dimension must match the integrand")
-    ledger = stream.ledger
-    before = ledger.snapshot()
-    value, stats = _run_levels(integrand, v, schedule, stream, ledger)
-    return record_from_snapshot(value, before, ledger, stats)
+    return _cube_telescope(integrand, v, schedule, stream, stream.ledger.snapshot())
 
 
 def standard_mc(integrand: Integrand, n: int, stream: UniformStream) -> EstimateRecord:
@@ -189,70 +217,71 @@ def standard_mc(integrand: Integrand, n: int, stream: UniformStream) -> Estimate
     return record_from_snapshot(value, before, ledger)
 
 
-def pool_level_stats(records: Sequence[EstimateRecord]) -> tuple[LevelStats, ...] | None:
-    """Merge per-level sums across replications (associative accumulators)."""
-    if not records or records[0].per_level is None:
-        return None
-    levels = len(records[0].per_level)
-    totals = np.zeros(levels)
-    totals_sq = np.zeros(levels)
-    counts = np.zeros(levels, dtype=int)
-    for rec in records:
-        if rec.per_level is None or len(rec.per_level) != levels:
-            return None
-        for k, ls in enumerate(rec.per_level):
-            totals[k] += ls.total
-            totals_sq[k] += ls.total_sq
-            counts[k] += ls.count
-    return tuple(LevelStats(level=k + 1, total=float(totals[k]),
-                            total_sq=float(totals_sq[k]), count=int(counts[k]))
-                 for k in range(levels))
-
-
 def summarize(records: Sequence[EstimateRecord]) -> EstimateSummary:
-    """Mean, unbiased sample variance, and mean cost of replication records."""
+    """Pool replication records into columns with their mean, unbiased sample
+    variance and mean cost."""
     if len(records) < 2:
         raise ValueError("summaries need at least 2 replications")
     values = np.array([r.value for r in records], dtype=float)
-    costs = np.array([r.cost_units for r in records], dtype=float)
+    costs = np.array([(r.draw_units, r.step_units, r.eval_units) for r in records])
+    level_sum = level_sq = level_count = None
+    if records[0].level_sum is not None:
+        level_sum = np.array([r.level_sum for r in records])
+        level_sq = np.array([r.level_sq for r in records])
+        level_count = np.array(records[0].level_count)
     return EstimateSummary(mean=float(values.mean()),
                            sample_variance=float(values.var(ddof=1)),
-                           mean_cost=float(costs.mean()),
-                           replications=len(records),
-                           per_level=pool_level_stats(records))
+                           mean_cost=float(costs.sum(axis=1).mean()),
+                           values=values, costs=costs, level_sum=level_sum,
+                           level_sq=level_sq, level_count=level_count)
 
 
 def replicate(estimator: Callable[[UniformStream], EstimateRecord], reps: int,
               stream: UniformStream) -> EstimateSummary:
-    """Run ``reps`` independent replications on forked streams and summarize."""
+    """Run ``reps`` independent replications on forked streams and summarize.
+
+    Raises NumericalFailure when a value, the sample variance or a per-level
+    sum is not finite.
+    """
     if reps < 2:
         raise ValueError("need at least 2 replications")
-    return summarize([estimator(stream.fork(j)) for j in range(reps)])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        summary = summarize([estimator(stream.fork(j)) for j in range(reps)])
+    columns = [summary.values, summary.sample_variance]
+    if summary.level_sum is not None:
+        columns += [summary.level_sum, summary.level_sq]
+    if not all(np.isfinite(column).all() for column in columns):
+        raise NumericalFailure("non-finite estimate")
+    return summary
 
 
-def level_variance_estimates(per_level: Sequence[LevelStats]) -> np.ndarray:
-    """Unbiased per-level increment variances from pooled sums."""
-    out = np.empty(len(per_level))
-    for k, ls in enumerate(per_level):
-        if ls.count < 2:
-            raise ValueError(f"level {ls.level} has fewer than 2 samples")
-        out[k] = (ls.total_sq - ls.total ** 2 / ls.count) / (ls.count - 1)
-    return np.maximum(out, 0.0)
+def level_variance_estimates(summary: EstimateSummary) -> np.ndarray:
+    """Unbiased per-level increment variances from the pooled level sums."""
+    if summary.level_sum is None:
+        raise ValueError("summary carries no per-level sums")
+    count = summary.replications * summary.level_count
+    if np.any(count < 2):
+        raise ValueError("every level needs at least 2 samples")
+    # a left-to-right fold: sum(axis=0) turns pairwise on a single column (L = 1)
+    # and would change the pooled bits
+    total = np.cumsum(summary.level_sum, axis=0)[-1]
+    total_sq = np.cumsum(summary.level_sq, axis=0)[-1]
+    return np.maximum((total_sq - total ** 2 / count) / (count - 1), 0.0)
 
 
 def predicted_variance(summary: EstimateSummary, schedule: LevelSchedule) -> float:
     """sum_l V_l / n_l from pooled level sums; exact in expectation for
     estimators whose levels are mutually independent (fixed base point, chains)."""
-    if summary.per_level is None:
-        raise ValueError("summary carries no per-level sums")
-    v = level_variance_estimates(summary.per_level)
+    v = level_variance_estimates(summary)
     return float(np.sum(v / np.asarray(schedule.n, dtype=float)))
 
 
 def samples_needed(variance: float, eps: float) -> int:
     """Replications needed to push the averaged variance to eps^2: ceil(var/eps^2)."""
-    if variance <= 0.0 or eps <= 0.0:
-        raise ValueError("variance and eps must be positive")
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    if variance <= 0.0:
+        raise DegenerateIntegrandError("variance must be positive to size a budget")
     return math.ceil(variance / eps ** 2)
 
 

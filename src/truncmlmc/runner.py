@@ -2,30 +2,29 @@
 
 Every cell of the (method, d) grid derives its randomness from the root seed
 through fixed fork labels, so adding methods or grid points never perturbs the
-draws of existing cells, and cells may run concurrently without affecting any
-output byte.
+draws of existing cells.  Cells run one after another in grid order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .anova import analytic_profile
-from .config import (METHODS, ConfigError, as_choice, as_float, as_float_list,
+from .config import (METHODS, ConfigError, as_choice, as_float_list,
                      as_int, as_int_list, as_str_list, chain_from_config,
                      integrand_from_config)
 from .integrands import Integrand
 from .markov import estimate_chain_mlmc, markov_schedule
-from .mlmc import (EstimateRecord, EstimateSummary, check_level_budget_bound,
-                   estimate_mlmc, estimate_mlmc_fixed,
-                   level_budget_rhs_se, level_variance_estimates, standard_mc,
-                   summarize, total_budget, truncation_schedule,
+from .mlmc import (EstimateSummary, LevelSchedule, NumericalFailure,
+                   check_level_budget_bound, estimate_mlmc, estimate_mlmc_fixed,
+                   level_budget_rhs_se, level_variance_estimates, replicate,
+                   standard_mc, total_budget, truncation_schedule,
                    work_normalized_variance)
-from .streams import CostLedger, UniformStream, new_stream
+from .streams import UniformStream, new_stream
 
 # Fork labels under the root seed, one per randomness consumer.  Fixed for
 # output stability; never reuse or renumber.
@@ -39,10 +38,6 @@ FORK_LABELS = {
     "markov": 6,
     "lemma1": 7,
 }
-
-
-class NumericalFailure(RuntimeError):
-    """A cell produced a non-finite estimate; identifies the offending cell."""
 
 
 @dataclass(frozen=True)
@@ -61,9 +56,10 @@ class BenchRow:
 
 @dataclass(frozen=True)
 class CellResult:
+    """One (method, d) cell: its replications, pooled into columns."""
+
     method: str
     d: int
-    records: tuple[EstimateRecord, ...]
     summary: EstimateSummary
 
 
@@ -78,6 +74,8 @@ def resolve_fixed_point(mode: str, d: int, root: UniformStream,
         v = np.asarray(explicit if explicit is not None else (), dtype=float)
         if v.shape != (d,):
             raise ConfigError(f"config key 'fix_v_values': expected {d} entries")
+        if not np.all((v >= 0.0) & (v <= 1.0)):
+            raise ConfigError("config key 'fix_v_values': entries must lie in [0, 1]")
         return v
     raise ConfigError(f"config key 'fix_v': unknown mode {mode!r}")
 
@@ -91,63 +89,53 @@ def variance_bound(integrand: Integrand) -> float | None:
     return 16.0 * math.ceil(math.log2(d)) / d * profile.d_t * profile.var_f
 
 
+def _multilevel_schedule(method: str, d: int) -> LevelSchedule:
+    if d < 2:
+        raise ConfigError(f"cell method={method} d={d}: multilevel estimators "
+                          "need dimension at least 2")
+    return truncation_schedule(d)
+
+
+def _replicate_cell(method: str, d: int, estimator, reps: int,
+                    root: UniformStream) -> EstimateSummary:
+    """Replicate ``estimator`` on the cell's labelled stream; failures name the cell."""
+    if reps < 2:
+        raise ConfigError("config key 'reps': need at least 2 replications")
+    try:
+        return replicate(estimator, reps, root.fork(FORK_LABELS[method]).fork(d))
+    except NumericalFailure as exc:
+        raise NumericalFailure(f"cell method={method} d={d}: {exc}") from exc
+
+
 def run_estimator_cell(method: str, integrand: Integrand, reps: int,
                        root: UniformStream, mc_n: int = 1,
                        fix_v: str = "midpoint", fix_v_values=None) -> CellResult:
     """Run one (method, d) cell on its labelled stream and summarize it."""
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
-    if reps < 2:
-        raise ConfigError("config key 'reps': need at least 2 replications")
     d = integrand.dimension
     if method == "mc":
-        def estimator(stream):
-            return standard_mc(integrand, mc_n, stream)
+        if mc_n < 1:
+            raise ConfigError("config key 'mc_n': need at least 1 point")
+        estimator = partial(standard_mc, integrand, mc_n)
     elif method == "mlmc":
-        schedule = truncation_schedule(d)
-
-        def estimator(stream):
-            return estimate_mlmc(integrand, schedule, stream)
+        estimator = partial(estimate_mlmc, integrand, _multilevel_schedule(method, d))
     else:
-        schedule = truncation_schedule(d)
         v = resolve_fixed_point(fix_v, d, root, fix_v_values)
-
-        def estimator(stream):
-            return estimate_mlmc_fixed(integrand, v, schedule, stream)
-
-    # detached ledger: cells may run on threads, and per-replication cost
-    # deltas must not see other cells' increments
-    cell_stream = root.fork(FORK_LABELS[method]).fork(d, ledger=CostLedger())
-    records = tuple(estimator(cell_stream.fork(j)) for j in range(reps))
-    values = np.array([r.value for r in records])
-    if not np.all(np.isfinite(values)):
-        raise NumericalFailure(f"cell method={method} d={d}: non-finite estimate")
-    return CellResult(method=method, d=d, records=records, summary=summarize(records))
+        estimator = partial(estimate_mlmc_fixed, integrand, v,
+                            _multilevel_schedule(method, d))
+    return CellResult(method, d, _replicate_cell(method, d, estimator, reps, root))
 
 
 def run_markov_cell(cfg: dict[str, str], d: int, reps: int,
                     root: UniformStream) -> CellResult:
     model, gamma = chain_from_config(cfg, d)
-    cell_stream = root.fork(FORK_LABELS["markov"]).fork(d, ledger=CostLedger())
-    records = tuple(estimate_chain_mlmc(model, gamma, cell_stream.fork(j))
-                    for j in range(reps))
-    values = np.array([r.value for r in records])
-    if not np.all(np.isfinite(values)):
-        raise NumericalFailure(f"cell method=markov d={d}: non-finite estimate")
-    return CellResult(method="markov", d=d, records=records, summary=summarize(records))
+    summary = _replicate_cell("markov", d, partial(estimate_chain_mlmc, model, gamma),
+                              reps, root)
+    return CellResult("markov", d, summary)
 
 
-def _cells_in_parallel(tasks, threads: int):
-    """Evaluate no-argument callables, preserving task order regardless of
-    completion order."""
-    if threads <= 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
-
-
-def run_config(cfg: dict[str, str], seed: int, threads: int = 1):
+def run_config(cfg: dict[str, str], seed: int):
     """Execute all requested (method, d, eps) cells of an integrand experiment.
 
     Returns (cell results in grid order, eps list); the CSV layer turns these
@@ -172,18 +160,12 @@ def run_config(cfg: dict[str, str], seed: int, threads: int = 1):
     fix_v = as_choice(cfg, "fix_v", {"midpoint", "sample", "explicit"}, "midpoint")
     fix_v_values = as_float_list(cfg, "fix_v_values", None)
     root = new_stream(seed)
-
-    tasks = []
-    for method in methods:
-        for d in d_grid:
-            integrand = integrand_from_config(cfg, d)
-            tasks.append(lambda method=method, integrand=integrand:
-                         run_estimator_cell(method, integrand, reps, root, mc_n,
-                                            fix_v, fix_v_values))
-    return _cells_in_parallel(tasks, threads), eps_list
+    return [run_estimator_cell(method, integrand_from_config(cfg, d), reps, root,
+                               mc_n, fix_v, fix_v_values)
+            for method in methods for d in d_grid], eps_list
 
 
-def compare_scaling(cfg: dict[str, str], seed: int, threads: int = 1) -> list[BenchRow]:
+def compare_scaling(cfg: dict[str, str], seed: int) -> list[BenchRow]:
     """Total budgets across the d grid at one tolerance, per method.
 
     MLMC rows also carry the analytic variance bound driven by the truncation
@@ -195,7 +177,7 @@ def compare_scaling(cfg: dict[str, str], seed: int, threads: int = 1) -> list[Be
     eps = eps_list[0]
     if eps <= 0:
         raise ConfigError("config key 'eps': tolerance must be positive")
-    cells, _ = run_config({**cfg, "eps": str(eps)}, seed, threads)
+    cells, _ = run_config({**cfg, "eps": str(eps)}, seed)
     rows = []
     for cell in cells:
         integrand = integrand_from_config(cfg, cell.d)
@@ -240,14 +222,12 @@ def lemma1_diagnostic(cfg: dict[str, str], seed: int, d_grid=None,
         integrand = integrand_from_config(cfg, d)
         if integrand.family is None:
             raise ConfigError("level-budget diagnostic needs a family integrand")
-        schedule = truncation_schedule(d)
+        schedule = _multilevel_schedule("lemma1", d)
         v = np.full(d, 0.5)
-        cell_stream = root.fork(FORK_LABELS["lemma1"]).fork(d)
-        records = [estimate_mlmc_fixed(integrand, v, schedule, cell_stream.fork(j))
-                   for j in range(reps)]
-        summary = summarize(records)
-        V = level_variance_estimates(summary.per_level)
-        counts = np.array([ls.count for ls in summary.per_level], dtype=float)
+        summary = _replicate_cell(
+            "lemma1", d, partial(estimate_mlmc_fixed, integrand, v, schedule), reps, root)
+        V = level_variance_estimates(summary)
+        counts = summary.replications * summary.level_count
         V_se = V * np.sqrt(2.0 / np.maximum(counts - 1.0, 1.0))
         nu = analytic_profile(integrand).D
         rhs_se = level_budget_rhs_se(schedule.m, V, V_se)

@@ -40,9 +40,8 @@ class UniformStream:
 
     Streams with equal ``(seed, path)`` produce identical sequences; streams
     with different paths are statistically independent.  ``counter`` is the
-    exact number of variates drawn from this stream since creation.  A stream
-    is single-owner: do not draw from one stream concurrently.  Forked
-    children may be used concurrently with each other and with the parent.
+    exact number of variates drawn from this stream since creation.  A fork
+    tree shares one ledger, so use its streams from one thread.
     """
 
     __slots__ = ("seed", "path", "counter", "ledger", "_gen")
@@ -59,18 +58,15 @@ class UniformStream:
     def __repr__(self) -> str:
         return f"UniformStream(seed={self.seed}, path={self.path}, counter={self.counter})"
 
-    def fork(self, label: int, ledger: CostLedger | None = None) -> "UniformStream":
-        """Independent child stream at ``path + (label,)``.
+    def fork(self, label: int) -> "UniformStream":
+        """Independent child stream at ``path + (label,)`` on this stream's ledger.
 
-        The child shares this stream's ledger unless given a detached one
-        (required when children run concurrently and their costs must not
-        interleave).  The parent is unaffected; the child's draw sequence is a
-        pure function of ``(seed, path, label)``.
+        The parent is unaffected; the child's draw sequence is a pure function
+        of ``(seed, path, label)``.
         """
         if label < 0:
             raise ValueError("fork label must be a nonnegative integer")
-        return UniformStream(self.seed, self.path + (int(label),),
-                             self.ledger if ledger is None else ledger)
+        return UniformStream(self.seed, self.path + (int(label),), self.ledger)
 
     def draw(self, n: int) -> np.ndarray:
         """Next ``n`` uniforms in [0, 1); counter and ledger advance by ``n``."""

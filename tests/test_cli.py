@@ -3,11 +3,13 @@ import csv
 import numpy as np
 import pytest
 
+from truncmlmc import Integrand, new_stream
 from truncmlmc.cli import main
 from truncmlmc.config import (ConfigError, as_bool, as_float_list, as_int,
                               chain_from_config, integrand_from_config,
                               parse_config_text)
-from truncmlmc.runner import lemma1_diagnostic, run_config
+from truncmlmc.runner import (NumericalFailure, lemma1_diagnostic, run_config,
+                              run_estimator_cell)
 
 
 def read_csv(path):
@@ -160,6 +162,56 @@ def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "mc" in err and "d=2" in err
+
+
+def test_numerical_failure_on_overflowing_level_sums():
+    # every value stays below 1e200, but the level sums of squares and the
+    # sample variance of the values overflow
+    huge = Integrand(dimension=4, evaluator=lambda p: 1e200 * p[:, 0])
+    with pytest.raises(NumericalFailure, match="method=mlmc-fixed d=4"):
+        run_estimator_cell("mlmc-fixed", huge, 10, new_stream(1))
+
+
+TINY = "1e-200,1e-200"
+
+
+@pytest.mark.parametrize("argv, code, fragment", [
+    pytest.param(["markov", "--d", "16", "--reps", "1"], 2, "'reps'",
+                 id="markov-reps"),
+    pytest.param(["lemma1", "--family", "additive", "--d", "4", "--reps", "1"], 2,
+                 "'reps'", id="lemma1-reps"),
+    pytest.param(["anova", "--family", "additive", "--d", "4", "--method", "mc",
+                  "--pairs", "1"], 2, "'pairs'", id="anova-pairs"),
+    pytest.param(["markov", "decay", "--d", "16", "--i", "2,4", "--n", "1"], 2,
+                 "'decay.n'", id="decay-n"),
+    pytest.param(["markov", "decay", "--d", "16", "--i", "2,32", "--n", "100"], 2,
+                 "'decay.i'", id="decay-depth"),
+    pytest.param(["estimate", "--family", "additive", "--d", "4", "--method", "mc",
+                  "--mc-n", "0", "--reps", "5"], 2, "'mc_n'", id="mc-n"),
+    pytest.param(["estimate", "--family", "additive", "--d", "1", "--method",
+                  "mlmc-fixed", "--reps", "5"], 2, "method=mlmc-fixed d=1",
+                 id="mlmc-fixed-d1"),
+    pytest.param(["lemma1", "--family", "product", "--d-grid", "1", "--reps", "5"],
+                 2, "method=lemma1 d=1", id="lemma1-d1"),
+    pytest.param(["estimate", "--family", "additive", "--d", "2", "--method",
+                  "mlmc-fixed", "--fix-v", "explicit", "--v-values", "0.5,1.5",
+                  "--reps", "5"], 2, "'fix_v_values'", id="fix-v-range"),
+    pytest.param(["anova", "--family", "additive", "--d", "2", "--coeffs", TINY], 3,
+                 "variance", id="anova-analytic-zero-variance"),
+    pytest.param(["anova", "--family", "product", "--d", "2", "--coeffs", TINY,
+                  "--method", "mc", "--pairs", "100"], 3, "variance",
+                 id="anova-mc-zero-variance"),
+    pytest.param(["bench", "--family", "product", "--d-grid", "2", "--coeffs", TINY,
+                  "--methods", "mc", "--reps", "10", "--eps", "0.1"], 3, "variance",
+                 id="bench-zero-variance"),
+])
+def test_cli_exit_codes_name_the_fault(argv, code, fragment, tmp_path,
+                                       monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--seed", "1"]) == code
+    err = capsys.readouterr().err
+    prefix = "config error:" if code == 2 else "numerical failure:"
+    assert err.startswith(prefix) and fragment in err, err
 
 
 def test_cli_rejects_unsupported_dimension(tmp_path, monkeypatch):

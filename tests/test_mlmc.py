@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from truncmlmc import (EstimateRecord, LevelSchedule, analytic_profile,
-                       check_level_budget_bound, estimate_mlmc,
+from truncmlmc import (EstimateRecord, Integrand, LevelSchedule,
+                       analytic_profile, check_level_budget_bound, estimate_mlmc,
                        estimate_mlmc_fixed, geometric_coefficients,
                        level_variance_estimates, make_additive, make_product,
                        new_stream, optimal_allocation, predicted_variance,
@@ -71,6 +71,24 @@ def test_mlmc_draw_cost_is_exact_and_bounded(d):
     assert rec.cost_units == rec.draw_units + rec.eval_units
 
 
+def test_mlmc_charges_base_payoff_without_evaluating_it():
+    d = 16
+    f = make_additive(geometric_coefficients(d))
+    rows = []
+
+    def evaluator(points):
+        rows.append(points.shape[0])
+        return f.evaluator(points)
+
+    counted = Integrand(dimension=d, evaluator=evaluator, steps_per_eval=3)
+    schedule = truncation_schedule(d)
+    rec = estimate_mlmc(counted, schedule, new_stream(13))
+    assert sum(rows) == schedule.n[0] + 2 * sum(schedule.n[1:])
+    assert rec.eval_units == 1 + sum(rows)
+    assert rec.step_units == 3 * rec.eval_units
+    assert rec.value == estimate_mlmc(f, schedule, new_stream(13)).value
+
+
 def test_mlmc_fixed_cost_excludes_base_point():
     d = 16
     f = make_additive(geometric_coefficients(d))
@@ -95,9 +113,8 @@ def test_level_telescoping_degeneracy():
     d = 8
     f = make_additive([1.0] + [0.0] * (d - 1))
     rec = estimate_mlmc(f, truncation_schedule(d), new_stream(17))
-    for stats in rec.per_level[1:]:
-        assert stats.total == 0.0
-        assert stats.total_sq == 0.0
+    assert np.all(rec.level_sum[1:] == 0.0)
+    assert np.all(rec.level_sq[1:] == 0.0)
 
 
 def test_mlmc_mean_unbiased_quick():
@@ -129,7 +146,7 @@ def test_midpoint_base_point_zeroes_additive_suffix():
         new_stream(37))
     se = math.sqrt(summary.sample_variance / summary.replications)
     assert abs(summary.mean) < 4 * se
-    assert rec.per_level is not None
+    assert rec.level_sum is not None
 
 
 def test_standard_mc_single_sample():
@@ -279,7 +296,7 @@ def test_level_budget_bound_holds_with_measured_variances():
     summary = replicate(
         lambda s: estimate_mlmc_fixed(f, np.full(d, 0.5), schedule, s), 4000,
         new_stream(67))
-    V = level_variance_estimates(summary.per_level)
+    V = level_variance_estimates(summary)
     nu = analytic_profile(f).D
     rep = check_level_budget_bound(schedule.m, V, nu)
     assert rep.passed
