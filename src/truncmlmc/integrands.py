@@ -116,7 +116,11 @@ def make_additive(c) -> Integrand:
     c = _validated_coefficients(c, product=False)
 
     def evaluator(points: np.ndarray) -> np.ndarray:
-        return (points - 0.5) @ c
+        # an elementwise product and a row sum, not a matmul: BLAS gemv gives
+        # a row other bits in batches of other shapes
+        x = points - 0.5
+        x *= c
+        return x.sum(axis=1)
 
     return Integrand(dimension=c.size, evaluator=evaluator, known_mean=0.0,
                      family="additive", coefficients=c)

@@ -5,12 +5,11 @@ across code changes, so a refactor shows it changed no output byte.  A change
 that alters output bytes on purpose declares it in CHANGES.md and re-pins with
 ``python tests/test_golden.py``, which rewrites ``golden/hashes.json``.
 
-Hashes of additive-family outputs depend on the BLAS kernel: the evaluator's
-``(points - 0.5) @ c`` goes through gemv, whose bits vary with the batch shape
-and the CPU path the library selects.  They were pinned with OpenBLAS 0.3.31
-(DYNAMIC_ARCH, Haswell kernels, x86-64) and may differ on another BLAS until
-the additive evaluator is made shape-invariant (ROADMAP item 1).  Product-family
-and chain outputs do not go through BLAS.
+No integrand evaluator goes through BLAS: the additive family is an
+elementwise product and a row sum, so a row's bits do not depend on the batch
+it is evaluated in (tests/test_integrands.py checks this).  The per-level sums
+of squares are BLAS dot products of one replication's increments; the hashes
+were pinned with numpy 2.4 and OpenBLAS 0.3.31 (DYNAMIC_ARCH, x86-64).
 """
 
 import hashlib

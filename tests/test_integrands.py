@@ -88,6 +88,17 @@ def test_batch_matches_pointwise():
     assert np.allclose(batch, [f.eval(p) for p in pts])
 
 
+@pytest.mark.parametrize("make", [make_additive, make_product])
+@pytest.mark.parametrize("d", [2, 8, 9, 256])
+def test_batch_is_bit_identical_row_by_row(make, d):
+    # estimators pool the rows of many replications into one batch, so a row's
+    # bits must not depend on the batch it is evaluated in
+    f = make(geometric_coefficients(d, 0.9))
+    pts = new_stream(d).draw_matrix(20_000, d)
+    rows = np.concatenate([f.eval_batch(pts[i:i + 1]) for i in range(len(pts))])
+    assert np.array_equal(f.eval_batch(pts), rows)
+
+
 def test_payoff_evaluations_counted():
     f = make_additive([1.0, 1.0])
     ledger = CostLedger()
