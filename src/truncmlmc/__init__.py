@@ -11,15 +11,12 @@ from .anova import (DegenerateIntegrandError, InequalityReport,
                     analytic_profile, check_pair_variance_bound,
                     check_residual_lower_bound, isotonic_nonincreasing,
                     mc_profile, truncation_dimension)
-from .integrands import (HybridPoint, Integrand, eval_hybrid,
-                         geometric_coefficients, make_additive, make_product,
-                         scalar_integrand)
-from .markov import (ChainModel, ChainPath, DecayReport, chain_integrand,
-                     coupled_level_pair, drift_integral, estimate_chain_mlmc,
-                     make_lindley, markov_schedule, measure_decay,
-                     modulated_uniform_increments, prefix_redraw_payoff,
-                     simulate_chain, simulate_restart, standard_mc_chain,
-                     uniform_increments)
+from .integrands import (Integrand, geometric_coefficients, make_additive,
+                         make_product)
+from .markov import (ChainModel, DecayReport, chain_integrand, drift_integral,
+                     estimate_chain_mlmc, make_lindley, markov_schedule,
+                     measure_decay, modulated_uniform_increments,
+                     standard_mc_chain, uniform_increments)
 from .mlmc import (EstimateRecord, EstimateSummary, LevelBudgetReport,
                    LevelSchedule, check_level_budget_bound,
                    dyadic_prefixes, estimate_mlmc, estimate_mlmc_fixed,

@@ -34,6 +34,10 @@ class DegenerateIntegrandError(ValueError):
     """Raised when an estimated variance is not positive."""
 
 
+class NumericalFailure(RuntimeError):
+    """An estimate, a variance or a profile came out non-finite."""
+
+
 @dataclass(frozen=True)
 class VarianceProfile:
     """Residual variances D(0..d), total variance, and truncation dimension.
@@ -55,6 +59,9 @@ class VarianceProfile:
     def __post_init__(self):
         D = np.asarray(self.D, dtype=float)
         object.__setattr__(self, "D", D)
+        parts = [D, self.var_f, self.d_t] + ([] if self.se is None else [self.se])
+        if not all(np.isfinite(part).all() for part in parts):
+            raise NumericalFailure(f"non-finite {self.source} profile")
         if self.var_f <= 0.0:
             raise DegenerateIntegrandError("profile requires positive variance")
         tol = 1e-9 * max(self.var_f, 1.0)

@@ -13,12 +13,13 @@ import sys
 
 import numpy as np
 
-from .anova import DegenerateIntegrandError, analytic_profile, mc_profile
+from .anova import (DegenerateIntegrandError, NumericalFailure,
+                    analytic_profile, mc_profile)
 from .config import (ConfigError, as_float_list, as_int, as_int_list,
                      chain_from_config, decay_from_config,
                      integrand_from_config, load_config)
 from .markov import measure_decay
-from .mlmc import NumericalFailure, total_budget, work_normalized_variance
+from .mlmc import total_budget, work_normalized_variance
 from .runner import (FORK_LABELS, CellResult, compare_scaling,
                      lemma1_diagnostic, run_config, run_estimator_cell,
                      run_markov_cell)
@@ -80,29 +81,36 @@ def _out(args, cfg, default: str) -> str:
 
 def _run_rows(cell: CellResult):
     summary = cell.summary
-    cost_units = summary.costs.sum(axis=1)
-    for rep, value in enumerate(summary.values):
-        if summary.level_sum is None:
-            yield (rep, value, cost_units[rep], "", "", "")
-            continue
-        for k, count in enumerate(summary.level_count):
-            yield (rep, value, cost_units[rep], k + 1, summary.level_sum[rep, k],
-                   count)
+    # each replication's value and cost are formatted once, not once per level
+    values = [_fmt(value) for value in summary.values.tolist()]
+    costs = [_fmt(cost) for cost in summary.costs.sum(axis=1).tolist()]
+    if summary.level_sum is None:
+        for rep, (value, cost) in enumerate(zip(values, costs)):
+            yield (rep, value, cost, "", "", "")
+        return
+    levels = list(enumerate(summary.level_count.tolist(), start=1))
+    for rep, (value, cost, sums) in enumerate(zip(values, costs,
+                                                  summary.level_sum.tolist())):
+        for (level, count), level_sum in zip(levels, sums):
+            yield (rep, value, cost, level, level_sum, count)
 
 
 def cmd_anova(args) -> int:
     cfg = _merged_config(args)
     integrand = integrand_from_config(cfg)
     seed = _seed(args, cfg)
+    # a non-finite profile raises NumericalFailure when it is built
     if args.method == "analytic":
-        profile = analytic_profile(integrand)
+        with np.errstate(over="ignore", invalid="ignore"):
+            profile = analytic_profile(integrand)
         se = np.zeros(integrand.dimension + 1)
     else:
         pairs = as_int(cfg, "pairs", 100_000)
         if pairs < 2:
             raise ConfigError("config key 'pairs': need at least 2 pairs")
         stream = new_stream(seed).fork(FORK_LABELS["anova"]).fork(integrand.dimension)
-        profile = mc_profile(integrand, pairs, stream)
+        with np.errstate(over="ignore", invalid="ignore"):
+            profile = mc_profile(integrand, pairs, stream)
         se = profile.se
     out = _out(args, cfg, "profile.csv")
     _write_csv(out, ANOVA_HEADER,

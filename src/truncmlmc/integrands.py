@@ -1,4 +1,4 @@
-"""Integrands on the unit cube, hybrid (prefix-spliced) evaluation, and test families.
+"""Integrands on the unit cube and test families.
 
 The two built-in families have closed-form means and component variances, so
 estimator output can be checked against exact values:
@@ -57,41 +57,6 @@ class Integrand:
         return np.asarray(self.evaluator(points), dtype=float).reshape(points.shape[0])
 
 
-@dataclass(frozen=True)
-class HybridPoint:
-    """Point whose first ``m`` coordinates come from ``u`` and the rest from ``u_prime``."""
-
-    u: np.ndarray
-    u_prime: np.ndarray
-    m: int
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        u_prime = np.asarray(self.u_prime, dtype=float)
-        if u.ndim != 1 or u.shape != u_prime.shape:
-            raise ValueError("u and u_prime must be vectors of equal length")
-        if not 0 <= self.m <= u.size:
-            raise ValueError(f"prefix length m={self.m} outside [0, {u.size}]")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "u_prime", u_prime)
-
-    def spliced(self) -> np.ndarray:
-        out = self.u_prime.copy()
-        out[: self.m] = self.u[: self.m]
-        return out
-
-
-def eval_hybrid(integrand: Integrand, point: HybridPoint,
-                ledger: CostLedger | None = None) -> float:
-    """Evaluate the integrand at the spliced point (one payoff evaluation).
-
-    With ``m == d`` this is exactly ``integrand.eval(point.u)``.  The level-0
-    term of the multilevel estimators is identically zero by convention and is
-    handled by the level schedule, not by a special prefix length here.
-    """
-    return integrand.eval(point.spliced(), ledger)
-
-
 def geometric_coefficients(d: int, decay: float = 0.5) -> np.ndarray:
     """c_i = decay**(i-1): later coordinates matter geometrically less."""
     if d < 1:
@@ -136,13 +101,3 @@ def make_product(c) -> Integrand:
 
     return Integrand(dimension=c.size, evaluator=evaluator, known_mean=1.0,
                      family="product", coefficients=c)
-
-
-def scalar_integrand(f: Callable[[np.ndarray], float], d: int,
-                     known_mean: float | None = None) -> Integrand:
-    """Wrap a black-box single-point function as a (slow) batched integrand."""
-
-    def evaluator(points: np.ndarray) -> np.ndarray:
-        return np.array([f(row) for row in points], dtype=float)
-
-    return Integrand(dimension=d, evaluator=evaluator, known_mean=known_mean)

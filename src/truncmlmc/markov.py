@@ -24,7 +24,7 @@ import numpy as np
 from .integrands import Integrand
 from .mlmc import (EstimateRecord, LevelSchedule, _telescope, dyadic_prefixes,
                    record_from_snapshot)
-from .streams import CostLedger, UniformStream
+from .streams import UniformStream, draw_rows
 
 LINDLEY_A = -0.6
 LINDLEY_B = 0.4
@@ -42,15 +42,6 @@ class ChainModel:
     initial_state: float
     step: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
     payoff: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class ChainPath:
-    """One simulated trajectory with its innovations and terminal payoff."""
-
-    states: np.ndarray
-    uniforms: np.ndarray
-    payoff: float
 
 
 @dataclass(frozen=True)
@@ -73,63 +64,6 @@ class DecayReport:
     geom_r2: float
 
 
-def simulate_chain(model: ChainModel, stream: UniformStream) -> ChainPath:
-    """Run the chain over its full horizon: d draws, d steps, one payoff."""
-    d = model.horizon
-    ledger = stream.ledger
-    ys = stream.draw(d)
-    states = np.empty(d + 1)
-    states[0] = model.initial_state
-    x = np.float64(model.initial_state)
-    for t in range(d):
-        x = model.step(t, x, ys[t])
-        states[t + 1] = x
-    ledger.step_applications += d
-    ledger.payoff_evals += 1
-    return ChainPath(states=states, uniforms=ys, payoff=float(model.payoff(x)))
-
-
-def simulate_restart(model: ChainModel, i: int, uniforms,
-                     ledger: CostLedger | None = None) -> float:
-    """Payoff of the chain restarted from its initial state i steps before the end.
-
-    ``uniforms`` supplies the final i innovations in time order; the restart
-    applies exactly i steps, so it costs O(i).  With i = d and the original
-    innovations this reproduces the full chain exactly.
-    """
-    d = model.horizon
-    if not 0 <= i <= d:
-        raise ValueError(f"restart depth i={i} outside [0, {d}]")
-    uniforms = np.asarray(uniforms, dtype=float)
-    if uniforms.shape != (i,):
-        raise ValueError(f"expected {i} innovations, got shape {uniforms.shape}")
-    x = np.float64(model.initial_state)
-    for k in range(i):
-        x = model.step(d - i + k, x, uniforms[k])
-    if ledger is not None:
-        ledger.step_applications += i
-        ledger.payoff_evals += 1
-    return float(model.payoff(x))
-
-
-def coupled_level_pair(model: ChainModel, m_hi: int, m_lo: int,
-                       stream: UniformStream) -> float:
-    """One coupled increment: restart payoff at depth m_hi minus depth m_lo.
-
-    Both restarts share the freshly drawn final innovations (the shallow one
-    uses the trailing m_lo of them), which is what keeps the increment small.
-    The depth-0 term is the constant 0 by the level-0 convention.
-    """
-    if not 0 <= m_lo < m_hi <= model.horizon:
-        raise ValueError("need 0 <= m_lo < m_hi <= horizon")
-    ys = stream.draw(m_hi)
-    ledger = stream.ledger
-    hi = simulate_restart(model, m_hi, ys, ledger)
-    if m_lo == 0:
-        return hi
-    return hi - simulate_restart(model, m_lo, ys[m_hi - m_lo:], ledger)
-
-
 def markov_schedule(d: int, gamma: float) -> LevelSchedule:
     """Dyadic prefixes with n_l = ceil(d 2^(l(gamma-1)/2)) replications per level.
 
@@ -145,56 +79,66 @@ def markov_schedule(d: int, gamma: float) -> LevelSchedule:
     return LevelSchedule(m=m, n=n)
 
 
-def estimate_chain_mlmc(model: ChainModel, gamma: float, stream: UniformStream,
+def estimate_chain_mlmc(model: ChainModel, gamma: float,
+                        streams: Sequence[UniformStream],
                         schedule: LevelSchedule | None = None) -> EstimateRecord:
-    """One replication of the restart-coupled multilevel estimator.
+    """Replications of the restart-coupled multilevel estimator, one per stream.
 
-    Levels run on forked streams and are mutually independent; within a level
-    the n_l coupled increments are iid, so the estimator variance is exactly
-    sum_l V_l / n_l.  Unbiased for the expected terminal payoff.
+    Level l of a replication runs on its stream's fork l, so levels are
+    mutually independent; within a level the n_l coupled increments are iid,
+    so the estimator variance is exactly sum_l V_l / n_l.  Unbiased for the
+    expected terminal payoff.
     """
     d = model.horizon
     if schedule is None:
         schedule = markov_schedule(d, gamma)
     if schedule.dimension != d:
         raise ValueError("schedule dimension must match the chain horizon")
-    ledger = stream.ledger
+    ledger = streams[0].ledger
     x0 = float(model.initial_state)
 
     def sample(level: int, n_l: int, m_lo: int, m_hi: int) -> np.ndarray:
-        ys = stream.fork(level).draw_matrix(n_l, m_hi)
-        hi = np.full(n_l, x0)
-        lo = np.full(n_l, x0)
+        # one row of innovations per path; a replication's n_l paths are adjacent
+        ys = draw_rows([s.fork(level) for s in streams], n_l * m_hi).reshape(-1, m_hi)
+        paths = ys.shape[0]
+        hi = np.full(paths, x0)
+        lo = np.full(paths, x0)
         for k in range(m_hi):
             t = d - m_hi + k
             hi = model.step(t, hi, ys[:, k])
-            ledger.step_applications += n_l
+            ledger.step_applications += paths
             if k >= m_hi - m_lo:
                 lo = model.step(t, lo, ys[:, k])
-                ledger.step_applications += n_l
-        ledger.payoff_evals += n_l
-        fine = np.asarray(model.payoff(hi), dtype=float)
+                ledger.step_applications += paths
+        ledger.payoff_evals += paths
+        fine = np.asarray(model.payoff(hi), dtype=float).reshape(-1, n_l)
         if m_lo == 0:
             return fine
-        ledger.payoff_evals += n_l
-        return fine - np.asarray(model.payoff(lo), dtype=float)
+        ledger.payoff_evals += paths
+        return fine - np.asarray(model.payoff(lo), dtype=float).reshape(-1, n_l)
 
-    return _telescope(schedule, sample, ledger, ledger.snapshot())
+    width = max(n_l * m_l for n_l, m_l in zip(schedule.n, schedule.m[1:]))
+    return _telescope(schedule, sample, ledger, ledger.snapshot(), width)
 
 
-def standard_mc_chain(model: ChainModel, n: int, stream: UniformStream) -> EstimateRecord:
-    """Average terminal payoff over n full-horizon paths, advanced in lockstep."""
+def standard_mc_chain(model: ChainModel, n: int,
+                      streams: Sequence[UniformStream]) -> EstimateRecord:
+    """Average terminal payoffs over n full-horizon paths advanced in lockstep,
+    one average per stream."""
     if n < 1:
         raise ValueError("path count must be positive")
-    ledger = stream.ledger
+    d = model.horizon
+    ledger = streams[0].ledger
     before = ledger.snapshot()
-    states = np.full(n, float(model.initial_state))
-    for t in range(model.horizon):
-        states = model.step(t, states, stream.draw(n))
-        ledger.step_applications += n
+    # a stream's n innovations of step t are its draws t*n .. (t+1)*n - 1
+    ys = draw_rows(streams, d * n).reshape(len(streams), d, n)
+    states = np.full((len(streams), n), float(model.initial_state))
+    for t in range(d):
+        states = model.step(t, states, ys[:, t])
+        ledger.step_applications += states.size
     values = np.asarray(model.payoff(states), dtype=float)
-    ledger.payoff_evals += n
-    return record_from_snapshot(float(values.mean()), before, ledger)
+    ledger.payoff_evals += states.size
+    return record_from_snapshot(values.mean(axis=1), before, ledger, d * n)
 
 
 def _loglinear_fit(x: np.ndarray, log_y: np.ndarray) -> tuple[float, float, float]:
@@ -258,29 +202,6 @@ def measure_decay(model: ChainModel, i_values: Sequence[int], n: int,
                        fitted_gamma=gamma, fitted_c_prime=math.exp(log_c),
                        power_r2=power_r2, geom_kappa=math.exp(log_kappa),
                        geom_theta=math.exp(log_theta), geom_r2=geom_r2)
-
-
-def prefix_redraw_payoff(model: ChainModel, path: ChainPath, i: int,
-                         stream: UniformStream) -> float:
-    """Redraw the final i innovations of a cached trajectory and re-pay.
-
-    Keeps states up to time d-i, applies i fresh steps: i draws, i steps, one
-    payoff evaluation.  With i = 0 the cached payoff is returned at zero cost;
-    with i = d this is a full independent resimulation.
-    """
-    d = model.horizon
-    if not 0 <= i <= d:
-        raise ValueError(f"redraw depth i={i} outside [0, {d}]")
-    if i == 0:
-        return path.payoff
-    ledger = stream.ledger
-    ys = stream.draw(i)
-    x = np.float64(path.states[d - i])
-    for k in range(i):
-        x = model.step(d - i + k, x, ys[k])
-    ledger.step_applications += i
-    ledger.payoff_evals += 1
-    return float(model.payoff(x))
 
 
 def uniform_increments(a: float = LINDLEY_A, b: float = LINDLEY_B):

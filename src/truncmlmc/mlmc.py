@@ -19,9 +19,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .anova import DegenerateIntegrandError
+from .anova import DegenerateIntegrandError, NumericalFailure
 from .integrands import Integrand
-from .streams import CostLedger, UniformStream
+from .streams import CostLedger, UniformStream, draw_rows
 
 
 @dataclass(frozen=True)
@@ -54,23 +54,25 @@ class LevelSchedule:
         return self.m[-1]
 
 
-class NumericalFailure(RuntimeError):
-    """Replications produced a non-finite value, sample variance or level sum."""
+# Elements (points times coordinates, or chain innovations) that one level of
+# a chunk of replications may hold; fixed, so memory stays bounded in reps.
+_CHUNK_ELEMENTS = 2 ** 14
 
 
 @dataclass(frozen=True)
 class EstimateRecord:
-    """One replication: value, exact unit costs, and optional per-level sums.
+    """A chunk of R replications in columns.
 
-    For multilevel estimators ``level_sum``/``level_sq`` hold, per level, the
-    sum and the sum of squares of its ``level_count`` increment samples.
+    ``values`` is [R] and ``costs`` [R, 3] (draw, step and eval units).
+    Multilevel estimators add ``level_sum`` and ``level_sq`` [R, L], the sum
+    and the sum of squares of each level's increments, and the increments per
+    level of one replication, ``level_count`` [L].  ``width`` counts the
+    elements of one replication's widest level and sizes the chunks.
     """
 
-    value: float
-    cost_units: int
-    draw_units: int
-    step_units: int
-    eval_units: int
+    values: np.ndarray
+    costs: np.ndarray
+    width: int
     level_sum: np.ndarray | None = None
     level_sq: np.ndarray | None = None
     level_count: tuple[int, ...] | None = None
@@ -117,82 +119,90 @@ def truncation_schedule(d: int) -> LevelSchedule:
     return LevelSchedule(m=m, n=n)
 
 
-def record_from_snapshot(value: float, before: tuple[int, int, int],
-                         ledger: CostLedger, level_sum=None, level_sq=None,
-                         level_count=None) -> EstimateRecord:
-    """Close out one replication against the ledger state captured at its start."""
-    draws, steps, evals = (a - b for a, b in zip(ledger.snapshot(), before))
-    return EstimateRecord(value=value, cost_units=draws + steps + evals,
-                          draw_units=draws, step_units=steps, eval_units=evals,
-                          level_sum=level_sum, level_sq=level_sq,
+def record_from_snapshot(values: np.ndarray, before: tuple[int, int, int],
+                         ledger: CostLedger, width: int, level_sum=None,
+                         level_sq=None, level_count=None) -> EstimateRecord:
+    """Close out a chunk of replications against the ledger state captured at
+    its start.  Every replication of a chunk does the same work, so each is
+    charged an equal share of the chunk's units."""
+    reps = values.size
+    delta = np.subtract(ledger.snapshot(), before)
+    if np.any(delta % reps):
+        raise RuntimeError(f"cost units {delta.tolist()} do not split evenly "
+                           f"over {reps} replications")
+    return EstimateRecord(values=values, costs=np.tile(delta // reps, (reps, 1)),
+                          width=width, level_sum=level_sum, level_sq=level_sq,
                           level_count=level_count)
 
 
 def _telescope(schedule: LevelSchedule,
                sample: Callable[[int, int, int, int], np.ndarray],
-               ledger: CostLedger, before: tuple[int, int, int]) -> EstimateRecord:
-    """One replication of the telescoping sum of level means over ``schedule``.
+               ledger: CostLedger, before: tuple[int, int, int],
+               width: int) -> EstimateRecord:
+    """A chunk of replications of the telescoping sum of level means over ``schedule``.
 
-    ``sample(level, n_l, m_lo, m_hi)`` returns the level's n_l coupled
-    increments: the payoff at prefix length m_hi minus the payoff at m_lo,
-    with no coarse term when m_lo = 0 (the level-0 term is identically zero).
+    ``sample(level, n_l, m_lo, m_hi)`` returns an [R, n_l] array: row j holds
+    replication j's n_l coupled increments, the payoff at prefix length m_hi
+    minus the payoff at m_lo, with no coarse term when m_lo = 0 (the level-0
+    term is identically zero).  Each row is reduced as one replication's
+    vector would be, so its bits do not depend on R.
     """
-    levels = schedule.levels
-    level_sum = np.empty(levels)
-    level_sq = np.empty(levels)
-    value = 0.0
-    for k in range(levels):
+    values, sums, squares = 0.0, [], []
+    for k in range(schedule.levels):
         diffs = sample(k + 1, schedule.n[k], schedule.m[k], schedule.m[k + 1])
-        level_sum[k] = diffs.sum()
-        level_sq[k] = np.dot(diffs, diffs)
-        value += float(diffs.mean())
-    return record_from_snapshot(value, before, ledger, level_sum, level_sq,
+        sums.append(diffs.sum(axis=1))
+        squares.append(np.vecdot(diffs, diffs))
+        values = values + diffs.mean(axis=1)
+    return record_from_snapshot(values, before, ledger, width,
+                                np.column_stack(sums), np.column_stack(squares),
                                 schedule.n)
 
 
 def _cube_telescope(integrand: Integrand, base: np.ndarray, schedule: LevelSchedule,
-                    stream: UniformStream, before: tuple[int, int, int]) -> EstimateRecord:
-    """The telescope with fresh prefixes from ``stream`` spliced onto ``base``."""
+                    streams: Sequence[UniformStream],
+                    before: tuple[int, int, int]) -> EstimateRecord:
+    """The telescope with fresh prefixes from each stream spliced onto its row
+    of ``base`` [R, d]."""
     if schedule.dimension != integrand.dimension:
         raise ValueError("schedule dimension must match the integrand")
     d = integrand.dimension
-    ledger = stream.ledger
+    reps = len(streams)
+    ledger = streams[0].ledger
 
     def sample(level: int, n_l: int, m_lo: int, m_hi: int) -> np.ndarray:
-        prefixes = stream.draw_matrix(n_l, m_hi)
-        points = np.broadcast_to(base, (n_l, d)).copy()
-        points[:, :m_hi] = prefixes
-        fine = integrand.eval_batch(points, ledger)
+        points = np.repeat(base[:, None, :], n_l, axis=1)
+        points[:, :, :m_hi] = draw_rows(streams, n_l * m_hi).reshape(reps, n_l, m_hi)
+        rows = points.reshape(reps * n_l, d)
+        fine = integrand.eval_batch(rows, ledger).reshape(reps, n_l)
         if m_lo == 0:
             return fine
-        # the coarse rows are a batch of their own: batched evaluators need
-        # not give the same bits for a row in batches of different shapes
-        points[:, m_lo:m_hi] = base[m_lo:m_hi]
-        return fine - integrand.eval_batch(points, ledger)
+        points[:, :, m_lo:m_hi] = base[:, None, m_lo:m_hi]
+        return fine - integrand.eval_batch(rows, ledger).reshape(reps, n_l)
 
-    return _telescope(schedule, sample, ledger, before)
+    return _telescope(schedule, sample, ledger, before, max(schedule.n) * d)
 
 
 def estimate_mlmc(integrand: Integrand, schedule: LevelSchedule,
-                  stream: UniformStream) -> EstimateRecord:
-    """One replication of the truncation-coupled estimator with a random base point.
+                  streams: Sequence[UniformStream]) -> EstimateRecord:
+    """Replications of the truncation-coupled estimator with a random base
+    point, one per stream.
 
-    Draws the base point once (d draws; the cost model charges one payoff
+    Each draws its base point once (d draws; the cost model charges one payoff
     evaluation there), then runs the level telescope with all levels sharing
     that base point.  Unbiased for the integral for any level schedule.
     """
-    ledger = stream.ledger
+    ledger = streams[0].ledger
     before = ledger.snapshot()
-    u_prime = stream.draw(integrand.dimension)
+    u_prime = draw_rows(streams, integrand.dimension)
     # no level needs the value f(u'), so its payoff is charged, not evaluated
-    ledger.payoff_evals += 1
-    ledger.step_applications += integrand.steps_per_eval
-    return _cube_telescope(integrand, u_prime, schedule, stream, before)
+    ledger.payoff_evals += len(streams)
+    ledger.step_applications += integrand.steps_per_eval * len(streams)
+    return _cube_telescope(integrand, u_prime, schedule, streams, before)
 
 
 def estimate_mlmc_fixed(integrand: Integrand, v, schedule: LevelSchedule,
-                        stream: UniformStream) -> EstimateRecord:
-    """One replication with the base point fixed to v (no base-point cost).
+                        streams: Sequence[UniformStream]) -> EstimateRecord:
+    """Replications with the base point fixed to v (no base-point cost), one per stream.
 
     Unbiased for the integral for every fixed v; since nothing random is
     shared across levels, its variance is exactly the sum of per-level
@@ -203,31 +213,36 @@ def estimate_mlmc_fixed(integrand: Integrand, v, schedule: LevelSchedule,
         raise ValueError(f"fixed suffix must have length {integrand.dimension}")
     if np.any((v < 0.0) | (v > 1.0)):
         raise ValueError("fixed suffix must lie in the unit cube")
-    return _cube_telescope(integrand, v, schedule, stream, stream.ledger.snapshot())
+    base = np.broadcast_to(v, (len(streams), v.size))
+    return _cube_telescope(integrand, base, schedule, streams,
+                           streams[0].ledger.snapshot())
 
 
-def standard_mc(integrand: Integrand, n: int, stream: UniformStream) -> EstimateRecord:
-    """Plain average of f over n uniform points (n*d draws, n payoff evaluations)."""
+def standard_mc(integrand: Integrand, n: int,
+                streams: Sequence[UniformStream]) -> EstimateRecord:
+    """Plain averages of f over n uniform points (n*d draws, n payoff
+    evaluations), one per stream."""
     if n < 1:
         raise ValueError("sample count must be positive")
-    ledger = stream.ledger
+    d = integrand.dimension
+    ledger = streams[0].ledger
     before = ledger.snapshot()
-    points = stream.draw_matrix(n, integrand.dimension)
-    value = float(integrand.eval_batch(points, ledger).mean())
-    return record_from_snapshot(value, before, ledger)
+    points = draw_rows(streams, n * d).reshape(len(streams) * n, d)
+    values = integrand.eval_batch(points, ledger).reshape(len(streams), n)
+    return record_from_snapshot(values.mean(axis=1), before, ledger, n * d)
 
 
 def summarize(records: Sequence[EstimateRecord]) -> EstimateSummary:
-    """Pool replication records into columns with their mean, unbiased sample
-    variance and mean cost."""
-    if len(records) < 2:
+    """Pool chunks of replications into columns with their mean, unbiased
+    sample variance and mean cost."""
+    values = np.concatenate([r.values for r in records])
+    if values.size < 2:
         raise ValueError("summaries need at least 2 replications")
-    values = np.array([r.value for r in records], dtype=float)
-    costs = np.array([(r.draw_units, r.step_units, r.eval_units) for r in records])
+    costs = np.concatenate([r.costs for r in records])
     level_sum = level_sq = level_count = None
     if records[0].level_sum is not None:
-        level_sum = np.array([r.level_sum for r in records])
-        level_sq = np.array([r.level_sq for r in records])
+        level_sum = np.concatenate([r.level_sum for r in records])
+        level_sq = np.concatenate([r.level_sq for r in records])
         level_count = np.array(records[0].level_count)
     return EstimateSummary(mean=float(values.mean()),
                            sample_variance=float(values.var(ddof=1)),
@@ -236,17 +251,32 @@ def summarize(records: Sequence[EstimateRecord]) -> EstimateSummary:
                            level_sq=level_sq, level_count=level_count)
 
 
-def replicate(estimator: Callable[[UniformStream], EstimateRecord], reps: int,
-              stream: UniformStream) -> EstimateSummary:
-    """Run ``reps`` independent replications on forked streams and summarize.
+def replicate(estimator: Callable[[Sequence[UniformStream]], EstimateRecord],
+              reps: int, stream: UniformStream) -> EstimateSummary:
+    """Run ``reps`` independent replications, replication j on ``stream.fork(j)``,
+    and summarize.
 
-    Raises NumericalFailure when a value, the sample variance or a per-level
-    sum is not finite.
+    The estimator runs a chunk of consecutive replications per call.  The first
+    chunk is one replication; its record's ``width`` sizes the others to
+    ``_CHUNK_ELEMENTS`` elements per level.  Row j depends on its own stream
+    only, so the columns do not depend on the chunk sizes.  Raises
+    NumericalFailure when a value, the sample variance or a per-level sum is
+    not finite.
     """
     if reps < 2:
         raise ValueError("need at least 2 replications")
+    records = []
+    start, size = 0, 1
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        summary = summarize([estimator(stream.fork(j)) for j in range(reps)])
+        while start < reps:
+            stop = min(reps, start + size)
+            record = estimator([stream.fork(j) for j in range(start, stop)])
+            if record.values.size != stop - start:
+                raise ValueError(f"estimator returned {record.values.size} "
+                                 f"replications for {stop - start} streams")
+            records.append(record)
+            start, size = stop, max(1, _CHUNK_ELEMENTS // record.width)
+        summary = summarize(records)
     columns = [summary.values, summary.sample_variance]
     if summary.level_sum is not None:
         columns += [summary.level_sum, summary.level_sq]

@@ -12,6 +12,7 @@ one chain step, one payoff evaluation each cost one unit) on a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -80,6 +81,14 @@ class UniformStream:
     def draw_matrix(self, rows: int, cols: int) -> np.ndarray:
         """``rows * cols`` uniforms reshaped to (rows, cols), row-major."""
         return self.draw(rows * cols).reshape(rows, cols)
+
+
+def draw_rows(streams: Sequence[UniformStream], n: int) -> np.ndarray:
+    """The next ``n`` uniforms of each stream, one row per stream."""
+    out = np.empty((len(streams), n))
+    for row, stream in zip(out, streams):
+        row[:] = stream.draw(n)
+    return out
 
 
 def new_stream(seed: int, ledger: CostLedger | None = None) -> UniformStream:

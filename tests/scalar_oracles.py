@@ -1,0 +1,150 @@
+"""Scalar reference implementations, one point or one path at a time.
+
+The package runs many replications per numpy call; these helpers do the same
+work the slow, obvious way, so tests can check the batched code against them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from truncmlmc import ChainModel, CostLedger, Integrand, UniformStream
+
+
+@dataclass(frozen=True)
+class HybridPoint:
+    """Point whose first ``m`` coordinates come from ``u`` and the rest from ``u_prime``."""
+
+    u: np.ndarray
+    u_prime: np.ndarray
+    m: int
+
+    def __post_init__(self):
+        u = np.asarray(self.u, dtype=float)
+        u_prime = np.asarray(self.u_prime, dtype=float)
+        if u.ndim != 1 or u.shape != u_prime.shape:
+            raise ValueError("u and u_prime must be vectors of equal length")
+        if not 0 <= self.m <= u.size:
+            raise ValueError(f"prefix length m={self.m} outside [0, {u.size}]")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "u_prime", u_prime)
+
+    def spliced(self) -> np.ndarray:
+        out = self.u_prime.copy()
+        out[: self.m] = self.u[: self.m]
+        return out
+
+
+def eval_hybrid(integrand: Integrand, point: HybridPoint,
+                ledger: CostLedger | None = None) -> float:
+    """Evaluate the integrand at the spliced point (one payoff evaluation).
+
+    With ``m == d`` this is exactly ``integrand.eval(point.u)``.  The level-0
+    term of the multilevel estimators is identically zero by convention and is
+    handled by the level schedule, not by a special prefix length here.
+    """
+    return integrand.eval(point.spliced(), ledger)
+
+
+def scalar_integrand(f: Callable[[np.ndarray], float], d: int,
+                     known_mean: float | None = None) -> Integrand:
+    """Wrap a black-box single-point function as a (slow) batched integrand."""
+
+    def evaluator(points: np.ndarray) -> np.ndarray:
+        return np.array([f(row) for row in points], dtype=float)
+
+    return Integrand(dimension=d, evaluator=evaluator, known_mean=known_mean)
+
+
+@dataclass(frozen=True)
+class ChainPath:
+    """One simulated trajectory with its innovations and terminal payoff."""
+
+    states: np.ndarray
+    uniforms: np.ndarray
+    payoff: float
+
+
+def simulate_chain(model: ChainModel, stream: UniformStream) -> ChainPath:
+    """Run the chain over its full horizon: d draws, d steps, one payoff."""
+    d = model.horizon
+    ledger = stream.ledger
+    ys = stream.draw(d)
+    states = np.empty(d + 1)
+    states[0] = model.initial_state
+    x = np.float64(model.initial_state)
+    for t in range(d):
+        x = model.step(t, x, ys[t])
+        states[t + 1] = x
+    ledger.step_applications += d
+    ledger.payoff_evals += 1
+    return ChainPath(states=states, uniforms=ys, payoff=float(model.payoff(x)))
+
+
+def simulate_restart(model: ChainModel, i: int, uniforms,
+                     ledger: CostLedger | None = None) -> float:
+    """Payoff of the chain restarted from its initial state i steps before the end.
+
+    ``uniforms`` supplies the final i innovations in time order; the restart
+    applies exactly i steps, so it costs O(i).  With i = d and the original
+    innovations this reproduces the full chain exactly.
+    """
+    d = model.horizon
+    if not 0 <= i <= d:
+        raise ValueError(f"restart depth i={i} outside [0, {d}]")
+    uniforms = np.asarray(uniforms, dtype=float)
+    if uniforms.shape != (i,):
+        raise ValueError(f"expected {i} innovations, got shape {uniforms.shape}")
+    x = np.float64(model.initial_state)
+    for k in range(i):
+        x = model.step(d - i + k, x, uniforms[k])
+    if ledger is not None:
+        ledger.step_applications += i
+        ledger.payoff_evals += 1
+    return float(model.payoff(x))
+
+
+def coupled_level_pair(model: ChainModel, m_hi: int, m_lo: int,
+                       stream: UniformStream) -> float:
+    """One coupled increment: restart payoff at depth m_hi minus depth m_lo.
+
+    Both restarts share the freshly drawn final innovations (the shallow one
+    uses the trailing m_lo of them), which is what keeps the increment small.
+    The depth-0 term is the constant 0 by the level-0 convention.
+    """
+    if not 0 <= m_lo < m_hi <= model.horizon:
+        raise ValueError("need 0 <= m_lo < m_hi <= horizon")
+    ys = stream.draw(m_hi)
+    ledger = stream.ledger
+    hi = simulate_restart(model, m_hi, ys, ledger)
+    if m_lo == 0:
+        return hi
+    return hi - simulate_restart(model, m_lo, ys[m_hi - m_lo:], ledger)
+
+
+def prefix_redraw_payoff(model: ChainModel, path: ChainPath, i: int,
+                         stream: UniformStream) -> float:
+    """Redraw the final i innovations of a cached trajectory and re-pay.
+
+    Keeps states up to time d-i, applies i fresh steps: i draws, i steps, one
+    payoff evaluation.  With i = 0 the cached payoff is returned at zero cost;
+    with i = d this is a full independent resimulation.
+    """
+    d = model.horizon
+    if not 0 <= i <= d:
+        raise ValueError(f"redraw depth i={i} outside [0, {d}]")
+    if i == 0:
+        return path.payoff
+    ledger = stream.ledger
+    ys = stream.draw(i)
+    x = np.float64(path.states[d - i])
+    for k in range(i):
+        x = model.step(d - i + k, x, ys[k])
+    ledger.step_applications += i
+    ledger.payoff_evals += 1
+    return float(model.payoff(x))
+
+

@@ -17,7 +17,7 @@ from truncmlmc import (analytic_profile, check_pair_variance_bound,
                        geometric_coefficients, make_additive, make_lindley,
                        make_product, markov_schedule, mc_profile, measure_decay,
                        new_stream, predicted_variance, replicate,
-                       standard_mc_chain, summarize, truncation_schedule,
+                       standard_mc_chain, truncation_schedule,
                        uniform_increments)
 from truncmlmc.cli import main
 from truncmlmc.runner import compare_scaling, lemma1_diagnostic
@@ -106,13 +106,9 @@ def _mlmc_cells(reps=10_000, d_grid=(4, 16, 64, 256)):
             integrand = make(geometric_coefficients(d))
             schedule = truncation_schedule(d)
             stream = root.fork(fork_label).fork(d)
-            max_draws = 0
-            records = []
-            for j in range(reps):
-                record = estimate_mlmc(integrand, schedule, stream.fork(j))
-                max_draws = max(max_draws, record.draw_units)
-                records.append(record)
-            yield name, d, integrand, summarize(records), max_draws
+            summary = replicate(lambda s: estimate_mlmc(integrand, schedule, s),
+                                reps, stream)
+            yield name, d, integrand, summary, summary.costs[:, 0].max()
 
 
 @criterion(4, "variance of the truncation-coupled estimator within its bound, "
@@ -133,10 +129,10 @@ def test_criterion_05_cost_bound():
     for d in (2, 4, 8, 16, 64, 256, 1000):
         schedule = truncation_schedule(d)
         record = estimate_mlmc(make_additive(geometric_coefficients(d)), schedule,
-                               new_stream(50))
+                               [new_stream(50)])
         expected = d + sum(nl * ml for nl, ml in zip(schedule.n, schedule.m[1:]))
-        assert record.draw_units == expected
-        assert record.draw_units <= 9 * d
+        assert record.costs[0, 0] == expected
+        assert record.costs[0, 0] <= 9 * d
     for name, d, _, _, max_draws in _mlmc_cells(reps=200):
         assert max_draws <= 9 * d, (name, d)
 

@@ -173,6 +173,7 @@ def test_numerical_failure_on_overflowing_level_sums():
 
 
 TINY = "1e-200,1e-200"
+HUGE = "1e300,1e300"
 
 
 @pytest.mark.parametrize("argv, code, fragment", [
@@ -201,6 +202,11 @@ TINY = "1e-200,1e-200"
     pytest.param(["anova", "--family", "product", "--d", "2", "--coeffs", TINY,
                   "--method", "mc", "--pairs", "100"], 3, "variance",
                  id="anova-mc-zero-variance"),
+    pytest.param(["anova", "--family", "additive", "--d", "2", "--coeffs", HUGE], 3,
+                 "non-finite", id="anova-analytic-overflow"),
+    pytest.param(["anova", "--family", "additive", "--d", "2", "--coeffs", HUGE,
+                  "--method", "mc", "--pairs", "100"], 3, "non-finite",
+                 id="anova-mc-overflow"),
     pytest.param(["bench", "--family", "product", "--d-grid", "2", "--coeffs", TINY,
                   "--methods", "mc", "--reps", "10", "--eps", "0.1"], 3, "variance",
                  id="bench-zero-variance"),

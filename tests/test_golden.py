@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from truncmlmc import mlmc
 from truncmlmc.cli import main
 
 HASHES = Path(__file__).parent / "golden" / "hashes.json"
@@ -76,6 +77,14 @@ def output_hash(name: str, workdir: Path) -> str:
 def test_output_matches_pinned_hash(name, tmp_path):
     pinned = json.loads(HASHES.read_text(encoding="utf-8"))
     assert output_hash(name, tmp_path) == pinned[name], INVOCATIONS[name]
+
+
+@pytest.mark.parametrize("budget", [0, 2 ** 62], ids=["one-per-chunk", "unbounded"])
+def test_hashes_do_not_depend_on_chunk_size(budget, tmp_path, monkeypatch):
+    monkeypatch.setattr(mlmc, "_CHUNK_ELEMENTS", budget)
+    pinned = json.loads(HASHES.read_text(encoding="utf-8"))
+    for name in sorted(INVOCATIONS):
+        assert output_hash(name, tmp_path) == pinned[name], INVOCATIONS[name]
 
 
 def test_every_invocation_is_pinned():

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from truncmlmc import (CostLedger, HybridPoint, eval_hybrid,
-                       geometric_coefficients, make_additive, make_product,
-                       new_stream, scalar_integrand)
+from scalar_oracles import HybridPoint, eval_hybrid, scalar_integrand
+from truncmlmc import (CostLedger, geometric_coefficients, make_additive,
+                       make_product, new_stream)
 
 unit_vectors = st.integers(min_value=1, max_value=6).flatmap(
     lambda d: st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=d, max_size=d))

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from truncmlmc import (ChainModel, CostLedger, chain_integrand,
-                       coupled_level_pair, drift_integral, estimate_chain_mlmc,
-                       make_lindley, markov_schedule, mc_profile, measure_decay,
-                       modulated_uniform_increments, new_stream,
-                       prefix_redraw_payoff, replicate, simulate_chain,
-                       simulate_restart, standard_mc_chain, summarize,
+from scalar_oracles import (coupled_level_pair, prefix_redraw_payoff,
+                            simulate_chain, simulate_restart)
+from truncmlmc import markov
+from truncmlmc import (ChainModel, CostLedger, chain_integrand, drift_integral,
+                       estimate_chain_mlmc, make_lindley, markov_schedule,
+                       mc_profile, measure_decay, modulated_uniform_increments,
+                       new_stream, replicate, standard_mc_chain,
                        truncation_dimension, uniform_increments)
 
 LINDLEY_MEAN_INCREMENT = -0.1  # uniform(-0.6, 0.4)
@@ -91,6 +92,38 @@ def test_state_forgetting_chain_collapses_deep_levels():
         assert coupled_level_pair(m, m_hi, m_lo, new_stream(6)) == 0.0
 
 
+def test_chain_levels_match_scalar_coupled_pairs(monkeypatch):
+    # row j of level k holds n_k coupled increments drawn in turn from
+    # stream j's fork k
+    model = make_lindley(16)
+    schedule = markov_schedule(16, -2.0)
+    levels = []
+    telescope = markov._telescope
+
+    def recording(schedule, sample, *args):
+        def recorded(level, *sizes):
+            diffs = sample(level, *sizes)
+            levels.append(diffs)
+            return diffs
+        return telescope(schedule, recorded, *args)
+
+    monkeypatch.setattr(markov, "_telescope", recording)
+    root = new_stream(19)
+    rec = estimate_chain_mlmc(model, -2.0, [root.fork(j) for j in range(5)])
+    for j in range(5):
+        value = 0.0
+        for k, diffs in enumerate(levels):
+            stream = new_stream(19).fork(j).fork(k + 1)
+            pairs = np.array([coupled_level_pair(model, schedule.m[k + 1],
+                                                 schedule.m[k], stream)
+                              for _ in range(schedule.n[k])])
+            assert np.array_equal(diffs[j], pairs), (j, k)
+            assert rec.level_sum[j, k] == pairs.sum()
+            assert rec.level_sq[j, k] == np.dot(pairs, pairs)
+            value += float(pairs.mean())
+        assert rec.values[j] == value
+
+
 def test_markov_schedule_examples():
     s = markov_schedule(64, -2.0)
     assert s.n == (23, 8, 3, 1, 1, 1)
@@ -108,12 +141,13 @@ def test_chain_mlmc_cost_identity():
     d = 64
     schedule = markov_schedule(d, -2.0)
     ledger = CostLedger()
-    rec = estimate_chain_mlmc(make_lindley(d), -2.0, new_stream(7, ledger))
+    rec = estimate_chain_mlmc(make_lindley(d), -2.0, [new_stream(7, ledger)])
+    draw_units, step_units, eval_units = rec.costs[0]
     expected_steps = sum(nl * (hi + lo) for nl, hi, lo
                          in zip(schedule.n, schedule.m[1:], schedule.m[:-1]))
-    assert rec.step_units == expected_steps
-    assert rec.draw_units == sum(nl * hi for nl, hi in zip(schedule.n, schedule.m[1:]))
-    assert rec.eval_units == schedule.n[0] + 2 * sum(schedule.n[1:])
+    assert step_units == expected_steps
+    assert draw_units == sum(nl * hi for nl, hi in zip(schedule.n, schedule.m[1:]))
+    assert eval_units == schedule.n[0] + 2 * sum(schedule.n[1:])
 
 
 def test_chain_mlmc_level_zero_is_constant_zero():
@@ -152,9 +186,9 @@ def test_chain_mlmc_variance_identity():
 
 def test_standard_mc_chain_costs():
     ledger = CostLedger()
-    rec = standard_mc_chain(make_lindley(6), 50, new_stream(10, ledger))
+    rec = standard_mc_chain(make_lindley(6), 50, [new_stream(10, ledger)])
     assert ledger.snapshot() == (300, 300, 50)
-    assert rec.cost_units == 650
+    assert rec.costs[0].sum() == 650
 
 
 def test_measure_decay_endpoints_and_monotonicity():

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from truncmlmc import (EstimateRecord, Integrand, LevelSchedule,
+from truncmlmc import mlmc
+from truncmlmc import (CostLedger, EstimateRecord, Integrand, LevelSchedule,
                        analytic_profile, check_level_budget_bound, estimate_mlmc,
                        estimate_mlmc_fixed, geometric_coefficients,
                        level_variance_estimates, make_additive, make_product,
@@ -13,6 +15,13 @@ from truncmlmc import (EstimateRecord, Integrand, LevelSchedule,
                        replicate, samples_needed, standard_mc, summarize,
                        total_budget, truncation_schedule,
                        work_normalized_variance)
+from truncmlmc.runner import run_estimator_cell, run_markov_cell
+
+
+def record(value, draw_units):
+    """One hand-made replication that drew ``draw_units`` uniforms."""
+    return EstimateRecord(values=np.array([value]),
+                          costs=np.array([[draw_units, 0, 0]]), width=1)
 
 
 def test_schedule_examples():
@@ -62,13 +71,14 @@ def test_level_schedule_validation():
 def test_mlmc_draw_cost_is_exact_and_bounded(d):
     f = make_additive(geometric_coefficients(d))
     schedule = truncation_schedule(d)
-    rec = estimate_mlmc(f, schedule, new_stream(13))
+    rec = estimate_mlmc(f, schedule, [new_stream(13)])
+    draw_units, step_units, eval_units = rec.costs[0]
     expected_draws = d + sum(nl * ml for nl, ml in zip(schedule.n, schedule.m[1:]))
-    assert rec.draw_units == expected_draws
-    assert rec.draw_units <= 9 * d
+    assert draw_units == expected_draws
+    assert draw_units <= 9 * d
     expected_evals = 1 + schedule.n[0] + 2 * sum(schedule.n[1:])
-    assert rec.eval_units == expected_evals
-    assert rec.cost_units == rec.draw_units + rec.eval_units
+    assert eval_units == expected_evals
+    assert rec.costs[0].sum() == draw_units + eval_units
 
 
 def test_mlmc_charges_base_payoff_without_evaluating_it():
@@ -82,29 +92,31 @@ def test_mlmc_charges_base_payoff_without_evaluating_it():
 
     counted = Integrand(dimension=d, evaluator=evaluator, steps_per_eval=3)
     schedule = truncation_schedule(d)
-    rec = estimate_mlmc(counted, schedule, new_stream(13))
+    rec = estimate_mlmc(counted, schedule, [new_stream(13)])
+    _, step_units, eval_units = rec.costs[0]
     assert sum(rows) == schedule.n[0] + 2 * sum(schedule.n[1:])
-    assert rec.eval_units == 1 + sum(rows)
-    assert rec.step_units == 3 * rec.eval_units
-    assert rec.value == estimate_mlmc(f, schedule, new_stream(13)).value
+    assert eval_units == 1 + sum(rows)
+    assert step_units == 3 * eval_units
+    assert rec.values[0] == estimate_mlmc(f, schedule, [new_stream(13)]).values[0]
 
 
 def test_mlmc_fixed_cost_excludes_base_point():
     d = 16
     f = make_additive(geometric_coefficients(d))
     schedule = truncation_schedule(d)
-    rec = estimate_mlmc_fixed(f, np.full(d, 0.5), schedule, new_stream(13))
-    assert rec.draw_units == sum(nl * ml for nl, ml in zip(schedule.n, schedule.m[1:]))
-    assert rec.eval_units == schedule.n[0] + 2 * sum(schedule.n[1:])
+    rec = estimate_mlmc_fixed(f, np.full(d, 0.5), schedule, [new_stream(13)])
+    draw_units, _, eval_units = rec.costs[0]
+    assert draw_units == sum(nl * ml for nl, ml in zip(schedule.n, schedule.m[1:]))
+    assert eval_units == schedule.n[0] + 2 * sum(schedule.n[1:])
 
 
 def test_single_level_schedule_averages_full_evaluations():
     # with one level the estimator is a plain average and the base point is unused
     f = make_product([1.0, 1.0])
     schedule = truncation_schedule(2)
-    a = estimate_mlmc_fixed(f, [0.0, 0.0], schedule, new_stream(5))
-    b = estimate_mlmc_fixed(f, [0.9, 0.9], schedule, new_stream(5))
-    assert a.value == b.value
+    a = estimate_mlmc_fixed(f, [0.0, 0.0], schedule, [new_stream(5)])
+    b = estimate_mlmc_fixed(f, [0.9, 0.9], schedule, [new_stream(5)])
+    assert a.values[0] == b.values[0]
 
 
 def test_level_telescoping_degeneracy():
@@ -112,9 +124,9 @@ def test_level_telescoping_degeneracy():
     # with a nonempty coarse prefix vanish identically
     d = 8
     f = make_additive([1.0] + [0.0] * (d - 1))
-    rec = estimate_mlmc(f, truncation_schedule(d), new_stream(17))
-    assert np.all(rec.level_sum[1:] == 0.0)
-    assert np.all(rec.level_sq[1:] == 0.0)
+    rec = estimate_mlmc(f, truncation_schedule(d), [new_stream(17)])
+    assert np.all(rec.level_sum[0, 1:] == 0.0)
+    assert np.all(rec.level_sq[0, 1:] == 0.0)
 
 
 def test_mlmc_mean_unbiased_quick():
@@ -138,7 +150,7 @@ def test_midpoint_base_point_zeroes_additive_suffix():
     d = 8
     f = make_additive(geometric_coefficients(d))
     schedule = truncation_schedule(d)
-    rec = estimate_mlmc_fixed(f, np.full(d, 0.5), schedule, new_stream(31))
+    rec = estimate_mlmc_fixed(f, np.full(d, 0.5), schedule, [new_stream(31)])
     # each increment only sees its fresh prefix coordinates; value is a sum of
     # centered prefix averages, so a few thousand replications center on 0
     summary = replicate(
@@ -152,25 +164,24 @@ def test_midpoint_base_point_zeroes_additive_suffix():
 def test_standard_mc_single_sample():
     f = make_additive([1.0, 1.0])
     stream = new_stream(41)
-    rec = standard_mc(f, 1, stream)
-    assert rec.cost_units == 2 + 1
-    assert rec.draw_units == 2
+    rec = standard_mc(f, 1, [stream])
+    assert rec.costs[0].sum() == 2 + 1
+    assert rec.costs[0, 0] == 2
     check = new_stream(41)
-    assert rec.value == f.eval(check.draw(2))
+    assert rec.values[0] == f.eval(check.draw(2))
 
 
 def test_standard_mc_mean_and_variance():
     f = make_additive([1.0, 1.0])  # variance 1/6
-    rec = standard_mc(f, 10_000, new_stream(43))
-    assert abs(rec.value) < 4 * math.sqrt((1 / 6) / 10_000)
+    rec = standard_mc(f, 10_000, [new_stream(43)])
+    assert abs(rec.values[0]) < 4 * math.sqrt((1 / 6) / 10_000)
     summary = replicate(lambda s: standard_mc(f, 1, s), 4000, new_stream(47))
     se = (1 / 6) * math.sqrt(2 / (summary.replications - 1))
     assert abs(summary.sample_variance - 1 / 6) < 4 * se
 
 
 def test_replicate_constant_closure():
-    rec = EstimateRecord(value=3.0, cost_units=5, draw_units=5, step_units=0,
-                         eval_units=0)
+    rec = record(3.0, 5)
     summary = replicate(lambda s: rec, 2, new_stream(1))
     assert summary.mean == 3.0
     assert summary.sample_variance == 0.0
@@ -181,16 +192,16 @@ def test_summary_mean_matches_recorded_values():
     f = make_product([0.5, 0.5, 0.5])
     schedule = truncation_schedule(3)
     root = new_stream(53)
-    records = [estimate_mlmc(f, schedule, root.fork(j)) for j in range(100)]
+    records = [estimate_mlmc(f, schedule, [root.fork(j)]) for j in range(100)]
     summary = summarize(records)
-    values = np.array([r.value for r in records])
+    values = np.concatenate([r.values for r in records])
     assert summary.mean == pytest.approx(values.mean(), rel=1e-12)
     assert summary.sample_variance == pytest.approx(values.var(ddof=1), rel=1e-12)
 
 
 def test_replicate_requires_two():
     with pytest.raises(ValueError):
-        replicate(lambda s: EstimateRecord(1.0, 1, 1, 0, 0), 1, new_stream(1))
+        replicate(lambda s: record(1.0, 1), 1, new_stream(1))
 
 
 def test_fixed_base_levels_satisfy_variance_identity():
@@ -206,6 +217,54 @@ def test_fixed_base_levels_satisfy_variance_identity():
     assert abs(summary.sample_variance - predicted) < 4 * se
 
 
+CELLS = {
+    "mc": lambda root: run_estimator_cell("mc", make_additive(
+        geometric_coefficients(256)), 40, root, mc_n=3),
+    "mlmc": lambda root: run_estimator_cell("mlmc", make_product(
+        geometric_coefficients(256)), 30, root),
+    "mlmc-fixed": lambda root: run_estimator_cell("mlmc-fixed", make_additive(
+        geometric_coefficients(256)), 30, root, fix_v="sample"),
+    "markov": lambda root: run_markov_cell({"chain.d": "64"}, 64, 600, root),
+}
+
+
+@pytest.mark.parametrize("method", sorted(CELLS))
+def test_columns_do_not_depend_on_chunk_size(method, monkeypatch):
+    # a budget of 0 runs one replication per chunk; 2**62 runs all but the
+    # first replication in one chunk
+    columns = {}
+    for budget in (0, mlmc._CHUNK_ELEMENTS, 2 ** 62):
+        monkeypatch.setattr(mlmc, "_CHUNK_ELEMENTS", budget)
+        summary = CELLS[method](new_stream(71)).summary
+        columns[budget] = (summary.values, summary.costs, summary.level_sum,
+                           summary.level_sq)
+    reference = columns.pop(0)
+    for budget, other in columns.items():
+        for a, b in zip(reference, other):
+            assert np.array_equal(a, b) if a is not None else b is None, budget
+
+
+def test_replication_memory_is_bounded_by_the_chunk_budget():
+    root = new_stream(73)
+    run_markov_cell({"chain.d": "64"}, 64, 50, root)  # first-call allocations
+    tracemalloc.start()
+    try:
+        summary = run_markov_cell({"chain.d": "64"}, 64, 4000, root).summary
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = sum(a.nbytes for a in (summary.values, summary.costs,
+                                     summary.level_sum, summary.level_sq))
+    # the chunks and their concatenation are both alive while summarize runs
+    assert peak < 2 * columns + 4 * 8 * mlmc._CHUNK_ELEMENTS, (peak, columns)
+
+
+def test_chunk_costs_must_split_evenly():
+    ledger = CostLedger(coordinate_draws=5)
+    with pytest.raises(RuntimeError, match="split evenly"):
+        mlmc.record_from_snapshot(np.zeros(2), (0, 0, 0), ledger, width=1)
+
+
 def test_samples_needed_cases():
     assert samples_needed(1.0, 0.1) == 100
     assert samples_needed(0.025, 0.1) == 3
@@ -217,8 +276,7 @@ def test_samples_needed_cases():
 
 
 def test_work_normalized_variance_and_budget():
-    summary = summarize([EstimateRecord(3.0, 10, 10, 0, 0),
-                         EstimateRecord(4.0, 10, 10, 0, 0)])
+    summary = summarize([record(3.0, 10), record(4.0, 10)])
     assert summary.sample_variance == pytest.approx(0.5)
     assert work_normalized_variance(summary) == pytest.approx(5.0)
     # variance 0.5, cost 10: eps 0.1 needs 50 replications
@@ -240,8 +298,7 @@ def test_work_normalized_variance_invariant_to_averaging():
        st.floats(min_value=1e-3, max_value=1e3))
 @settings(max_examples=60, deadline=None)
 def test_total_budget_sandwich(variance, eps, cost):
-    summary = summarize([EstimateRecord(0.0, 1, 1, 0, 0),
-                         EstimateRecord(1.0, 1, 1, 0, 0)])
+    summary = summarize([record(0.0, 1), record(1.0, 1)])
     budget = samples_needed(variance, eps) * cost
     lower = (cost + cost * variance / eps ** 2) / 2
     upper = cost + cost * variance / eps ** 2
