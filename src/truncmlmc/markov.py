@@ -24,7 +24,7 @@ import numpy as np
 from .integrands import Integrand
 from .mlmc import (EstimateRecord, LevelSchedule, _telescope, dyadic_prefixes,
                    record_from_snapshot)
-from .streams import UniformStream, draw_rows
+from .streams import UniformStream, chunk_streams, draw_rows
 
 LINDLEY_A = -0.6
 LINDLEY_B = 0.4
@@ -80,7 +80,7 @@ def markov_schedule(d: int, gamma: float) -> LevelSchedule:
 
 
 def estimate_chain_mlmc(model: ChainModel, gamma: float,
-                        streams: Sequence[UniformStream],
+                        streams: UniformStream | Sequence[UniformStream],
                         schedule: LevelSchedule | None = None) -> EstimateRecord:
     """Replications of the restart-coupled multilevel estimator, one per stream.
 
@@ -94,7 +94,7 @@ def estimate_chain_mlmc(model: ChainModel, gamma: float,
         schedule = markov_schedule(d, gamma)
     if schedule.dimension != d:
         raise ValueError("schedule dimension must match the chain horizon")
-    ledger = streams[0].ledger
+    streams, ledger = chunk_streams(streams)
     x0 = float(model.initial_state)
 
     def sample(level: int, n_l: int, m_lo: int, m_hi: int) -> np.ndarray:
@@ -122,23 +122,22 @@ def estimate_chain_mlmc(model: ChainModel, gamma: float,
 
 
 def standard_mc_chain(model: ChainModel, n: int,
-                      streams: Sequence[UniformStream]) -> EstimateRecord:
+                      streams: UniformStream | Sequence[UniformStream]
+                      ) -> EstimateRecord:
     """Average terminal payoffs over n full-horizon paths advanced in lockstep,
     one average per stream."""
     if n < 1:
         raise ValueError("path count must be positive")
-    d = model.horizon
-    ledger = streams[0].ledger
+    streams, ledger = chunk_streams(streams)
     before = ledger.snapshot()
-    # a stream's n innovations of step t are its draws t*n .. (t+1)*n - 1
-    ys = draw_rows(streams, d * n).reshape(len(streams), d, n)
     states = np.full((len(streams), n), float(model.initial_state))
-    for t in range(d):
-        states = model.step(t, states, ys[:, t])
+    for t in range(model.horizon):
+        # each stream draws its n innovations of step t when the step runs
+        states = model.step(t, states, draw_rows(streams, n))
         ledger.step_applications += states.size
     values = np.asarray(model.payoff(states), dtype=float)
     ledger.payoff_evals += states.size
-    return record_from_snapshot(values.mean(axis=1), before, ledger, d * n)
+    return record_from_snapshot(values.mean(axis=1), before, ledger, n)
 
 
 def _loglinear_fit(x: np.ndarray, log_y: np.ndarray) -> tuple[float, float, float]:

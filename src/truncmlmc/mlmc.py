@@ -21,7 +21,7 @@ import numpy as np
 
 from .anova import DegenerateIntegrandError, NumericalFailure
 from .integrands import Integrand
-from .streams import CostLedger, UniformStream, draw_rows
+from .streams import CostLedger, UniformStream, chunk_streams, draw_rows
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,11 @@ class EstimateRecord:
     level_sum: np.ndarray | None = None
     level_sq: np.ndarray | None = None
     level_count: tuple[int, ...] | None = None
+
+    @property
+    def cost_units(self) -> int:
+        """Units of one replication; every replication of a chunk costs the same."""
+        return int(self.costs[0].sum())
 
 
 @dataclass(frozen=True)
@@ -159,7 +164,7 @@ def _telescope(schedule: LevelSchedule,
 
 
 def _cube_telescope(integrand: Integrand, base: np.ndarray, schedule: LevelSchedule,
-                    streams: Sequence[UniformStream],
+                    streams: list[UniformStream], ledger: CostLedger,
                     before: tuple[int, int, int]) -> EstimateRecord:
     """The telescope with fresh prefixes from each stream spliced onto its row
     of ``base`` [R, d]."""
@@ -167,7 +172,6 @@ def _cube_telescope(integrand: Integrand, base: np.ndarray, schedule: LevelSched
         raise ValueError("schedule dimension must match the integrand")
     d = integrand.dimension
     reps = len(streams)
-    ledger = streams[0].ledger
 
     def sample(level: int, n_l: int, m_lo: int, m_hi: int) -> np.ndarray:
         points = np.repeat(base[:, None, :], n_l, axis=1)
@@ -183,7 +187,7 @@ def _cube_telescope(integrand: Integrand, base: np.ndarray, schedule: LevelSched
 
 
 def estimate_mlmc(integrand: Integrand, schedule: LevelSchedule,
-                  streams: Sequence[UniformStream]) -> EstimateRecord:
+                  streams: UniformStream | Sequence[UniformStream]) -> EstimateRecord:
     """Replications of the truncation-coupled estimator with a random base
     point, one per stream.
 
@@ -191,17 +195,18 @@ def estimate_mlmc(integrand: Integrand, schedule: LevelSchedule,
     evaluation there), then runs the level telescope with all levels sharing
     that base point.  Unbiased for the integral for any level schedule.
     """
-    ledger = streams[0].ledger
+    streams, ledger = chunk_streams(streams)
     before = ledger.snapshot()
     u_prime = draw_rows(streams, integrand.dimension)
     # no level needs the value f(u'), so its payoff is charged, not evaluated
     ledger.payoff_evals += len(streams)
     ledger.step_applications += integrand.steps_per_eval * len(streams)
-    return _cube_telescope(integrand, u_prime, schedule, streams, before)
+    return _cube_telescope(integrand, u_prime, schedule, streams, ledger, before)
 
 
 def estimate_mlmc_fixed(integrand: Integrand, v, schedule: LevelSchedule,
-                        streams: Sequence[UniformStream]) -> EstimateRecord:
+                        streams: UniformStream | Sequence[UniformStream]
+                        ) -> EstimateRecord:
     """Replications with the base point fixed to v (no base-point cost), one per stream.
 
     Unbiased for the integral for every fixed v; since nothing random is
@@ -213,19 +218,20 @@ def estimate_mlmc_fixed(integrand: Integrand, v, schedule: LevelSchedule,
         raise ValueError(f"fixed suffix must have length {integrand.dimension}")
     if np.any((v < 0.0) | (v > 1.0)):
         raise ValueError("fixed suffix must lie in the unit cube")
+    streams, ledger = chunk_streams(streams)
     base = np.broadcast_to(v, (len(streams), v.size))
-    return _cube_telescope(integrand, base, schedule, streams,
-                           streams[0].ledger.snapshot())
+    return _cube_telescope(integrand, base, schedule, streams, ledger,
+                           ledger.snapshot())
 
 
 def standard_mc(integrand: Integrand, n: int,
-                streams: Sequence[UniformStream]) -> EstimateRecord:
+                streams: UniformStream | Sequence[UniformStream]) -> EstimateRecord:
     """Plain averages of f over n uniform points (n*d draws, n payoff
     evaluations), one per stream."""
     if n < 1:
         raise ValueError("sample count must be positive")
     d = integrand.dimension
-    ledger = streams[0].ledger
+    streams, ledger = chunk_streams(streams)
     before = ledger.snapshot()
     points = draw_rows(streams, n * d).reshape(len(streams) * n, d)
     values = integrand.eval_batch(points, ledger).reshape(len(streams), n)

@@ -83,6 +83,24 @@ class UniformStream:
         return self.draw(rows * cols).reshape(rows, cols)
 
 
+def chunk_streams(streams: UniformStream | Sequence[UniformStream]
+                  ) -> tuple[list[UniformStream], CostLedger]:
+    """A chunk's streams, one per replication, and the ledger they share.
+
+    A bare stream is a chunk of one.  Raises ValueError for an empty chunk or
+    for streams on different ledgers, whose units one ledger could not count.
+    """
+    if isinstance(streams, UniformStream):
+        streams = [streams]
+    streams = list(streams)
+    if not streams:
+        raise ValueError("a chunk needs at least one stream")
+    ledger = streams[0].ledger
+    if any(stream.ledger is not ledger for stream in streams):
+        raise ValueError("the streams of a chunk must share one cost ledger")
+    return streams, ledger
+
+
 def draw_rows(streams: Sequence[UniformStream], n: int) -> np.ndarray:
     """The next ``n`` uniforms of each stream, one row per stream."""
     out = np.empty((len(streams), n))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from truncmlmc import (CostLedger, EstimateRecord, Integrand, LevelSchedule,
                        replicate, samples_needed, standard_mc, summarize,
                        total_budget, truncation_schedule,
                        work_normalized_variance)
+from truncmlmc.markov import estimate_chain_mlmc, make_lindley, standard_mc_chain
 from truncmlmc.runner import run_estimator_cell, run_markov_cell
 
 
@@ -257,6 +259,51 @@ def test_replication_memory_is_bounded_by_the_chunk_budget():
                                      summary.level_sum, summary.level_sq))
     # the chunks and their concatenation are both alive while summarize runs
     assert peak < 2 * columns + 4 * 8 * mlmc._CHUNK_ELEMENTS, (peak, columns)
+
+
+ESTIMATORS = {
+    "mc": lambda s: standard_mc(make_additive(geometric_coefficients(8)), 3, s),
+    "mlmc": lambda s: estimate_mlmc(make_product(geometric_coefficients(8)),
+                                    truncation_schedule(8), s),
+    "mlmc-fixed": lambda s: estimate_mlmc_fixed(make_additive(
+        geometric_coefficients(8)), np.full(8, 0.5), truncation_schedule(8), s),
+    "chain": lambda s: estimate_chain_mlmc(make_lindley(16), -2.0, s),
+    "chain-mc": lambda s: standard_mc_chain(make_lindley(16), 5, s),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_chunk_streams_must_share_one_ledger(name):
+    # two root streams each carry their own ledger, which the chunk never reads
+    with pytest.raises(ValueError, match="share one cost ledger"):
+        ESTIMATORS[name]([new_stream(1), new_stream(2)])
+    with pytest.raises(ValueError, match="at least one stream"):
+        ESTIMATORS[name]([])
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_bare_stream_is_a_chunk_of_one(name):
+    ledger = CostLedger()
+    bare = ESTIMATORS[name](new_stream(5, ledger))
+    listed = ESTIMATORS[name]([new_stream(5)])
+    assert np.array_equal(bare.values, listed.values)
+    assert np.array_equal(bare.costs, listed.costs)
+    assert bare.cost_units == ledger.total_units == int(listed.costs.sum())
+
+
+def test_chain_mc_memory_is_bounded_by_the_chunk_budget():
+    model = make_lindley(256)
+    estimator = partial(standard_mc_chain, model, 2000)  # one path batch: 2000
+    replicate(estimator, 2, new_stream(75))  # first-call allocations
+    tracemalloc.start()
+    try:
+        replicate(estimator, 16, new_stream(76))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a chunk's draws, states and step temporaries; d * 2000 innovations of one
+    # replication held at once would be 4 MB
+    assert peak < 6 * 8 * mlmc._CHUNK_ELEMENTS, peak
 
 
 def test_chunk_costs_must_split_evenly():
