@@ -38,7 +38,14 @@ LEMMA_HEADER = ("family", "d", "lhs", "rhs", "rhs_se", "pass")
 
 
 def _fmt(value) -> str:
-    if value is None or value == "":
+    # strings, plain floats and plain ints are nearly every cell, so they go first
+    if isinstance(value, str):
+        return value
+    if type(value) is float:
+        return format(value, ".17g")
+    if type(value) is int:
+        return str(value)
+    if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"

@@ -13,8 +13,10 @@ contributes the plain spliced value.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -163,19 +165,29 @@ def _telescope(schedule: LevelSchedule,
                                 schedule.n)
 
 
-def _cube_telescope(integrand: Integrand, base: np.ndarray, schedule: LevelSchedule,
-                    streams: list[UniformStream], ledger: CostLedger,
-                    before: tuple[int, int, int]) -> EstimateRecord:
+def _cube_telescope(integrand: Integrand, base: np.ndarray | None,
+                    schedule: LevelSchedule, streams: list[UniformStream],
+                    ledger: CostLedger, before: tuple[int, int, int]) -> EstimateRecord:
     """The telescope with fresh prefixes from each stream spliced onto its row
-    of ``base`` [R, d]."""
+    of ``base`` [R, d], or onto a random base point when ``base`` is None.
+
+    Each replication's uniforms come from one draw: the random base point
+    first, if any, then every level's prefixes in level order.
+    """
     if schedule.dimension != integrand.dimension:
         raise ValueError("schedule dimension must match the integrand")
     d = integrand.dimension
     reps = len(streams)
+    offsets = list(accumulate((n_l * m_l for n_l, m_l in zip(schedule.n, schedule.m[1:])),
+                              initial=0 if base is not None else d))
+    drawn = draw_rows(streams, offsets[-1])
+    if base is None:
+        base = drawn[:, :d]
 
     def sample(level: int, n_l: int, m_lo: int, m_hi: int) -> np.ndarray:
         points = np.repeat(base[:, None, :], n_l, axis=1)
-        points[:, :, :m_hi] = draw_rows(streams, n_l * m_hi).reshape(reps, n_l, m_hi)
+        prefixes = drawn[:, offsets[level - 1]:offsets[level]]
+        points[:, :, :m_hi] = prefixes.reshape(reps, n_l, m_hi)
         rows = points.reshape(reps * n_l, d)
         fine = integrand.eval_batch(rows, ledger).reshape(reps, n_l)
         if m_lo == 0:
@@ -197,11 +209,10 @@ def estimate_mlmc(integrand: Integrand, schedule: LevelSchedule,
     """
     streams, ledger = chunk_streams(streams)
     before = ledger.snapshot()
-    u_prime = draw_rows(streams, integrand.dimension)
     # no level needs the value f(u'), so its payoff is charged, not evaluated
     ledger.payoff_evals += len(streams)
     ledger.step_applications += integrand.steps_per_eval * len(streams)
-    return _cube_telescope(integrand, u_prime, schedule, streams, ledger, before)
+    return _cube_telescope(integrand, None, schedule, streams, ledger, before)
 
 
 def estimate_mlmc_fixed(integrand: Integrand, v, schedule: LevelSchedule,
@@ -238,23 +249,31 @@ def standard_mc(integrand: Integrand, n: int,
     return record_from_snapshot(values.mean(axis=1), before, ledger, n * d)
 
 
+def _joined(columns: list[np.ndarray]) -> np.ndarray:
+    """The columns of consecutive chunks as one; a single chunk's is not copied."""
+    return columns[0] if len(columns) == 1 else np.concatenate(columns)
+
+
 def summarize(records: Sequence[EstimateRecord]) -> EstimateSummary:
     """Pool chunks of replications into columns with their mean, unbiased
     sample variance and mean cost."""
-    values = np.concatenate([r.values for r in records])
+    values = _joined([r.values for r in records])
     if values.size < 2:
         raise ValueError("summaries need at least 2 replications")
-    costs = np.concatenate([r.costs for r in records])
+    costs = _joined([r.costs for r in records])
     level_sum = level_sq = level_count = None
     if records[0].level_sum is not None:
-        level_sum = np.concatenate([r.level_sum for r in records])
-        level_sq = np.concatenate([r.level_sq for r in records])
+        level_sum = _joined([r.level_sum for r in records])
+        level_sq = _joined([r.level_sq for r in records])
         level_count = np.array(records[0].level_count)
     return EstimateSummary(mean=float(values.mean()),
                            sample_variance=float(values.var(ddof=1)),
                            mean_cost=float(costs.sum(axis=1).mean()),
                            values=values, costs=costs, level_sum=level_sum,
                            level_sq=level_sq, level_count=level_count)
+
+
+_COLUMNS = ("values", "costs", "level_sum", "level_sq")
 
 
 def replicate(estimator: Callable[[Sequence[UniformStream]], EstimateRecord],
@@ -264,14 +283,15 @@ def replicate(estimator: Callable[[Sequence[UniformStream]], EstimateRecord],
 
     The estimator runs a chunk of consecutive replications per call.  The first
     chunk is one replication; its record's ``width`` sizes the others to
-    ``_CHUNK_ELEMENTS`` elements per level.  Row j depends on its own stream
-    only, so the columns do not depend on the chunk sizes.  Raises
-    NumericalFailure when a value, the sample variance or a per-level sum is
-    not finite.
+    ``_CHUNK_ELEMENTS`` elements per level, and its columns' shapes size the
+    cell's columns, which each chunk then fills in place.  Row j depends on
+    its own stream only, so the columns do not depend on the chunk sizes.
+    Raises NumericalFailure when a value, the sample variance or a per-level
+    sum is not finite.
     """
     if reps < 2:
         raise ValueError("need at least 2 replications")
-    records = []
+    first, columns = None, {}
     start, size = 0, 1
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         while start < reps:
@@ -280,13 +300,19 @@ def replicate(estimator: Callable[[Sequence[UniformStream]], EstimateRecord],
             if record.values.size != stop - start:
                 raise ValueError(f"estimator returned {record.values.size} "
                                  f"replications for {stop - start} streams")
-            records.append(record)
+            if first is None:
+                first = record
+                columns = {name: np.empty((reps,) + column.shape[1:], column.dtype)
+                           for name in _COLUMNS
+                           if (column := getattr(record, name)) is not None}
+            for name, column in columns.items():
+                column[start:stop] = getattr(record, name)
             start, size = stop, max(1, _CHUNK_ELEMENTS // record.width)
-        summary = summarize(records)
-    columns = [summary.values, summary.sample_variance]
+        summary = summarize([dataclasses.replace(first, **columns)])
+    checked = [summary.values, summary.sample_variance]
     if summary.level_sum is not None:
-        columns += [summary.level_sum, summary.level_sq]
-    if not all(np.isfinite(column).all() for column in columns):
+        checked += [summary.level_sum, summary.level_sq]
+    if not all(np.isfinite(column).all() for column in checked):
         raise NumericalFailure("non-finite estimate")
     return summary
 

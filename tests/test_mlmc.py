@@ -261,6 +261,21 @@ def test_replication_memory_is_bounded_by_the_chunk_budget():
     assert peak < 2 * columns + 4 * 8 * mlmc._CHUNK_ELEMENTS, (peak, columns)
 
 
+def test_replication_columns_are_filled_in_place():
+    root = new_stream(74)
+    run_markov_cell({"chain.d": "64"}, 64, 50, root)  # first-call allocations
+    tracemalloc.start()
+    try:
+        summary = run_markov_cell({"chain.d": "64"}, 64, 8000, root).summary
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = sum(a.nbytes for a in (summary.values, summary.costs,
+                                     summary.level_sum, summary.level_sq))
+    # the columns once, with the summary's temporaries and one chunk's arrays
+    assert peak < 1.5 * columns + 4 * 8 * mlmc._CHUNK_ELEMENTS, (peak, columns)
+
+
 ESTIMATORS = {
     "mc": lambda s: standard_mc(make_additive(geometric_coefficients(8)), 3, s),
     "mlmc": lambda s: estimate_mlmc(make_product(geometric_coefficients(8)),

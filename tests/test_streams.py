@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from truncmlmc import CostLedger, new_stream
+from truncmlmc.streams import UniformStream, draw_rows, philox_keys
 
 DEFAULT_SEEDS = (0, 1, 42, 12345)
 
@@ -119,3 +126,109 @@ def test_path_identity_determines_sequence(seed, labels):
         a = a.fork(lab)
         b = b.fork(lab)
     assert np.array_equal(a.draw(16), b.draw(16))
+
+
+SEEDS = st.one_of(st.just(0), st.integers(1, 2**32 - 1),
+                  st.integers(2**32, 2**64 - 1))
+LABELS = st.one_of(st.just(0), st.integers(1, 2**32 - 1),
+                   st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**96))
+PATHS = st.lists(LABELS, max_size=4).map(tuple)
+
+
+def numpy_generator(seed, path):
+    """numpy's own generator for a stream, the oracle for keys and draws."""
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed, spawn_key=path)))
+
+
+@given(st.lists(st.tuples(SEEDS, PATHS), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_keys_match_seed_sequence(chunk):
+    # one chunk mixes seeds, path lengths and labels of one, two and three words
+    keys = philox_keys([seed for seed, _ in chunk], [path for _, path in chunk])
+    expected = [np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)
+                for seed, path in chunk]
+    assert keys.dtype == np.uint64
+    assert np.array_equal(keys, np.array(expected))
+
+
+def test_keys_of_a_mixed_chunk():
+    chunk = [(0, ()), (2**32 - 1, (0,)), (2**64 - 1, (2**32, 5)),
+             (7, (1, 2, 3, 2**64)), (7, (1, 2, 3, 4))]
+    keys = philox_keys([seed for seed, _ in chunk], [path for _, path in chunk])
+    for key, (seed, path) in zip(keys, chunk):
+        expected = np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)
+        assert np.array_equal(key, expected), (seed, path)
+
+
+@given(SEEDS, PATHS)
+@settings(max_examples=25, deadline=None)
+def test_draws_continue_numpy_sequence(seed, path):
+    stream = UniformStream(seed, path)
+    reference = numpy_generator(seed, path)
+    for n in (1, 3, 5, 7, 16):
+        assert np.array_equal(stream.draw(n), reference.random(n)), n
+    assert stream.counter == 32
+
+
+def test_chunk_rows_continue_each_stream():
+    # streams at every offset into a Philox block, drawn together
+    root = new_stream(2**40 + 3)
+    streams = [root.fork(j) for j in range(9)]
+    references = [numpy_generator(root.seed, s.path) for s in streams]
+    for j, (stream, reference) in enumerate(zip(streams, references)):
+        assert np.array_equal(stream.draw(j), reference.random(j))
+    for n in (0, 1, 6):
+        rows = draw_rows(streams, n)
+        assert rows.shape == (9, n)
+        for row, reference in zip(rows, references):
+            assert np.array_equal(row, reference.random(n))
+    assert [s.counter for s in streams] == [j + 7 for j in range(9)]
+    assert root.ledger.coordinate_draws == sum(range(9)) + 9 * 7
+
+
+def _draw_tree(seed: int) -> list[np.ndarray]:
+    root = new_stream(seed)
+    out = []
+    for j in range(150):
+        child = root.fork(j)
+        out.append(child.draw(j % 5))
+        out.append(draw_rows([child, child.fork(1), root.fork(j + 1)], 3))
+    return out
+
+
+def test_threads_draw_the_same_bits_as_serial_runs():
+    # more threads than cores, switching often, each on its own fork tree
+    seeds = (11, 12, 13, 14)
+    serial = [_draw_tree(seed) for seed in seeds]
+    results = [None] * len(seeds)
+    start = threading.Barrier(len(seeds))
+
+    def run(k):
+        start.wait()
+        results[k] = _draw_tree(seeds[k])
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(seeds))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for mine, expected in zip(results, serial):
+        assert len(mine) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(mine, expected))
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, truncmlmc.cli; print('numpy.random' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
