@@ -273,9 +273,6 @@ def summarize(records: Sequence[EstimateRecord]) -> EstimateSummary:
                            level_sq=level_sq, level_count=level_count)
 
 
-_COLUMNS = ("values", "costs", "level_sum", "level_sq")
-
-
 def replicate(estimator: Callable[[Sequence[UniformStream]], EstimateRecord],
               reps: int, stream: UniformStream) -> EstimateSummary:
     """Run ``reps`` independent replications, replication j on ``stream.fork(j)``,
@@ -303,7 +300,7 @@ def replicate(estimator: Callable[[Sequence[UniformStream]], EstimateRecord],
             if first is None:
                 first = record
                 columns = {name: np.empty((reps,) + column.shape[1:], column.dtype)
-                           for name in _COLUMNS
+                           for name in ("values", "costs", "level_sum", "level_sq")
                            if (column := getattr(record, name)) is not None}
             for name, column in columns.items():
                 column[start:stop] = getattr(record, name)
