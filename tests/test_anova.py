@@ -1,16 +1,19 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalar_oracles import reference_mc_profile
 from truncmlmc import (DegenerateIntegrandError, Integrand,
                        UnsupportedIntegrandError, VarianceProfile,
-                       analytic_profile, check_pair_variance_bound,
-                       check_residual_lower_bound, geometric_coefficients,
-                       isotonic_nonincreasing, make_additive, make_product,
-                       mc_profile, new_stream, truncation_dimension)
+                       analytic_profile, chain_integrand,
+                       check_pair_variance_bound, check_residual_lower_bound,
+                       geometric_coefficients, isotonic_nonincreasing,
+                       make_additive, make_lindley, make_product, mc_profile,
+                       new_stream, truncation_dimension)
 
 
 def quadrature_profile(integrand, nodes=8):
@@ -156,6 +159,55 @@ def test_mc_profile_reproducible():
     a = mc_profile(f, 5_000, new_stream(3))
     b = mc_profile(f, 5_000, new_stream(3))
     assert np.array_equal(a.D, b.D)
+
+
+# integrands whose rows are evaluated independently of the batch they are in;
+# d = 8 and 2,500 pairs give every i more than one default row block
+ORACLE_INTEGRANDS = {
+    "additive": lambda: make_additive(geometric_coefficients(8, 0.8)),
+    "product": lambda: make_product(geometric_coefficients(8, 0.8)),
+    "lindley": lambda: chain_integrand(make_lindley(8)),
+    "black-box": lambda: Integrand(
+        dimension=8, evaluator=lambda p: p[:, 0] * p[:, 5] + (p[:, 1] - p[:, 7]) ** 2),
+}
+
+
+def _profile_and_units(oracle, integrand, n, seed):
+    stream = new_stream(seed)
+    before = stream.ledger.snapshot()
+    profile = oracle(integrand, n, stream)
+    units = tuple(b - a for a, b in zip(before, stream.ledger.snapshot()))
+    return profile, units
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_INTEGRANDS))
+def test_mc_profile_matches_whole_matrix_reference(name):
+    f, n = ORACLE_INTEGRANDS[name](), 2_500
+    expected, expected_units = _profile_and_units(reference_mc_profile, f, n, 41)
+    got, units = _profile_and_units(mc_profile, f, n, 41)
+    for field in ("D", "raw_D", "se"):
+        assert np.array_equal(getattr(got, field), getattr(expected, field)), field
+    assert (got.var_f, got.d_t) == (expected.var_f, expected.d_t)
+    d = f.dimension
+    draws = sum(n * i + 2 * n * (d - i) for i in range(d + 1))
+    evals = 2 * n * (d + 1)
+    assert units == expected_units == (draws, f.steps_per_eval * evals, evals)
+
+
+class _EvaluatorFault(RuntimeError):
+    pass
+
+
+def test_mc_profile_raises_the_evaluator_error():
+    calls = itertools.count()
+
+    def evaluator(points):
+        if next(calls) == 7:
+            raise _EvaluatorFault("eighth batch")
+        return points[:, 0]
+
+    with pytest.raises(_EvaluatorFault, match="eighth batch"):
+        mc_profile(Integrand(dimension=4, evaluator=evaluator), 1_000, new_stream(2))
 
 
 def test_mc_profile_rejects_degenerate_integrand():

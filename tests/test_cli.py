@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +219,15 @@ def test_cli_exit_codes_name_the_fault(argv, code, fragment, tmp_path,
     err = capsys.readouterr().err
     prefix = "config error:" if code == 2 else "numerical failure:"
     assert err.startswith(prefix) and fragment in err, err
+
+
+def test_anova_overflow_warns_on_no_thread(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["anova", "--family", "additive", "--d", "2", "--coeffs", HUGE,
+                     "--method", "mc", "--pairs", "100", "--seed", "1"]) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
 
 
 def test_cli_rejects_unsupported_dimension(tmp_path, monkeypatch):

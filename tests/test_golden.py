@@ -61,6 +61,9 @@ INVOCATIONS = {
     # d = 2 has a single level: pooled level sums over one column
     "lemma1_product_d2_d8": ["lemma1", "--family", "product", "--d-grid", "2,8",
                              "--seed", "12"],
+    # the sampling oracle over several row blocks per i
+    "anova_additive_mc_d32": ["anova", "--family", "additive", "--d", "32", "--method",
+                              "mc", "--pairs", "3000", "--seed", "12"],
 }
 
 

@@ -99,6 +99,16 @@ def test_batch_is_bit_identical_row_by_row(make, d):
     assert np.array_equal(f.eval_batch(pts), rows)
 
 
+@pytest.mark.parametrize("d", [2, 8, 9, 256])
+def test_product_evaluator_matches_its_formula(d):
+    c = geometric_coefficients(d, 0.9)
+    pts = new_stream(d).draw_matrix(20_000, d)
+    before = pts.copy()
+    values = make_product(c).eval_batch(pts)
+    assert np.array_equal(values, np.prod(1.0 + (pts - 0.5) * c, axis=1))
+    assert np.array_equal(pts, before)
+
+
 def test_payoff_evaluations_counted():
     f = make_additive([1.0, 1.0])
     ledger = CostLedger()

@@ -228,7 +228,9 @@ def test_cli_import_leaves_numpy_random_unloaded():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, truncmlmc.cli; print('numpy.random' in sys.modules)"
+    # the sampling oracle's thread pool is imported when a profile is sampled
+    code = ("import sys, truncmlmc.cli; print('numpy.random' in sys.modules, "
+            "'concurrent.futures' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "False False"
