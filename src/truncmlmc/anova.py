@@ -13,17 +13,24 @@ Two routes produce a profile:
   the identity ``D(i) = var(f(U)) - cov(f(V), f(V'))`` where V and V' are
   uniform on the cube and share exactly their first i coordinates: the
   covariance of such a pair equals the variance explained by the first i
-  coordinates.
+  coordinates.  Each i samples its pairs on its own fork, so the d + 1
+  samplings run as tasks on a thread pool, one per usable CPU at most.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .integrands import Integrand
-from .streams import CostLedger, UniformStream
+from .streams import CostLedger, UniformStream, draw_rows
+
+# Coordinates per row block of the pair sampler, as in mlmc's chunks; the
+# sampled values do not depend on it.
+_BLOCK_ELEMENTS = 2 ** 14
 
 
 class UnsupportedIntegrandError(ValueError):
@@ -141,16 +148,60 @@ def analytic_profile(integrand: Integrand) -> VarianceProfile:
     return VarianceProfile(D=D, var_f=var_f, d_t=dt_var / var_f, source="analytic")
 
 
-def _shared_prefix_pair(integrand: Integrand, i: int, n: int, stream: UniformStream,
-                        ledger: CostLedger | None) -> tuple[np.ndarray, np.ndarray]:
-    """n value pairs (f(V), f(V')) with V, V' sharing exactly the first i coordinates."""
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _run_all(pool, fn, items) -> list:
+    """``[fn(item) for item in items]`` on the pool's threads.
+
+    Each call runs in a copy of the caller's context, so under its numpy
+    error state.  The first failure, in item order, is raised; calls not yet
+    started are then cancelled.
+    """
+    futures = [pool.submit(contextvars.copy_context().run, fn, item) for item in items]
+    try:
+        return [future.result() for future in futures]
+    finally:
+        for future in futures:
+            future.cancel()
+
+
+def _sample_pairs(integrand: Integrand, i: int, stream: UniformStream,
+                  out: np.ndarray) -> None:
+    """Fill ``out[0]`` and ``out[1]`` with f(V) and f(V') for ``out.shape[1]``
+    pairs V, V' that share exactly their first i coordinates.
+
+    The coordinates are those of whole-matrix sampling from ``stream``: the
+    [n, i] common prefix, then the [n, d - i] tail of V, then that of V', each
+    row-major.  Row blocks of at most ``_BLOCK_ELEMENTS`` coordinates draw
+    their rows of all three at their offsets in the stream, so no value
+    depends on the block size.  Draws and evaluations are charged to the
+    stream's ledger, and its counter ends past the three matrices.
+    """
     d = integrand.dimension
-    common = stream.draw_matrix(n, i)
-    tail_x = stream.draw_matrix(n, d - i)
-    tail_y = stream.draw_matrix(n, d - i)
-    x = integrand.eval_batch(np.hstack([common, tail_x]), ledger)
-    y = integrand.eval_batch(np.hstack([common, tail_y]), ledger)
-    return x, y
+    n = out.shape[1]
+    tail = d - i
+    parts = []
+    for offset in (0, n * i, n * i + n * tail):
+        part = UniformStream(stream.seed, stream.path, stream.ledger)
+        part.counter = stream.counter + offset
+        parts.append(part)
+    prefix, tails = parts[:1], parts[1:]
+    rows = min(n, max(1, _BLOCK_ELEMENTS // d))
+    points = np.empty((2, rows, d))
+    for start in range(0, n, rows):
+        m = min(rows, n - start)
+        block = points[:, :m]
+        block[:, :, :i] = draw_rows(prefix, m * i).reshape(m, i)
+        block[:, :, i:] = draw_rows(tails, m * tail).reshape(2, m, tail)
+        for k in range(2):
+            out[k, start:start + m] = integrand.eval_batch(block[k], stream.ledger)
+    stream.counter = parts[2].counter
 
 
 def _cov_and_se(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -161,11 +212,18 @@ def _cov_and_se(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return cov, se
 
 
-def _var_and_se(values: np.ndarray) -> tuple[float, float]:
+def _fourth_power(values: np.ndarray) -> None:
+    np.power(values, 4, out=values)
+
+
+def _var_and_se(values: np.ndarray, fourth_power=_fourth_power) -> tuple[float, float]:
+    """Sample variance and its standard error.  Overwrites ``values``: they
+    are centred in place, then ``fourth_power`` raises them in place."""
     n = values.size
-    centered = values - values.mean()
-    var = float(np.dot(centered, centered) / (n - 1))
-    mu4 = float(np.mean(centered ** 4))
+    values -= values.mean()
+    var = float(np.dot(values, values) / (n - 1))
+    fourth_power(values)
+    mu4 = float(np.mean(values))
     se = float(np.sqrt(max(mu4 - var ** 2, 0.0) / n))
     return var, se
 
@@ -178,20 +236,37 @@ def mc_profile(integrand: Integrand, n_pairs: int, stream: UniformStream) -> Var
     projected onto nonincreasing sequences and the endpoints pinned
     (D[0] = pooled variance, D[d] = 0).  Reported standard errors treat the
     variance and covariance estimates as independent, which is conservative.
+
+    The pairs of each i are sampled on fork i, as one task of a thread pool
+    with up to one thread per usable CPU, so the evaluator must be safe to
+    call from several threads at once.  The values, the profile and the
+    units booked on the stream's ledger do not depend on the thread count.
     """
     if n_pairs < 2:
         raise ValueError("n_pairs must be at least 2")
+    from concurrent.futures import ThreadPoolExecutor
+
     d = integrand.dimension
-    ledger = stream.ledger
     cov = np.zeros(d + 1)
     cov_se = np.zeros(d + 1)
-    pooled: list[np.ndarray] = []
-    for i in range(d + 1):
-        x, y = _shared_prefix_pair(integrand, i, n_pairs, stream.fork(i), ledger)
-        cov[i], cov_se[i] = _cov_and_se(x, y)
-        pooled.append(x)
-        pooled.append(y)
-    var_hat, var_se = _var_and_se(np.concatenate(pooled))
+    # f(V) and f(V') of every i, in the order the pooled variance reads them
+    pooled = np.empty((d + 1, 2, n_pairs))
+
+    def sample(i: int) -> CostLedger:
+        # a ledger per task, since a ledger is not safe to share across threads
+        fork = stream.fork(i)
+        fork.ledger = CostLedger()
+        _sample_pairs(integrand, i, fork, pooled[i])
+        cov[i], cov_se[i] = _cov_and_se(pooled[i, 0], pooled[i, 1])
+        return fork.ledger
+
+    workers = min(_cpu_count(), d + 1)
+    with ThreadPoolExecutor(workers) as pool:
+        for ledger in _run_all(pool, sample, range(d + 1)):
+            stream.ledger.add(ledger)
+        values = pooled.reshape(-1)
+        var_hat, var_se = _var_and_se(values, lambda v: _run_all(
+            pool, _fourth_power, np.array_split(v, workers)))
     if var_hat <= 0.0:
         raise DegenerateIntegrandError("pooled variance estimate is not positive")
 
@@ -219,8 +294,9 @@ def check_pair_variance_bound(integrand: Integrand, i: int, profile: VariancePro
     """
     if not 0 <= i <= integrand.dimension:
         raise ValueError(f"index i={i} outside [0, {integrand.dimension}]")
-    x, y = _shared_prefix_pair(integrand, i, n, stream, stream.ledger)
-    lhs, se = _var_and_se(x - y)
+    pairs = np.empty((2, n))
+    _sample_pairs(integrand, i, stream, pairs)
+    lhs, se = _var_and_se(pairs[0] - pairs[1])
     rhs = 4.0 * float(profile.D[i])
     passed = lhs <= rhs * (1.0 + slack) + 4.0 * se
     return InequalityReport(lhs=lhs, rhs=rhs, se=se, slack=slack, passed=passed)
@@ -241,9 +317,10 @@ def check_residual_lower_bound(integrand: Integrand, g, i: int, n: int,
         lhs = float(analytic_profile(integrand).D[i])
         lhs_se = 0.0
     else:
-        x, y = _shared_prefix_pair(integrand, i, n, stream.fork(0), ledger)
-        var_hat, var_se = _var_and_se(np.concatenate([x, y]))
-        cov, cov_se = _cov_and_se(x, y)
+        pairs = np.empty((2, n))
+        _sample_pairs(integrand, i, stream.fork(0), pairs)
+        cov, cov_se = _cov_and_se(pairs[0], pairs[1])
+        var_hat, var_se = _var_and_se(pairs.reshape(-1))
         lhs = var_hat - cov
         lhs_se = float(np.hypot(var_se, cov_se))
     points = stream.fork(1).draw_matrix(n, integrand.dimension)

@@ -23,7 +23,10 @@ from .streams import CostLedger
 class Integrand:
     """A square-integrable function on the d-dimensional unit cube.
 
-    ``evaluator`` is deterministic and batched.  ``known_mean`` and
+    ``evaluator`` is deterministic and batched.  It must be pure: the
+    sampling oracle calls it from several threads at once, and reads its
+    values in row blocks, so it may keep no mutable state and a row's value
+    may not depend on the other rows of the batch.  ``known_mean`` and
     ``coefficients`` are present for the built-in families and feed the
     analytic oracles.  ``steps_per_eval`` charges extra step units per point
     for integrands backed by a chain simulation.
@@ -97,7 +100,11 @@ def make_product(c) -> Integrand:
     c = _validated_coefficients(c, product=True)
 
     def evaluator(points: np.ndarray) -> np.ndarray:
-        return np.prod(1.0 + (points - 0.5) * c, axis=1)
+        # the ops of 1 + (points - 0.5) * c, done in place on one temporary
+        x = points - 0.5
+        x *= c
+        x += 1.0
+        return np.prod(x, axis=1)
 
     return Integrand(dimension=c.size, evaluator=evaluator, known_mean=1.0,
                      family="product", coefficients=c)

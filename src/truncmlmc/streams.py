@@ -150,6 +150,12 @@ class CostLedger:
         """Current (draws, steps, payoffs), for measuring deltas."""
         return (self.coordinate_draws, self.step_applications, self.payoff_evals)
 
+    def add(self, other: "CostLedger") -> None:
+        """Book the units counted on ``other`` here as well."""
+        self.coordinate_draws += other.coordinate_draws
+        self.step_applications += other.step_applications
+        self.payoff_evals += other.payoff_evals
+
 
 class UniformStream:
     """Splittable stream of uniform [0, 1) variates.

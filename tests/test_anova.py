@@ -1,15 +1,17 @@
 import dataclasses
 import itertools
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalar_oracles import reference_mc_profile
+from scalar_oracles import reference_mc_profile, shared_prefix_pair
 from truncmlmc import (DegenerateIntegrandError, Integrand,
                        UnsupportedIntegrandError, VarianceProfile,
-                       analytic_profile, chain_integrand,
+                       analytic_profile, anova, chain_integrand,
                        check_pair_variance_bound, check_residual_lower_bound,
                        geometric_coefficients, isotonic_nonincreasing,
                        make_additive, make_lindley, make_product, mc_profile,
@@ -162,7 +164,8 @@ def test_mc_profile_reproducible():
 
 
 # integrands whose rows are evaluated independently of the batch they are in;
-# d = 8 and 2,500 pairs give every i more than one default row block
+# with d = 8, 2,501 pairs span two default row blocks of every i, and the odd
+# count leaves most rows of the pooled array off cache-line boundaries
 ORACLE_INTEGRANDS = {
     "additive": lambda: make_additive(geometric_coefficients(8, 0.8)),
     "product": lambda: make_product(geometric_coefficients(8, 0.8)),
@@ -170,6 +173,8 @@ ORACLE_INTEGRANDS = {
     "black-box": lambda: Integrand(
         dimension=8, evaluator=lambda p: p[:, 0] * p[:, 5] + (p[:, 1] - p[:, 7]) ** 2),
 }
+ORACLE_PAIRS = 2_501
+BLOCK_BUDGETS = {"one-row": 0, "default": anova._BLOCK_ELEMENTS, "unbounded": 2 ** 62}
 
 
 def _profile_and_units(oracle, integrand, n, seed):
@@ -180,11 +185,28 @@ def _profile_and_units(oracle, integrand, n, seed):
     return profile, units
 
 
+@pytest.fixture(scope="module")
+def reference_profiles():
+    return {name: _profile_and_units(reference_mc_profile, make(), ORACLE_PAIRS, 41)
+            for name, make in ORACLE_INTEGRANDS.items()}
+
+
+@pytest.mark.parametrize("blocks", sorted(BLOCK_BUDGETS))
+@pytest.mark.parametrize("workers", [1, 2, 8])
 @pytest.mark.parametrize("name", sorted(ORACLE_INTEGRANDS))
-def test_mc_profile_matches_whole_matrix_reference(name):
-    f, n = ORACLE_INTEGRANDS[name](), 2_500
-    expected, expected_units = _profile_and_units(reference_mc_profile, f, n, 41)
-    got, units = _profile_and_units(mc_profile, f, n, 41)
+def test_mc_profile_matches_whole_matrix_reference(name, workers, blocks,
+                                                   reference_profiles, monkeypatch):
+    monkeypatch.setattr(anova, "_BLOCK_ELEMENTS", BLOCK_BUDGETS[blocks])
+    monkeypatch.setattr(anova, "_cpu_count", lambda: workers)
+    f, n = ORACLE_INTEGRANDS[name](), ORACLE_PAIRS
+    expected, expected_units = reference_profiles[name]
+    interval = sys.getswitchinterval()
+    if workers == 8:  # more threads than tasks per core, switching often
+        sys.setswitchinterval(1e-6)
+    try:
+        got, units = _profile_and_units(mc_profile, f, n, 41)
+    finally:
+        sys.setswitchinterval(interval)
     for field in ("D", "raw_D", "se"):
         assert np.array_equal(getattr(got, field), getattr(expected, field)), field
     assert (got.var_f, got.d_t) == (expected.var_f, expected.d_t)
@@ -194,11 +216,60 @@ def test_mc_profile_matches_whole_matrix_reference(name):
     assert units == expected_units == (draws, f.steps_per_eval * evals, evals)
 
 
+@pytest.mark.parametrize("blocks", sorted(BLOCK_BUDGETS))
+def test_block_sampler_matches_whole_matrix_pairs(blocks, monkeypatch):
+    monkeypatch.setattr(anova, "_BLOCK_ELEMENTS", BLOCK_BUDGETS[blocks])
+    f = chain_integrand(make_lindley(8))
+    for i in (0, 3, 8):
+        expected, got = new_stream(7).fork(i), new_stream(7).fork(i)
+        expected.draw(5)  # an offset into the stream that is not a Philox block
+        got.draw(5)
+        x, y = shared_prefix_pair(f, i, 301, expected)
+        pairs = np.empty((2, 301))
+        anova._sample_pairs(f, i, got, pairs)
+        assert np.array_equal(pairs, [x, y]), i
+        assert got.counter == expected.counter, i
+        assert got.ledger.snapshot() == expected.ledger.snapshot(), i
+
+
+def test_checks_do_not_depend_on_the_block_size(monkeypatch):
+    f = make_product(geometric_coefficients(6, 0.8))
+    black_box = Integrand(dimension=6, evaluator=f.evaluator)
+    profile = analytic_profile(f)
+    reports = {}
+    for name, budget in BLOCK_BUDGETS.items():
+        monkeypatch.setattr(anova, "_BLOCK_ELEMENTS", budget)
+        stream = new_stream(13)
+        pair = check_pair_variance_bound(f, 2, profile, 3_001, stream.fork(0))
+        residual = check_residual_lower_bound(
+            black_box, lambda p: p[:, 0] - 0.5, 2, 3_001, stream.fork(1))
+        reports[name] = (pair, residual, stream.ledger.snapshot())
+    assert reports["one-row"] == reports["default"] == reports["unbounded"]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_mc_profile_memory_is_the_pooled_array_and_some_blocks(workers, monkeypatch):
+    monkeypatch.setattr(anova, "_cpu_count", lambda: workers)
+    f, d, n = make_additive(geometric_coefficients(32)), 32, 20_000
+    mc_profile(f, 200, new_stream(1))  # lazy imports and per-thread set-up
+    tracemalloc.start()
+    try:
+        mc_profile(f, n, new_stream(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pooled = 2 * (d + 1) * n * 8
+    budget = 8 * anova._BLOCK_ELEMENTS
+    assert peak < pooled + 8 * min(workers, d + 1) * budget, (peak, pooled)
+
+
 class _EvaluatorFault(RuntimeError):
     pass
 
 
-def test_mc_profile_raises_the_evaluator_error():
+@pytest.mark.parametrize("workers", [1, 8])
+def test_mc_profile_raises_the_evaluator_error(workers, monkeypatch):
+    monkeypatch.setattr(anova, "_cpu_count", lambda: workers)
     calls = itertools.count()
 
     def evaluator(points):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from truncmlmc import Integrand, new_stream
+from truncmlmc import Integrand, anova, new_stream
 from truncmlmc.cli import main
 from truncmlmc.config import (ConfigError, as_bool, as_float_list, as_int,
                               chain_from_config, integrand_from_config,
@@ -222,6 +222,8 @@ def test_cli_exit_codes_name_the_fault(argv, code, fragment, tmp_path,
 
 
 def test_anova_overflow_warns_on_no_thread(tmp_path, monkeypatch):
+    # the oracle's pool threads run under the CLI's numpy error state
+    monkeypatch.setattr(anova, "_cpu_count", lambda: 8)
     monkeypatch.chdir(tmp_path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

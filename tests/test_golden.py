@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from truncmlmc import mlmc
+from truncmlmc import anova, mlmc
 from truncmlmc.cli import main
 
 HASHES = Path(__file__).parent / "golden" / "hashes.json"
@@ -82,9 +82,13 @@ def test_output_matches_pinned_hash(name, tmp_path):
     assert output_hash(name, tmp_path) == pinned[name], INVOCATIONS[name]
 
 
-@pytest.mark.parametrize("budget", [0, 2 ** 62], ids=["one-per-chunk", "unbounded"])
-def test_hashes_do_not_depend_on_chunk_size(budget, tmp_path, monkeypatch):
+@pytest.mark.parametrize("budget,workers", [(0, 8), (2 ** 62, 1)],
+                         ids=["one-per-chunk", "unbounded"])
+def test_hashes_do_not_depend_on_chunk_size(budget, workers, tmp_path, monkeypatch):
+    # replication chunks, the oracle's row blocks and its thread count
     monkeypatch.setattr(mlmc, "_CHUNK_ELEMENTS", budget)
+    monkeypatch.setattr(anova, "_BLOCK_ELEMENTS", budget)
+    monkeypatch.setattr(anova, "_cpu_count", lambda: workers)
     pinned = json.loads(HASHES.read_text(encoding="utf-8"))
     for name in sorted(INVOCATIONS):
         assert output_hash(name, tmp_path) == pinned[name], INVOCATIONS[name]
