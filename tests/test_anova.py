@@ -201,7 +201,7 @@ def test_mc_profile_matches_whole_matrix_reference(name, workers, blocks,
     f, n = ORACLE_INTEGRANDS[name](), ORACLE_PAIRS
     expected, expected_units = reference_profiles[name]
     interval = sys.getswitchinterval()
-    if workers == 8:  # more threads than tasks per core, switching often
+    if workers == 8:  # more threads than cores, switching often
         sys.setswitchinterval(1e-6)
     try:
         got, units = _profile_and_units(mc_profile, f, n, 41)
