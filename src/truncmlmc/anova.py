@@ -10,11 +10,12 @@ Two routes produce a profile:
 * :func:`analytic_profile` uses the closed-form component variances of the
   additive/product families.
 * :func:`mc_profile` is a sampling oracle for black-box integrands.  It uses
-  the identity ``D(i) = var(f(U)) - cov(f(V), f(V'))`` where V and V' are
+  Jansen's identity ``D(i) = E[(f(V) - f(V'))^2] / 2`` where V and V' are
   uniform on the cube and share exactly their first i coordinates: the
-  covariance of such a pair equals the variance explained by the first i
-  coordinates.  Each i samples its pairs on its own fork, so the d + 1
-  samplings run as tasks on a thread pool, one per usable CPU at most.
+  difference cancels every term of the ANOVA decomposition that involves
+  only the first i coordinates.  Each i samples its pairs on its own fork,
+  so the d + 1 samplings run as tasks on a thread pool, one per usable CPU
+  at most.
 """
 
 from __future__ import annotations
@@ -51,8 +52,7 @@ class VarianceProfile:
 
     For a sampled profile, ``D`` is the isotonic (nonincreasing) adjustment of
     the raw estimates kept in ``raw_D``; ``se`` holds per-index standard
-    errors of the raw estimates.  Endpoints are pinned: ``D[0] = var_f`` and
-    ``D[d] = 0``.
+    errors of the raw estimates.  ``D[0] = var_f`` and ``D[d] = 0``.
     """
 
     D: np.ndarray
@@ -139,8 +139,14 @@ def analytic_profile(integrand: Integrand) -> VarianceProfile:
     else:
         # subsets Y with max(Y) <= i contribute prod_{j in Y} a_j: prefix products
         prefix = np.concatenate([[1.0], np.cumprod(1.0 + a)])
-        D = prefix[-1] - prefix
-        var_f = float(prefix[-1] - 1.0)
+        # D(i) = prefix[i] * (S_i - 1) with S_i = prod_{j > i} (1 + a_j); the
+        # recursion for S_i - 1 adds positive terms only, so a tiny tail keeps
+        # its relative accuracy where prefix[-1] - prefix[i] would cancel
+        tail = np.zeros(d + 1)
+        for j in range(d - 1, -1, -1):
+            tail[j] = (1.0 + a[j]) * tail[j + 1] + a[j]
+        D = prefix * tail
+        var_f = float(D[0])
         # grouping subsets by their largest element j gives weight a_j * prefix[j-1]
         dt_var = float(np.dot(idx, a * prefix[:-1]))
     if var_f <= 0.0:
@@ -171,10 +177,10 @@ def _run_all(pool, fn, items) -> list:
             future.cancel()
 
 
-def _sample_pairs(integrand: Integrand, i: int, stream: UniformStream,
-                  out: np.ndarray) -> None:
-    """Fill ``out[0]`` and ``out[1]`` with f(V) and f(V') for ``out.shape[1]``
-    pairs V, V' that share exactly their first i coordinates.
+def _sample_pairs(integrand: Integrand, i: int, n: int,
+                  stream: UniformStream) -> np.ndarray:
+    """f(V) and f(V'), as rows [2, n], for n pairs V, V' that share exactly
+    their first i coordinates.
 
     The coordinates are those of whole-matrix sampling from ``stream``: the
     [n, i] common prefix, then the [n, d - i] tail of V, then that of V', each
@@ -184,16 +190,17 @@ def _sample_pairs(integrand: Integrand, i: int, stream: UniformStream,
     stream's ledger, and its counter ends past the three matrices.
     """
     d = integrand.dimension
-    n = out.shape[1]
     tail = d - i
+    stream.draw(0)  # derives the stream's key, which its three parts share
     parts = []
     for offset in (0, n * i, n * i + n * tail):
         part = UniformStream(stream.seed, stream.path, stream.ledger)
-        part.counter = stream.counter + offset
+        part.counter, part.key = stream.counter + offset, stream.key
         parts.append(part)
     prefix, tails = parts[:1], parts[1:]
     rows = min(n, max(1, _BLOCK_ELEMENTS // d))
     points = np.empty((2, rows, d))
+    out = np.empty((2, n))
     for start in range(0, n, rows):
         m = min(rows, n - start)
         block = points[:, :m]
@@ -202,28 +209,26 @@ def _sample_pairs(integrand: Integrand, i: int, stream: UniformStream,
         for k in range(2):
             out[k, start:start + m] = integrand.eval_batch(block[k], stream.ledger)
     stream.counter = parts[2].counter
+    return out
 
 
-def _cov_and_se(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    n = x.size
-    w = (x - x.mean()) * (y - y.mean())
-    cov = float(w.sum() / (n - 1))
-    se = float(w.std(ddof=1) / np.sqrt(n))
-    return cov, se
+def _jansen(pairs: np.ndarray) -> tuple[float, float]:
+    """Jansen's estimate ``mean((f(V) - f(V'))**2) / 2`` of D(i) from the
+    pairs [2, n] of index i, and its standard error.  Overwrites ``pairs[0]``
+    with the squared differences."""
+    terms = pairs[0]
+    terms -= pairs[1]
+    terms *= terms
+    return 0.5 * float(terms.mean()), float(0.5 * terms.std(ddof=1) / np.sqrt(terms.size))
 
 
-def _fourth_power(values: np.ndarray) -> None:
-    np.power(values, 4, out=values)
-
-
-def _var_and_se(values: np.ndarray, fourth_power=_fourth_power) -> tuple[float, float]:
+def _var_and_se(values: np.ndarray) -> tuple[float, float]:
     """Sample variance and its standard error.  Overwrites ``values``: they
-    are centred in place, then ``fourth_power`` raises them in place."""
+    are centred, then raised to the 4th power, in place."""
     n = values.size
     values -= values.mean()
     var = float(np.dot(values, values) / (n - 1))
-    fourth_power(values)
-    mu4 = float(np.mean(values))
+    mu4 = float(np.mean(np.power(values, 4, out=values)))
     se = float(np.sqrt(max(mu4 - var ** 2, 0.0) / n))
     return var, se
 
@@ -231,11 +236,12 @@ def _var_and_se(values: np.ndarray, fourth_power=_fourth_power) -> tuple[float, 
 def mc_profile(integrand: Integrand, n_pairs: int, stream: UniformStream) -> VarianceProfile:
     """Sampling oracle for the residual-variance profile of a black-box integrand.
 
-    For each i the covariance of shared-prefix pairs is subtracted from a
-    variance estimate pooled over all evaluations.  Raw estimates are then
-    projected onto nonincreasing sequences and the endpoints pinned
-    (D[0] = pooled variance, D[d] = 0).  Reported standard errors treat the
-    variance and covariance estimates as independent, which is conservative.
+    For each i, ``raw_D[i]`` is Jansen's estimate: half the mean squared
+    difference of n_pairs shared-prefix pairs, with ``se[i]`` the standard
+    error of that mean.  The i = 0 pairs are independent, so ``raw_D[0]``
+    estimates var(f); the i = d pairs are identical, so ``raw_D[d] = 0``.
+    ``D`` is the projection of ``raw_D`` onto nonincreasing sequences and
+    ``var_f = D[0]``.
 
     The pairs of each i are sampled on fork i, as one task of a thread pool
     with up to one thread per usable CPU, so the evaluator must be safe to
@@ -247,40 +253,24 @@ def mc_profile(integrand: Integrand, n_pairs: int, stream: UniformStream) -> Var
     from concurrent.futures import ThreadPoolExecutor
 
     d = integrand.dimension
-    cov = np.zeros(d + 1)
-    cov_se = np.zeros(d + 1)
-    # f(V) and f(V') of every i, in the order the pooled variance reads them
-    pooled = np.empty((d + 1, 2, n_pairs))
+    raw = np.empty(d + 1)
+    se = np.empty(d + 1)
 
     def sample(i: int) -> CostLedger:
         # a ledger per task, since a ledger is not safe to share across threads
         fork = stream.fork(i)
         fork.ledger = CostLedger()
-        _sample_pairs(integrand, i, fork, pooled[i])
-        cov[i], cov_se[i] = _cov_and_se(pooled[i, 0], pooled[i, 1])
+        raw[i], se[i] = _jansen(_sample_pairs(integrand, i, n_pairs, fork))
         return fork.ledger
 
-    workers = min(_cpu_count(), d + 1)
-    with ThreadPoolExecutor(workers) as pool:
+    with ThreadPoolExecutor(min(_cpu_count(), d + 1)) as pool:
         for ledger in _run_all(pool, sample, range(d + 1)):
             stream.ledger.add(ledger)
-        values = pooled.reshape(-1)
-        var_hat, var_se = _var_and_se(values, lambda v: _run_all(
-            pool, _fourth_power, np.array_split(v, workers)))
-    if var_hat <= 0.0:
-        raise DegenerateIntegrandError("pooled variance estimate is not positive")
-
-    raw = var_hat - cov
-    raw[0] = var_hat
-    raw[d] = 0.0
-    se = np.sqrt(var_se ** 2 + cov_se ** 2)
-    se[0] = var_se
-    se[d] = 0.0
-
-    D = np.clip(isotonic_nonincreasing(raw), 0.0, var_hat)
-    D[0] = var_hat
-    D[d] = 0.0
-    return VarianceProfile(D=D, var_f=var_hat, d_t=float(D.sum() / var_hat),
+    D = isotonic_nonincreasing(raw)
+    var_f = float(D[0])
+    if var_f <= 0.0:
+        raise DegenerateIntegrandError("sampled variance estimate is not positive")
+    return VarianceProfile(D=D, var_f=var_f, d_t=float(D.sum() / var_f),
                            source="mc", n_pairs=n_pairs, se=se, raw_D=raw)
 
 
@@ -294,8 +284,7 @@ def check_pair_variance_bound(integrand: Integrand, i: int, profile: VariancePro
     """
     if not 0 <= i <= integrand.dimension:
         raise ValueError(f"index i={i} outside [0, {integrand.dimension}]")
-    pairs = np.empty((2, n))
-    _sample_pairs(integrand, i, stream, pairs)
+    pairs = _sample_pairs(integrand, i, n, stream)
     lhs, se = _var_and_se(pairs[0] - pairs[1])
     rhs = 4.0 * float(profile.D[i])
     passed = lhs <= rhs * (1.0 + slack) + 4.0 * se
@@ -317,12 +306,7 @@ def check_residual_lower_bound(integrand: Integrand, g, i: int, n: int,
         lhs = float(analytic_profile(integrand).D[i])
         lhs_se = 0.0
     else:
-        pairs = np.empty((2, n))
-        _sample_pairs(integrand, i, stream.fork(0), pairs)
-        cov, cov_se = _cov_and_se(pairs[0], pairs[1])
-        var_hat, var_se = _var_and_se(pairs.reshape(-1))
-        lhs = var_hat - cov
-        lhs_se = float(np.hypot(var_se, cov_se))
+        lhs, lhs_se = _jansen(_sample_pairs(integrand, i, n, stream.fork(0)))
     points = stream.fork(1).draw_matrix(n, integrand.dimension)
     residual = integrand.eval_batch(points, ledger) - np.asarray(
         g(points[:, :i]), dtype=float)

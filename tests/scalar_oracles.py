@@ -149,8 +149,6 @@ def prefix_redraw_payoff(model: ChainModel, path: ChainPath, i: int,
     return float(model.payoff(x))
 
 
-
-
 def shared_prefix_pair(integrand: Integrand, i: int, n: int,
                        stream: UniformStream) -> tuple[np.ndarray, np.ndarray]:
     """n value pairs (f(V), f(V')) with V, V' sharing exactly the first i coordinates.
@@ -169,32 +167,20 @@ def shared_prefix_pair(integrand: Integrand, i: int, n: int,
 
 def reference_mc_profile(integrand: Integrand, n_pairs: int,
                          stream: UniformStream) -> VarianceProfile:
-    """The sampling oracle done serially on whole matrices: for each i the pair
-    covariance from ``shared_prefix_pair`` on fork i, then the variance of all
-    2(d+1)n values concatenated, var - cov, the isotonic projection and the
-    pinned endpoints."""
+    """The sampling oracle done serially on whole matrices: for each i, half
+    the mean squared difference of the pairs from ``shared_prefix_pair`` on
+    fork i and the standard error of that mean, then the isotonic fit."""
     d = integrand.dimension
-    cov = np.zeros(d + 1)
-    cov_se = np.zeros(d + 1)
-    pooled = []
+    raw = np.zeros(d + 1)
+    se = np.zeros(d + 1)
     for i in range(d + 1):
         x, y = shared_prefix_pair(integrand, i, n_pairs, stream.fork(i))
-        w = (x - x.mean()) * (y - y.mean())
-        cov[i] = float(w.sum() / (n_pairs - 1))
-        cov_se[i] = float(w.std(ddof=1) / np.sqrt(n_pairs))
-        pooled += [x, y]
-    values = np.concatenate(pooled)
-    centered = values - values.mean()
-    var_hat = float(np.dot(centered, centered) / (values.size - 1))
-    mu4 = float(np.mean(centered ** 4))
-    var_se = float(np.sqrt(max(mu4 - var_hat ** 2, 0.0) / values.size))
-    if var_hat <= 0.0:
-        raise DegenerateIntegrandError("pooled variance estimate is not positive")
-    raw = var_hat - cov
-    raw[0], raw[d] = var_hat, 0.0
-    se = np.sqrt(var_se ** 2 + cov_se ** 2)
-    se[0], se[d] = var_se, 0.0
-    D = np.clip(isotonic_nonincreasing(raw), 0.0, var_hat)
-    D[0], D[d] = var_hat, 0.0
-    return VarianceProfile(D=D, var_f=var_hat, d_t=float(D.sum() / var_hat),
+        terms = (x - y) ** 2
+        raw[i] = 0.5 * float(terms.mean())
+        se[i] = float(0.5 * terms.std(ddof=1) / np.sqrt(n_pairs))
+    D = isotonic_nonincreasing(raw)
+    var_f = float(D[0])
+    if var_f <= 0.0:
+        raise DegenerateIntegrandError("sampled variance estimate is not positive")
+    return VarianceProfile(D=D, var_f=var_f, d_t=float(D.sum() / var_f),
                            source="mc", n_pairs=n_pairs, se=se, raw_D=raw)

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from truncmlmc import (DegenerateIntegrandError, Integrand,
                        check_pair_variance_bound, check_residual_lower_bound,
                        geometric_coefficients, isotonic_nonincreasing,
                        make_additive, make_lindley, make_product, mc_profile,
-                       new_stream, truncation_dimension)
+                       new_stream, streams, truncation_dimension)
 
 
 def quadrature_profile(integrand, nodes=8):
@@ -165,7 +166,7 @@ def test_mc_profile_reproducible():
 
 # integrands whose rows are evaluated independently of the batch they are in;
 # with d = 8, 2,501 pairs span two default row blocks of every i, and the odd
-# count leaves most rows of the pooled array off cache-line boundaries
+# count leaves the second row of each pair array off a cache-line boundary
 ORACLE_INTEGRANDS = {
     "additive": lambda: make_additive(geometric_coefficients(8, 0.8)),
     "product": lambda: make_product(geometric_coefficients(8, 0.8)),
@@ -225,8 +226,7 @@ def test_block_sampler_matches_whole_matrix_pairs(blocks, monkeypatch):
         expected.draw(5)  # an offset into the stream that is not a Philox block
         got.draw(5)
         x, y = shared_prefix_pair(f, i, 301, expected)
-        pairs = np.empty((2, 301))
-        anova._sample_pairs(f, i, got, pairs)
+        pairs = anova._sample_pairs(f, i, 301, got)
         assert np.array_equal(pairs, [x, y]), i
         assert got.counter == expected.counter, i
         assert got.ledger.snapshot() == expected.ledger.snapshot(), i
@@ -247,8 +247,23 @@ def test_checks_do_not_depend_on_the_block_size(monkeypatch):
     assert reports["one-row"] == reports["default"] == reports["unbounded"]
 
 
+def test_sampler_derives_each_stream_key_once(monkeypatch):
+    derived = []
+    philox_keys = streams.philox_keys
+
+    def counting(seeds, paths):
+        derived.append(len(paths))
+        return philox_keys(seeds, paths)
+
+    monkeypatch.setattr(streams, "philox_keys", counting)
+    f = make_additive(geometric_coefficients(4))
+    for i in range(5):
+        anova._sample_pairs(f, i, 10, new_stream(3).fork(i))
+    assert derived == [1] * 5
+
+
 @pytest.mark.parametrize("workers", [1, 2, 8])
-def test_mc_profile_memory_is_the_pooled_array_and_some_blocks(workers, monkeypatch):
+def test_mc_profile_memory_is_a_pair_array_and_blocks_per_worker(workers, monkeypatch):
     monkeypatch.setattr(anova, "_cpu_count", lambda: workers)
     f, d, n = make_additive(geometric_coefficients(32)), 32, 20_000
     mc_profile(f, 200, new_stream(1))  # lazy imports and per-thread set-up
@@ -258,9 +273,60 @@ def test_mc_profile_memory_is_the_pooled_array_and_some_blocks(workers, monkeypa
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    pooled = 2 * (d + 1) * n * 8
+    pairs = 2 * n * 8
     budget = 8 * anova._BLOCK_ELEMENTS
-    assert peak < pooled + 8 * min(workers, d + 1) * budget, (peak, pooled)
+    assert peak < min(workers, d + 1) * (pairs + 8 * budget), (peak, pairs)
+
+
+def _fraction_product_tail(integrand):
+    """D(i) = P_i (S_i - 1) of the product family in exact rational arithmetic,
+    from the same float component variances the package uses."""
+    a = [Fraction(float(v)) for v in anova._component_variances(integrand)]
+    d = len(a)
+    D = []
+    for i in range(d + 1):
+        P = S = Fraction(1)
+        for v in a[:i]:
+            P *= 1 + v
+        for v in a[i:]:
+            S *= 1 + v
+        D.append(P * (S - 1))
+    return D
+
+
+def test_analytic_product_tail_is_exact():
+    f = make_product(geometric_coefficients(32, 0.5))
+    exact = _fraction_product_tail(f)
+    profile = analytic_profile(f)
+    for i in range(32):
+        error = abs(Fraction(float(profile.D[i])) - exact[i])
+        assert error <= Fraction(1, 10 ** 14) * exact[i], i
+    assert profile.D[32] == 0.0 and profile.D[0] == profile.var_f
+
+
+@pytest.mark.parametrize("family", [make_additive, make_product])
+def test_mc_profile_tail_within_4_se_at_d32(family):
+    f = family(geometric_coefficients(32, 0.5))
+    exact = analytic_profile(f).D
+    est = mc_profile(f, 20_000, new_stream(32))
+    z = np.abs(est.raw_D - exact)
+    assert np.all(z <= 4 * est.se), np.max(z[:-1] / est.se[:-1])
+    assert est.raw_D[32] == est.se[32] == 0.0
+    # the tail is resolved: D(31) is about 1e-20, and its SE about 1% of it
+    assert np.all(est.se[:-1] <= 0.02 * exact[:-1]), np.max(est.se[:-1] / exact[:-1])
+
+
+@pytest.mark.parametrize("family", [make_additive, make_product])
+def test_mc_profile_standard_errors_are_calibrated(family):
+    # over independent seeds, (raw_D(i) - D(i)) / se(i) has unit spread
+    f = family(geometric_coefficients(4))
+    exact = analytic_profile(f).D
+    z = []
+    for seed in range(300):
+        est = mc_profile(f, 2_000, new_stream(seed))
+        z.append((est.raw_D[:-1] - exact[:-1]) / est.se[:-1])
+    spread = np.std(z, axis=0)
+    assert np.all((0.85 <= spread) & (spread <= 1.15)), spread
 
 
 class _EvaluatorFault(RuntimeError):
