@@ -20,18 +20,13 @@ Two routes produce a profile:
 
 from __future__ import annotations
 
-import contextvars
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .integrands import Integrand
-from .streams import CostLedger, UniformStream, draw_rows
-
-# Coordinates per row block of the pair sampler, as in mlmc's chunks; the
-# sampled values do not depend on it.
-_BLOCK_ELEMENTS = 2 ** 14
+from .streams import (CostLedger, UniformStream, block_rows, draw_rows,
+                      part_stream, run_all)
 
 
 class UnsupportedIntegrandError(ValueError):
@@ -154,29 +149,6 @@ def analytic_profile(integrand: Integrand) -> VarianceProfile:
     return VarianceProfile(D=D, var_f=var_f, d_t=dt_var / var_f, source="analytic")
 
 
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
-def _run_all(pool, fn, items) -> list:
-    """``[fn(item) for item in items]`` on the pool's threads.
-
-    Each call runs in a copy of the caller's context, so under its numpy
-    error state.  The first failure, in item order, is raised; calls not yet
-    started are then cancelled.
-    """
-    futures = [pool.submit(contextvars.copy_context().run, fn, item) for item in items]
-    try:
-        return [future.result() for future in futures]
-    finally:
-        for future in futures:
-            future.cancel()
-
-
 def _sample_pairs(integrand: Integrand, i: int, n: int,
                   stream: UniformStream) -> np.ndarray:
     """f(V) and f(V'), as rows [2, n], for n pairs V, V' that share exactly
@@ -184,21 +156,16 @@ def _sample_pairs(integrand: Integrand, i: int, n: int,
 
     The coordinates are those of whole-matrix sampling from ``stream``: the
     [n, i] common prefix, then the [n, d - i] tail of V, then that of V', each
-    row-major.  Row blocks of at most ``_BLOCK_ELEMENTS`` coordinates draw
-    their rows of all three at their offsets in the stream, so no value
+    row-major.  Row blocks of at most ``streams._BLOCK_ELEMENTS`` coordinates
+    draw their rows of all three at their offsets in the stream, so no value
     depends on the block size.  Draws and evaluations are charged to the
     stream's ledger, and its counter ends past the three matrices.
     """
     d = integrand.dimension
     tail = d - i
-    stream.draw(0)  # derives the stream's key, which its three parts share
-    parts = []
-    for offset in (0, n * i, n * i + n * tail):
-        part = UniformStream(stream.seed, stream.path, stream.ledger)
-        part.counter, part.key = stream.counter + offset, stream.key
-        parts.append(part)
+    parts = [part_stream(stream, offset) for offset in (0, n * i, n * i + n * tail)]
     prefix, tails = parts[:1], parts[1:]
-    rows = min(n, max(1, _BLOCK_ELEMENTS // d))
+    rows = block_rows(n, d)
     points = np.empty((2, rows, d))
     out = np.empty((2, n))
     for start in range(0, n, rows):
@@ -250,8 +217,6 @@ def mc_profile(integrand: Integrand, n_pairs: int, stream: UniformStream) -> Var
     """
     if n_pairs < 2:
         raise ValueError("n_pairs must be at least 2")
-    from concurrent.futures import ThreadPoolExecutor
-
     d = integrand.dimension
     raw = np.empty(d + 1)
     se = np.empty(d + 1)
@@ -263,9 +228,8 @@ def mc_profile(integrand: Integrand, n_pairs: int, stream: UniformStream) -> Var
         raw[i], se[i] = _jansen(_sample_pairs(integrand, i, n_pairs, fork))
         return fork.ledger
 
-    with ThreadPoolExecutor(min(_cpu_count(), d + 1)) as pool:
-        for ledger in _run_all(pool, sample, range(d + 1)):
-            stream.ledger.add(ledger)
+    for ledger in run_all(sample, range(d + 1)):
+        stream.ledger.add(ledger)
     D = isotonic_nonincreasing(raw)
     var_f = float(D[0])
     if var_f <= 0.0:

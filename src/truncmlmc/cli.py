@@ -8,7 +8,6 @@ codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 import numpy as np
@@ -36,32 +35,33 @@ DECAY_HEADER = ("i", "msd", "se", "fitted_gamma", "fitted_c_prime", "power_r2",
                 "geom_kappa", "geom_theta", "geom_r2")
 LEMMA_HEADER = ("family", "d", "lhs", "rhs", "rhs_se", "pass")
 
-
-def _fmt(value) -> str:
-    # strings, plain floats and plain ints are nearly every cell, so they go first
-    if isinstance(value, str):
-        return value
-    if type(value) is float:
-        return format(value, ".17g")
-    if type(value) is int:
-        return str(value)
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+# One %-template per schema and row kind.  '%.17g' % x equals
+# format(x, '.17g') for every float, nan, inf and -0 included; '%d' writes
+# an integer exactly; '%s' takes a validated name or a formatted part.
+_G = "%.17g"
+ANOVA_ROW = ",".join(("%d",) + (_G,) * 4)
+DECAY_ROW = ",".join(("%d",) + (_G,) * 8)
+BENCH_ROW = ",".join(("%s", "%d") + (_G,) * 5 + ("%s",))
+LEMMA_ROW = ",".join(("%s", "%d") + (_G,) * 3 + ("%s",))
+RUN_REP = ",".join(("%d", _G, "%d"))
+RUN_LEVEL_ROW = ",".join(("%s", "%d", _G, "%d"))
+GRID_SUMMARY_ROW = ",".join(("%s", "%d", _G, "summary") + ("",) * 6 + (_G,) * 5)
+GRID_REP_ROW = ",".join(("%s", "%d", "", "rep", "%s") + ("",) * 5)
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _write_csv(path: str, header, lines) -> None:
+    """Write the header and the rows, each already formatted by its template.
+
+    No cell is quoted: a string cell that held the delimiter, a quote or a
+    line break would have changed the comma or line count, and is refused.
+    """
+    lines = [",".join(header), *lines]
+    text = "\n".join(lines) + "\n"
+    if ('"' in text or "\r" in text or text.count("\n") != len(lines)
+            or text.count(",") != len(lines) * (len(header) - 1)):
+        raise ValueError(f"{path}: a CSV cell holds a delimiter, a quote or a line break")
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        handle.write(text)
 
 
 def _merged_config(args) -> dict[str, str]:
@@ -86,20 +86,21 @@ def _out(args, cfg, default: str) -> str:
     return args.out or cfg.get("out") or default
 
 
-def _run_rows(cell: CellResult):
+def _run_lines(cell: CellResult):
+    """The RUN_HEADER rows of a cell, formatted, without line ends."""
     summary = cell.summary
     # each replication's value and cost are formatted once, not once per level
-    values = [_fmt(value) for value in summary.values.tolist()]
-    costs = [_fmt(cost) for cost in summary.costs.sum(axis=1).tolist()]
+    reps = [RUN_REP % row for row in zip(range(summary.replications),
+                                         summary.values.tolist(),
+                                         summary.costs.sum(axis=1).tolist())]
     if summary.level_sum is None:
-        for rep, (value, cost) in enumerate(zip(values, costs)):
-            yield (rep, value, cost, "", "", "")
+        for rep in reps:
+            yield rep + ",,,"
         return
     levels = list(enumerate(summary.level_count.tolist(), start=1))
-    for rep, (value, cost, sums) in enumerate(zip(values, costs,
-                                                  summary.level_sum.tolist())):
+    for rep, sums in zip(reps, summary.level_sum.tolist()):
         for (level, count), level_sum in zip(levels, sums):
-            yield (rep, value, cost, level, level_sum, count)
+            yield RUN_LEVEL_ROW % (rep, level, level_sum, count)
 
 
 def cmd_anova(args) -> int:
@@ -121,9 +122,9 @@ def cmd_anova(args) -> int:
         se = profile.se
     out = _out(args, cfg, "profile.csv")
     _write_csv(out, ANOVA_HEADER,
-               [(i, profile.D[i], se[i], profile.d_t, profile.var_f)
-                for i in range(integrand.dimension + 1)])
-    print(f"anova: var_f={_fmt(profile.var_f)} d_t={_fmt(profile.d_t)} -> {out}")
+               [ANOVA_ROW % (i, D, se_i, profile.d_t, profile.var_f)
+                for i, (D, se_i) in enumerate(zip(profile.D.tolist(), se.tolist()))])
+    print(f"anova: var_f={profile.var_f:.17g} d_t={profile.d_t:.17g} -> {out}")
     return 0
 
 
@@ -137,27 +138,26 @@ def cmd_estimate(args) -> int:
             args.method, integrand, as_int(cfg, "reps", 1000), new_stream(seed),
             mc_n=as_int(cfg, "mc_n", 1), fix_v=cfg.get("fix_v", "midpoint"),
             fix_v_values=as_float_list(cfg, "fix_v_values", None))
-        _write_csv(out, RUN_HEADER, _run_rows(cell))
+        _write_csv(out, RUN_HEADER, _run_lines(cell))
         summary = cell.summary
-        print(f"estimate {args.method} d={cell.d}: mean={_fmt(summary.mean)} "
-              f"variance={_fmt(summary.sample_variance)} "
-              f"mean_cost={_fmt(summary.mean_cost)} -> {out}")
+        print(f"estimate {args.method} d={cell.d}: mean={summary.mean:.17g} "
+              f"variance={summary.sample_variance:.17g} "
+              f"mean_cost={summary.mean_cost:.17g} -> {out}")
         return 0
     # no single method requested: run the configured (method, d, eps) grid
     cells, eps_list = run_config(cfg, seed)
-    rows = []
+    lines = []
     for cell in cells:
         for eps in eps_list:
             summary = cell.summary
-            rows.append((cell.method, cell.d, eps, "summary", "", "", "", "", "",
-                         "", summary.mean, summary.sample_variance,
-                         summary.mean_cost, work_normalized_variance(summary),
-                         total_budget(summary, eps)))
+            lines.append(GRID_SUMMARY_ROW % (
+                cell.method, cell.d, eps, summary.mean, summary.sample_variance,
+                summary.mean_cost, work_normalized_variance(summary),
+                total_budget(summary, eps)))
     for cell in cells:
-        for row in _run_rows(cell):
-            rows.append((cell.method, cell.d, "", "rep") + row +
-                        ("", "", "", "", ""))
-    _write_csv(out, GRID_HEADER, rows)
+        lines.extend(GRID_REP_ROW % (cell.method, cell.d, line)
+                     for line in _run_lines(cell))
+    _write_csv(out, GRID_HEADER, lines)
     print(f"estimate grid: {len(cells)} cells -> {out}")
     return 0
 
@@ -168,8 +168,10 @@ def cmd_bench(args) -> int:
     rows = compare_scaling(cfg, seed)
     out = _out(args, cfg, "bench.csv")
     _write_csv(out, BENCH_HEADER,
-               [(r.method, r.d, r.mean, r.sample_variance, r.mean_cost, r.wnv,
-                 r.total_budget, r.theoretical_bound) for r in rows])
+               [BENCH_ROW % (r.method, r.d, r.mean, r.sample_variance, r.mean_cost,
+                             r.wnv, r.total_budget,
+                             "" if r.theoretical_bound is None
+                             else _G % r.theoretical_bound) for r in rows])
     print(f"bench: {len(rows)} rows -> {out}")
     return 0
 
@@ -185,21 +187,21 @@ def cmd_markov(args) -> int:
         report = measure_decay(model, i_values, n, stream)
         out = _out(args, cfg, "decay.csv")
         _write_csv(out, DECAY_HEADER,
-                   [(i, report.msd[k], report.se[k], report.fitted_gamma,
-                     report.fitted_c_prime, report.power_r2, report.geom_kappa,
-                     report.geom_theta, report.geom_r2)
+                   [DECAY_ROW % (i, report.msd[k], report.se[k], report.fitted_gamma,
+                                 report.fitted_c_prime, report.power_r2,
+                                 report.geom_kappa, report.geom_theta, report.geom_r2)
                     for k, i in enumerate(report.i_values)])
-        print(f"markov decay: gamma_hat={_fmt(report.fitted_gamma)} "
-              f"kappa_hat={_fmt(report.geom_kappa)} -> {out}")
+        print(f"markov decay: gamma_hat={report.fitted_gamma:.17g} "
+              f"kappa_hat={report.geom_kappa:.17g} -> {out}")
         return 0
     d = as_int(cfg, "chain.d")
     cell = run_markov_cell(cfg, d, as_int(cfg, "reps", 1000), root)
     out = _out(args, cfg, "markov.csv")
-    _write_csv(out, RUN_HEADER, _run_rows(cell))
+    _write_csv(out, RUN_HEADER, _run_lines(cell))
     summary = cell.summary
-    print(f"markov d={d}: mean={_fmt(summary.mean)} "
-          f"variance={_fmt(summary.sample_variance)} "
-          f"mean_cost={_fmt(summary.mean_cost)} -> {out}")
+    print(f"markov d={d}: mean={summary.mean:.17g} "
+          f"variance={summary.sample_variance:.17g} "
+          f"mean_cost={summary.mean_cost:.17g} -> {out}")
     return 0
 
 
@@ -211,7 +213,8 @@ def cmd_lemma1(args) -> int:
                              reps=as_int(cfg, "reps", 2000))
     out = _out(args, cfg, "lemma1.csv")
     _write_csv(out, LEMMA_HEADER,
-               [(r.family, r.d, r.lhs, r.rhs, r.rhs_se, r.passed) for r in rows])
+               [LEMMA_ROW % (r.family, r.d, r.lhs, r.rhs, r.rhs_se,
+                             "true" if r.passed else "false") for r in rows])
     print(f"lemma1: {sum(r.passed for r in rows)}/{len(rows)} passed -> {out}")
     return 0
 

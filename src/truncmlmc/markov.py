@@ -24,7 +24,8 @@ import numpy as np
 from .integrands import Integrand
 from .mlmc import (EstimateRecord, LevelSchedule, _telescope, dyadic_prefixes,
                    record_from_snapshot)
-from .streams import UniformStream, chunk_streams, draw_rows
+from .streams import (CostLedger, UniformStream, chunk_streams, draw_rows,
+                      part_stream, pool_blocks, run_all)
 
 LINDLEY_A = -0.6
 LINDLEY_B = 0.4
@@ -35,7 +36,11 @@ class ChainModel:
     """Time-varying chain: state update per time index, payoff at the horizon.
 
     ``step(t, states, uniforms)`` and ``payoff(states)`` must be deterministic,
-    constant-cost, and elementwise over array arguments.
+    constant-cost, and elementwise over array arguments.  They must also be
+    pure and row-independent, since :func:`measure_decay` calls them on
+    blocks of paths from several threads at once: a path's result may depend
+    only on its own row, never on the batch it is stepped in or on state
+    shared between calls.
     """
 
     horizon: int
@@ -155,8 +160,14 @@ def measure_decay(model: ChainModel, i_values: Sequence[int], n: int,
     """Estimate the mean squared payoff gap to the i-step restart for each i.
 
     All restarts ride along one batch of full-chain paths, sharing the
-    trailing innovations.  Both decay fits are least squares on log(msd) over
-    the i with positive estimates.
+    trailing innovations; step t draws the stream's next n uniforms.  The
+    paths run in blocks on the thread pool of :func:`streams.run_all`: each
+    block runs the whole time loop, drawing its rows of every step at their
+    offsets in the stream, and writes its squared gaps into its slice of one
+    [len(i_values), n] array, whose rows are then reduced at full length.  So
+    the estimates, the fits and the units booked on the stream's ledger are
+    the same at any block size and thread count.  Both decay fits are least
+    squares on log(msd) over the i with positive estimates.
     """
     if n < 2:
         raise ValueError("need at least 2 coupled paths")
@@ -164,31 +175,55 @@ def measure_decay(model: ChainModel, i_values: Sequence[int], n: int,
     i_vals = tuple(int(i) for i in i_values)
     if any(i < 0 or i > d for i in i_vals):
         raise ValueError(f"restart depths must lie in [0, {d}]")
-    ledger = stream.ledger
     x0 = float(model.initial_state)
-    full = np.full(n, x0)
-    restarts: dict[int, np.ndarray | None] = {i: None for i in i_vals}
-    for t in range(d):
-        y = stream.draw(n)
-        full = model.step(t, full, y)
-        ledger.step_applications += n
-        for i in i_vals:
-            if t == d - i:
-                restarts[i] = np.full(n, x0)
-            if restarts[i] is not None:
-                restarts[i] = model.step(t, restarts[i], y)
-                ledger.step_applications += n
-    pf_full = np.asarray(model.payoff(full), dtype=float)
-    ledger.payoff_evals += n
+    base = stream.counter
+    sq = np.empty((len(i_vals), n))
+
+    def run_block(block: tuple[UniformStream, int, int]) -> CostLedger:
+        part, start, stop = block
+        m, ledger = stop - start, part.ledger
+        full = np.full(m, x0)
+        restarts: dict[int, np.ndarray | None] = {i: None for i in i_vals}
+        for t in range(d):
+            part.counter = base + t * n + start
+            y = part.draw(m)
+            full = model.step(t, full, y)
+            ledger.step_applications += m
+            for i in i_vals:
+                if t == d - i:
+                    restarts[i] = np.full(m, x0)
+                if restarts[i] is not None:
+                    restarts[i] = model.step(t, restarts[i], y)
+                    ledger.step_applications += m
+        pf_full = np.asarray(model.payoff(full), dtype=float)
+        ledger.payoff_evals += m
+        for k, i in enumerate(i_vals):
+            states = restarts[i] if restarts[i] is not None else np.full(m, x0)
+            gap = pf_full - np.asarray(model.payoff(states), dtype=float)
+            sq[k, start:stop] = gap ** 2
+            ledger.payoff_evals += m
+        return ledger
+
+    # a ledger per block, since a ledger is not safe to share across threads;
+    # the first part derives the stream's key, which all parts share
+    blocks = [(part_stream(stream, start, CostLedger()), start, stop)
+              for start, stop in pool_blocks(n)]
+    for ledger in run_all(run_block, blocks):
+        stream.ledger.add(ledger)
+    stream.counter = base + d * n
     msd = np.empty(len(i_vals))
     se = np.empty(len(i_vals))
-    for k, i in enumerate(i_vals):
-        states = restarts[i] if restarts[i] is not None else np.full(n, x0)
-        sq = (pf_full - np.asarray(model.payoff(states), dtype=float)) ** 2
-        ledger.payoff_evals += n
-        msd[k] = sq.mean()
-        se[k] = sq.std(ddof=1) / math.sqrt(n)
+    for k, row in enumerate(sq):
+        # one row at a time, so std's temporaries stay one row long
+        msd[k] = row.mean()
+        se[k] = row.std(ddof=1) / math.sqrt(n)
+    return _decay_report(i_vals, msd, se)
 
+
+def _decay_report(i_vals: tuple[int, ...], msd: np.ndarray,
+                  se: np.ndarray) -> DecayReport:
+    """The report of the gaps ``msd`` and their ``se``, with both decay fits
+    of log(msd) over the i with positive estimates."""
     keep = msd > 0.0
     if np.count_nonzero(keep) >= 2:
         iv = np.asarray(i_vals, dtype=float)[keep]

@@ -15,10 +15,17 @@ come out of one pass of numpy uint32 arithmetic (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC'11), and every draw runs on one
 reused Philox per thread, reset to the stream's key and counter.  So a fork
 builds no numpy object at all.
+
+The bulk oracles (``anova.mc_profile`` and ``markov.measure_decay``) split
+their work into row blocks and run them on one thread pool through
+:func:`run_all`; every block draws its rows at their own offsets in the
+stream, so no value depends on the block size or on the thread count.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,6 +36,10 @@ import numpy as np
 
 _SEED_MASK = (1 << 64) - 1
 _MASK32 = 0xFFFFFFFF
+
+# Elements per row block of the bulk oracles, as in mlmc's chunks; no sampled
+# value depends on it.
+_BLOCK_ELEMENTS = 2 ** 14
 
 # The hash constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).
 _INIT_A = 0x43B0D7E5
@@ -265,3 +276,68 @@ def draw_rows(streams: Sequence[UniformStream], n: int) -> np.ndarray:
 def new_stream(seed: int, ledger: CostLedger | None = None) -> UniformStream:
     """Root stream with empty path and zero counter."""
     return UniformStream(seed, (), ledger)
+
+
+def part_stream(stream: UniformStream, offset: int,
+                ledger: CostLedger | None = None) -> UniformStream:
+    """A stream that draws ``stream``'s sequence from ``offset`` past its
+    counter, on ``ledger`` (``stream``'s own by default).
+
+    The key is derived once, here, and shared with the part, so parts of one
+    stream cost no further key derivation.  ``stream`` is not advanced.
+    """
+    if stream.key is None:
+        stream.draw(0)
+    part = UniformStream(stream.seed, stream.path,
+                         stream.ledger if ledger is None else ledger)
+    part.counter, part.key = stream.counter + offset, stream.key
+    return part
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def block_rows(n: int, width: int) -> int:
+    """Rows of ``width`` elements per block: as many as ``_BLOCK_ELEMENTS``
+    holds, at least one and at most ``n``."""
+    return min(n, max(1, _BLOCK_ELEMENTS // width))
+
+
+def pool_blocks(n: int) -> list[tuple[int, int]]:
+    """Rows ``0..n`` of one element each, split into ``(start, stop)`` blocks
+    of nearly equal size for :func:`run_all`.
+
+    No block holds more than ``_BLOCK_ELEMENTS`` rows, and where ``n``
+    permits, the block count is a multiple of the pool's thread count, so
+    every thread gets the same share of rows.
+    """
+    blocks = -(-n // block_rows(n, 1))
+    threads = min(_cpu_count(), blocks)
+    blocks = min(n, -(-blocks // threads) * threads)
+    return [(n * k // blocks, n * (k + 1) // blocks) for k in range(blocks)]
+
+
+def run_all(fn, items) -> list:
+    """``[fn(item) for item in items]`` on a thread pool with one thread per
+    usable CPU, at most one per item.
+
+    Each call runs in a copy of the caller's context, so under its numpy
+    error state.  The first failure, in item order, is raised; calls not yet
+    started are then cancelled.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    items = list(items)
+    with ThreadPoolExecutor(max(1, min(_cpu_count(), len(items)))) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, fn, item)
+                   for item in items]
+        try:
+            return [future.result() for future in futures]
+        finally:
+            for future in futures:
+                future.cancel()

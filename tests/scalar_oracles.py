@@ -6,13 +6,16 @@ work the slow, obvious way, so tests can check the batched code against them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from truncmlmc import (ChainModel, CostLedger, DegenerateIntegrandError, Integrand,
-                       UniformStream, VarianceProfile, isotonic_nonincreasing)
+from truncmlmc import (ChainModel, CostLedger, DecayReport, DegenerateIntegrandError,
+                       Integrand, UniformStream, VarianceProfile,
+                       isotonic_nonincreasing)
+from truncmlmc.markov import _decay_report
 
 
 @dataclass(frozen=True)
@@ -184,3 +187,38 @@ def reference_mc_profile(integrand: Integrand, n_pairs: int,
         raise DegenerateIntegrandError("sampled variance estimate is not positive")
     return VarianceProfile(D=D, var_f=var_f, d_t=float(D.sum() / var_f),
                            source="mc", n_pairs=n_pairs, se=se, raw_D=raw)
+
+
+def reference_measure_decay(model: ChainModel, i_values: Sequence[int], n: int,
+                            stream: UniformStream) -> DecayReport:
+    """The restart-gap decay done serially on full-length path arrays: step t
+    takes ``stream.draw(n)``, every i-step restart rides along the full
+    chain, and each depth's squared payoff gaps give its mean and standard
+    error, which the package's fits then take."""
+    d = model.horizon
+    i_vals = tuple(int(i) for i in i_values)
+    ledger = stream.ledger
+    x0 = float(model.initial_state)
+    full = np.full(n, x0)
+    restarts: dict[int, np.ndarray | None] = {i: None for i in i_vals}
+    for t in range(d):
+        y = stream.draw(n)
+        full = model.step(t, full, y)
+        ledger.step_applications += n
+        for i in i_vals:
+            if t == d - i:
+                restarts[i] = np.full(n, x0)
+            if restarts[i] is not None:
+                restarts[i] = model.step(t, restarts[i], y)
+                ledger.step_applications += n
+    pf_full = np.asarray(model.payoff(full), dtype=float)
+    ledger.payoff_evals += n
+    msd = np.empty(len(i_vals))
+    se = np.empty(len(i_vals))
+    for k, i in enumerate(i_vals):
+        states = restarts[i] if restarts[i] is not None else np.full(n, x0)
+        sq = (pf_full - np.asarray(model.payoff(states), dtype=float)) ** 2
+        ledger.payoff_evals += n
+        msd[k] = sq.mean()
+        se[k] = sq.std(ddof=1) / math.sqrt(n)
+    return _decay_report(i_vals, msd, se)

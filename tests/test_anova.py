@@ -175,7 +175,7 @@ ORACLE_INTEGRANDS = {
         dimension=8, evaluator=lambda p: p[:, 0] * p[:, 5] + (p[:, 1] - p[:, 7]) ** 2),
 }
 ORACLE_PAIRS = 2_501
-BLOCK_BUDGETS = {"one-row": 0, "default": anova._BLOCK_ELEMENTS, "unbounded": 2 ** 62}
+BLOCK_BUDGETS = {"one-row": 0, "default": streams._BLOCK_ELEMENTS, "unbounded": 2 ** 62}
 
 
 def _profile_and_units(oracle, integrand, n, seed):
@@ -197,8 +197,8 @@ def reference_profiles():
 @pytest.mark.parametrize("name", sorted(ORACLE_INTEGRANDS))
 def test_mc_profile_matches_whole_matrix_reference(name, workers, blocks,
                                                    reference_profiles, monkeypatch):
-    monkeypatch.setattr(anova, "_BLOCK_ELEMENTS", BLOCK_BUDGETS[blocks])
-    monkeypatch.setattr(anova, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(streams, "_BLOCK_ELEMENTS", BLOCK_BUDGETS[blocks])
+    monkeypatch.setattr(streams, "_cpu_count", lambda: workers)
     f, n = ORACLE_INTEGRANDS[name](), ORACLE_PAIRS
     expected, expected_units = reference_profiles[name]
     interval = sys.getswitchinterval()
@@ -219,7 +219,7 @@ def test_mc_profile_matches_whole_matrix_reference(name, workers, blocks,
 
 @pytest.mark.parametrize("blocks", sorted(BLOCK_BUDGETS))
 def test_block_sampler_matches_whole_matrix_pairs(blocks, monkeypatch):
-    monkeypatch.setattr(anova, "_BLOCK_ELEMENTS", BLOCK_BUDGETS[blocks])
+    monkeypatch.setattr(streams, "_BLOCK_ELEMENTS", BLOCK_BUDGETS[blocks])
     f = chain_integrand(make_lindley(8))
     for i in (0, 3, 8):
         expected, got = new_stream(7).fork(i), new_stream(7).fork(i)
@@ -238,7 +238,7 @@ def test_checks_do_not_depend_on_the_block_size(monkeypatch):
     profile = analytic_profile(f)
     reports = {}
     for name, budget in BLOCK_BUDGETS.items():
-        monkeypatch.setattr(anova, "_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(streams, "_BLOCK_ELEMENTS", budget)
         stream = new_stream(13)
         pair = check_pair_variance_bound(f, 2, profile, 3_001, stream.fork(0))
         residual = check_residual_lower_bound(
@@ -264,7 +264,7 @@ def test_sampler_derives_each_stream_key_once(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2, 8])
 def test_mc_profile_memory_is_a_pair_array_and_blocks_per_worker(workers, monkeypatch):
-    monkeypatch.setattr(anova, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(streams, "_cpu_count", lambda: workers)
     f, d, n = make_additive(geometric_coefficients(32)), 32, 20_000
     mc_profile(f, 200, new_stream(1))  # lazy imports and per-thread set-up
     tracemalloc.start()
@@ -274,7 +274,7 @@ def test_mc_profile_memory_is_a_pair_array_and_blocks_per_worker(workers, monkey
     finally:
         tracemalloc.stop()
     pairs = 2 * n * 8
-    budget = 8 * anova._BLOCK_ELEMENTS
+    budget = 8 * streams._BLOCK_ELEMENTS
     assert peak < min(workers, d + 1) * (pairs + 8 * budget), (peak, pairs)
 
 
@@ -335,7 +335,7 @@ class _EvaluatorFault(RuntimeError):
 
 @pytest.mark.parametrize("workers", [1, 8])
 def test_mc_profile_raises_the_evaluator_error(workers, monkeypatch):
-    monkeypatch.setattr(anova, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(streams, "_cpu_count", lambda: workers)
     calls = itertools.count()
 
     def evaluator(points):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from truncmlmc import Integrand, anova, new_stream
+from truncmlmc import Integrand, cli, new_stream, streams
 from truncmlmc.cli import main
 from truncmlmc.config import (ConfigError, as_bool, as_float_list, as_int,
                               chain_from_config, integrand_from_config,
@@ -223,13 +223,33 @@ def test_cli_exit_codes_name_the_fault(argv, code, fragment, tmp_path,
 
 def test_anova_overflow_warns_on_no_thread(tmp_path, monkeypatch):
     # the oracle's pool threads run under the CLI's numpy error state
-    monkeypatch.setattr(anova, "_cpu_count", lambda: 8)
+    monkeypatch.setattr(streams, "_cpu_count", lambda: 8)
     monkeypatch.chdir(tmp_path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["anova", "--family", "additive", "--d", "2", "--coeffs", HUGE,
                      "--method", "mc", "--pairs", "100", "--seed", "1"]) == 3
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
+
+
+@pytest.mark.parametrize("value", [0.1, 1 / 3, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+                                   2.0 ** 53 + 2, float("nan"), float("inf"),
+                                   float("-inf"), np.float64(2 / 3), np.float64("nan")])
+def test_float_template_matches_format(value):
+    assert cli._G % value == format(float(value), ".17g")
+
+
+@pytest.mark.parametrize("name", ["a,b", 'say "x"', "two\nlines", "cr\r"])
+def test_csv_writer_refuses_cells_that_need_quoting(name, tmp_path):
+    out = tmp_path / "lemma.csv"
+    with pytest.raises(ValueError, match="delimiter, a quote or a line break"):
+        cli._write_csv(str(out), cli.LEMMA_HEADER,
+                       [cli.LEMMA_ROW % (name, 4, 1.0, 2.0, 0.5, "true")])
+    assert not out.exists()
+    cli._write_csv(str(out), cli.LEMMA_HEADER,
+                   [cli.LEMMA_ROW % ("additive", 4, 1.0, 2.0, 0.5, "true")])
+    assert list(csv.reader(out.read_text(encoding="utf-8").splitlines())) == [
+        list(cli.LEMMA_HEADER), ["additive", "4", "1", "2", "0.5", "true"]]
 
 
 def test_cli_rejects_unsupported_dimension(tmp_path, monkeypatch):

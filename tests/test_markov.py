@@ -1,11 +1,18 @@
+import importlib.util
+import itertools
 import math
+import sys
+import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scalar_oracles import (coupled_level_pair, prefix_redraw_payoff,
-                            simulate_chain, simulate_restart)
-from truncmlmc import markov
+                            reference_measure_decay, simulate_chain,
+                            simulate_restart)
+from truncmlmc import markov, streams
 from truncmlmc import (ChainModel, CostLedger, chain_integrand, drift_integral,
                        estimate_chain_mlmc, make_lindley, markov_schedule,
                        mc_profile, measure_decay, modulated_uniform_increments,
@@ -212,6 +219,125 @@ def test_measure_decay_geometric_fit():
     assert report.geom_kappa < 1.0
     assert report.geom_r2 > 0.9
     assert report.fitted_c_prime > 0.0
+
+
+def _bench_workloads():
+    """The benchmark's closed forms, loaded from bench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+DECAY_DEPTHS = (0, 3, 8, 31, 32)
+# block budget and path count: one-path blocks, then several default blocks
+# per thread count, then one block
+DECAY_BLOCKS = {"one-path": (0, 301), "default": (streams._BLOCK_ELEMENTS, 40_001),
+                "unbounded": (2 ** 62, 40_001)}
+
+
+def _decay_and_units(measure, n):
+    stream = new_stream(17).fork(4)
+    stream.draw(5)  # an offset into the stream that is not a Philox block
+    before = stream.ledger.snapshot()
+    report = measure(make_lindley(32), DECAY_DEPTHS, n, stream)
+    units = tuple(b - a for a, b in zip(before, stream.ledger.snapshot()))
+    return report, units, stream.counter
+
+
+@pytest.fixture(scope="module")
+def reference_decay():
+    return {n: _decay_and_units(reference_measure_decay, n)
+            for n in {n for _, n in DECAY_BLOCKS.values()}}
+
+
+@pytest.mark.parametrize("blocks", sorted(DECAY_BLOCKS))
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_measure_decay_matches_serial_reference(workers, blocks, reference_decay,
+                                                monkeypatch):
+    budget, n = DECAY_BLOCKS[blocks]
+    monkeypatch.setattr(streams, "_BLOCK_ELEMENTS", budget)
+    monkeypatch.setattr(streams, "_cpu_count", lambda: workers)
+    interval = sys.getswitchinterval()
+    if workers == 8:  # more threads than cores, switching often
+        sys.setswitchinterval(1e-6)
+    try:
+        got, units, counter = _decay_and_units(measure_decay, n)
+    finally:
+        sys.setswitchinterval(interval)
+    expected, expected_units, expected_counter = reference_decay[n]
+    assert got.i_values == expected.i_values == DECAY_DEPTHS
+    for field in ("msd", "se"):
+        assert np.array_equal(getattr(got, field), getattr(expected, field)), field
+    for field in ("fitted_gamma", "fitted_c_prime", "power_r2", "geom_kappa",
+                  "geom_theta", "geom_r2"):
+        assert getattr(got, field) == getattr(expected, field), field
+    assert counter == expected_counter == 5 + 32 * n
+    assert units == expected_units
+    assert sum(units) == _bench_workloads().decay_units(32, DECAY_DEPTHS, n)
+
+
+class _StepFault(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+def test_measure_decay_raises_the_step_error(workers, monkeypatch):
+    # several blocks per thread; the fault strikes partway through one of them
+    monkeypatch.setattr(streams, "_BLOCK_ELEMENTS", 100)
+    monkeypatch.setattr(streams, "_cpu_count", lambda: workers)
+    calls = itertools.count()
+    lindley = make_lindley(16)
+
+    def step(t, x, y):
+        if next(calls) == 50:
+            raise _StepFault("fifty-first step")
+        return lindley.step(t, x, y)
+
+    model = ChainModel(horizon=16, initial_state=0.0, step=step, payoff=lindley.payoff)
+    with pytest.raises(_StepFault, match="fifty-first step"):
+        measure_decay(model, (2, 4), 1_000, new_stream(3))
+
+
+def test_measure_decay_pool_threads_keep_the_error_state(monkeypatch):
+    monkeypatch.setattr(streams, "_BLOCK_ELEMENTS", 100)
+    monkeypatch.setattr(streams, "_cpu_count", lambda: 8)
+    lindley = make_lindley(8)
+    model = ChainModel(horizon=8, initial_state=1e300,
+                       step=lambda t, x, y: x * (1.0 + y) * 1e10,
+                       payoff=lindley.payoff)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            measure_decay(model, (2, 4), 1_000, new_stream(4))
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
+        warnings.simplefilter("always")
+        report = measure_decay(model, (2, 4), 1_000, new_stream(4))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
+    assert np.isnan(report.msd).all()
+
+
+# A block holds the full chain, its restarts and a draw, one element per path
+# each, plus the step's temporaries: about 9 arrays of a block's paths.
+DECAY_BLOCK_BUDGETS = 12
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_measure_decay_memory_is_the_gap_array_and_blocks_per_worker(workers,
+                                                                      monkeypatch):
+    monkeypatch.setattr(streams, "_cpu_count", lambda: workers)
+    model, depths, n = make_lindley(256), (4, 8, 16, 32, 64), 100_000
+    measure_decay(model, depths, 1_000, new_stream(1))  # per-thread set-up
+    tracemalloc.start()
+    try:
+        measure_decay(model, depths, n, new_stream(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gaps = len(depths) * n * 8
+    blocks = len(streams.pool_blocks(n))
+    budget = 8 * streams._BLOCK_ELEMENTS
+    assert peak < gaps + min(workers, blocks) * DECAY_BLOCK_BUDGETS * budget, (peak, gaps)
 
 
 def test_prefix_redraw_costs_and_endpoints():
