@@ -13,9 +13,13 @@ Two routes produce a profile:
   Jansen's identity ``D(i) = E[(f(V) - f(V'))^2] / 2`` where V and V' are
   uniform on the cube and share exactly their first i coordinates: the
   difference cancels every term of the ANOVA decomposition that involves
-  only the first i coordinates.  Each i samples its pairs on its own fork,
-  so the d + 1 samplings run as tasks on a thread pool, one per usable CPU
-  at most.
+  only the first i coordinates.  It takes every pair from one radial design
+  (Saltelli et al., Comput. Phys. Commun. 181, 2010): V is a row of a base
+  matrix A, and V' for index i is that row with columns i..d-1 taken from a
+  second matrix B, so one A and one B serve every i.  The rows run in fixed
+  segments as tasks on a thread pool, one thread per usable CPU at most, and
+  each segment's per-i sums are pooled in segment order.  The variance
+  checks sample independent shared-prefix pairs of one i in row blocks.
 """
 
 from __future__ import annotations
@@ -27,6 +31,11 @@ import numpy as np
 from .integrands import Integrand
 from .streams import (CostLedger, UniformStream, block_rows, draw_rows,
                       part_stream, run_all)
+
+# Elements of A (and of B) per segment of the radial design.  Unlike the row
+# blocks of streams._BLOCK_ELEMENTS, the segments set the order of the
+# profile's sums, so this constant is part of the output bytes.
+_SEGMENT_ELEMENTS = 2 ** 14
 
 
 class UnsupportedIntegrandError(ValueError):
@@ -200,36 +209,98 @@ def _var_and_se(values: np.ndarray) -> tuple[float, float]:
     return var, se
 
 
+def _segments(n: int, d: int) -> list[tuple[int, int]]:
+    """Rows ``0..n`` of the radial design as ``(start, stop)`` segments of
+    ``_SEGMENT_ELEMENTS // d`` rows, at least one; the last may be shorter.
+
+    The segments fix the order in which the profile's sums are taken, so
+    they depend on (n, d) alone, and the bits on no machine property.
+    """
+    rows = max(1, _SEGMENT_ELEMENTS // d)
+    return [(start, min(start + rows, n)) for start in range(0, n, rows)]
+
+
+def _radial_sums(integrand: Integrand, a: np.ndarray, b: np.ndarray,
+                 ledger: CostLedger) -> tuple[np.ndarray, np.ndarray]:
+    """Sums and centred sums of squares [d] of the Jansen terms
+    ``(f(A) - f(A_B^(i)))**2`` over rows [m, d] of A and B, for i = 0..d-1;
+    ``A_B^(i)`` is A with columns i..d-1 taken from B.
+
+    Overwrites ``a`` column by column, from d-1 down to 0.  f(A) is copied
+    before the first column changes, since an evaluator may return a view of
+    its input.
+    """
+    d, m = a.shape[1], a.shape[0]
+    f_a = np.array(integrand.eval_batch(a, ledger))
+    terms = np.empty((d, m))
+    for i in range(d - 1, -1, -1):
+        a[:, i] = b[:, i]
+        np.subtract(f_a, integrand.eval_batch(a, ledger), out=terms[i])
+    terms *= terms
+    sums = terms.sum(axis=1)
+    terms -= (sums / m)[:, None]
+    terms *= terms
+    return sums, terms.sum(axis=1)
+
+
 def mc_profile(integrand: Integrand, n_pairs: int, stream: UniformStream) -> VarianceProfile:
     """Sampling oracle for the residual-variance profile of a black-box integrand.
 
-    For each i, ``raw_D[i]`` is Jansen's estimate: half the mean squared
-    difference of n_pairs shared-prefix pairs, with ``se[i]`` the standard
-    error of that mean.  The i = 0 pairs are independent, so ``raw_D[0]``
-    estimates var(f); the i = d pairs are identical, so ``raw_D[d] = 0``.
-    ``D`` is the projection of ``raw_D`` onto nonincreasing sequences and
-    ``var_f = D[0]``.
+    The radial design (Saltelli et al., Comput. Phys. Commun. 181, 2010): fork
+    0 of ``stream`` gives two [n_pairs, d] matrices A and B, row-major, A
+    first.  For each i, the pairs ``(A, A_B^(i))`` share exactly their first
+    i coordinates, where ``A_B^(i)`` is A with columns i..d-1 taken from B.
+    ``raw_D[i]`` is Jansen's estimate: half the mean of the terms
+    ``(f(A) - f(A_B^(i)))**2``, with ``se[i]`` the standard error of that
+    mean from their sample variance.  ``A_B^(0)`` is B, so ``raw_D[0]``
+    estimates var(f); ``A_B^(d)`` is A, so ``raw_D[d] = se[d] = 0``.  Every
+    i shares A, so the estimates of different i are correlated, but each
+    ``se[i]`` is valid for its own i.  ``D`` is the projection of ``raw_D``
+    onto nonincreasing sequences and ``var_f = D[0]``.
 
-    The pairs of each i are sampled on fork i, as one task of a thread pool
-    with up to one thread per usable CPU, so the evaluator must be safe to
-    call from several threads at once.  The values, the profile and the
+    The books are ``2 d n`` draws and ``(d + 1) n`` evaluations, plus
+    ``steps_per_eval (d + 1) n`` steps: at d = 32 and n = 20,000, 1.94M
+    units, against 33.0M for an independent pair sample of every i.  f(A)
+    is copied before A is overwritten, since an evaluator may return a view
+    of its input.
+
+    The rows run in segments of ``_SEGMENT_ELEMENTS // d`` rows, as tasks of
+    a thread pool with up to one thread per usable CPU, so the evaluator
+    must be safe to call from several threads at once.  A segment draws its
+    rows of A and B at their offsets in the fork and reduces its terms to
+    per-i sums and centred sums of squares; these are pooled in segment
+    order.  The segments depend only on (n_pairs, d), so the profile and the
     units booked on the stream's ledger do not depend on the thread count.
     """
     if n_pairs < 2:
         raise ValueError("n_pairs must be at least 2")
-    d = integrand.dimension
-    raw = np.empty(d + 1)
-    se = np.empty(d + 1)
+    d, n = integrand.dimension, n_pairs
+    fork = stream.fork(0)
 
-    def sample(i: int) -> CostLedger:
-        # a ledger per task, since a ledger is not safe to share across threads
-        fork = stream.fork(i)
-        fork.ledger = CostLedger()
-        raw[i], se[i] = _jansen(_sample_pairs(integrand, i, n_pairs, fork))
-        return fork.ledger
+    def run_segment(task: tuple[list[UniformStream], int]):
+        parts, m = task
+        a, b = draw_rows(parts, m * d).reshape(2, m, d)
+        return _radial_sums(integrand, a, b, parts[0].ledger)
 
-    for ledger in run_all(sample, range(d + 1)):
-        stream.ledger.add(ledger)
+    # a ledger per segment, since a ledger is not safe to share across
+    # threads; the first part derives the fork's key, which all parts share
+    tasks = []
+    for start, stop in _segments(n, d):
+        ledger = CostLedger()
+        tasks.append(([part_stream(fork, offset * d, ledger)
+                       for offset in (start, n + start)], stop - start))
+    sums, m2 = (np.array(column) for column in zip(*run_all(run_segment, tasks)))
+    for parts, _ in tasks:
+        stream.ledger.add(parts[0].ledger)
+    # pool the segments exactly: M2 = sum_s M2_s + sum_s m_s (mean_s - mean)^2
+    rows = np.array([m for _, m in tasks], dtype=float)[:, None]
+    mean = sums.sum(axis=0) / n
+    spread = sums / rows - mean
+    m2 = m2.sum(axis=0) + (rows * spread * spread).sum(axis=0)
+    raw = np.zeros(d + 1)
+    se = np.zeros(d + 1)
+    raw[:d] = 0.5 * mean
+    se[:d] = 0.5 * np.sqrt(m2 / (n - 1) / n)
     D = isotonic_nonincreasing(raw)
     var_f = float(D[0])
     if var_f <= 0.0:

@@ -158,6 +158,8 @@ def decay_from_config(cfg: dict[str, str], horizon: int) -> tuple[tuple[int, ...
     i_values, n = as_int_list(cfg, "decay.i"), as_int(cfg, "decay.n", 10_000)
     if any(not 0 <= i <= horizon for i in i_values):
         raise ConfigError(f"config key 'decay.i': restart depths must lie in [0, {horizon}]")
+    if len(set(i_values)) != len(i_values):
+        raise ConfigError("config key 'decay.i': restart depths must not repeat")
     if n < 2:
         raise ConfigError("config key 'decay.n': need at least 2 coupled paths")
     return i_values, n

@@ -175,6 +175,8 @@ def measure_decay(model: ChainModel, i_values: Sequence[int], n: int,
     i_vals = tuple(int(i) for i in i_values)
     if any(i < 0 or i > d for i in i_vals):
         raise ValueError(f"restart depths must lie in [0, {d}]")
+    if len(set(i_vals)) != len(i_vals):
+        raise ValueError("restart depths must not repeat")
     x0 = float(model.initial_state)
     base = stream.counter
     sq = np.empty((len(i_vals), n))

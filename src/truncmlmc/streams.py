@@ -19,7 +19,9 @@ builds no numpy object at all.
 The bulk oracles (``anova.mc_profile`` and ``markov.measure_decay``) split
 their work into row blocks and run them on one thread pool through
 :func:`run_all`; every block draws its rows at their own offsets in the
-stream, so no value depends on the block size or on the thread count.
+stream, so no value depends on the thread count.  The decay's values do not
+depend on the block size either; the sampling oracle's blocks are segments
+of a size fixed by its inputs, since they set the order of its sums.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ import numpy as np
 _SEED_MASK = (1 << 64) - 1
 _MASK32 = 0xFFFFFFFF
 
-# Elements per row block of the bulk oracles, as in mlmc's chunks; no sampled
-# value depends on it.
+# Elements per row block of the decay and of the pair sampler of the variance
+# checks, as in mlmc's chunks; no sampled value depends on it.
 _BLOCK_ELEMENTS = 2 ** 14
 
 # The hash constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).

@@ -170,17 +170,26 @@ def shared_prefix_pair(integrand: Integrand, i: int, n: int,
 
 def reference_mc_profile(integrand: Integrand, n_pairs: int,
                          stream: UniformStream) -> VarianceProfile:
-    """The sampling oracle done serially on whole matrices: for each i, half
-    the mean squared difference of the pairs from ``shared_prefix_pair`` on
-    fork i and the standard error of that mean, then the isotonic fit."""
-    d = integrand.dimension
+    """The radial sampling oracle done serially on whole matrices: A, then B,
+    each [n, d] from fork 0; for each i < d, the Jansen terms of f(A) and
+    f of A spliced with B's columns i..d-1, reduced with ``math.fsum`` to
+    half their mean and the standard error of that mean; then the isotonic
+    fit."""
+    d, n = integrand.dimension, n_pairs
+    fork = stream.fork(0)
+    a = fork.draw_matrix(n, d)
+    b = fork.draw_matrix(n, d)
+    f_a = integrand.eval_batch(a, stream.ledger).tolist()
     raw = np.zeros(d + 1)
     se = np.zeros(d + 1)
-    for i in range(d + 1):
-        x, y = shared_prefix_pair(integrand, i, n_pairs, stream.fork(i))
-        terms = (x - y) ** 2
-        raw[i] = 0.5 * float(terms.mean())
-        se[i] = float(0.5 * terms.std(ddof=1) / np.sqrt(n_pairs))
+    for i in range(d):
+        spliced = np.hstack([a[:, :i], b[:, i:]])
+        f_i = integrand.eval_batch(spliced, stream.ledger).tolist()
+        terms = [(x - y) ** 2 for x, y in zip(f_a, f_i)]
+        mean = math.fsum(terms) / n
+        var = math.fsum((t - mean) ** 2 for t in terms) / (n - 1)
+        raw[i] = 0.5 * mean
+        se[i] = 0.5 * math.sqrt(var / n)
     D = isotonic_nonincreasing(raw)
     var_f = float(D[0])
     if var_f <= 0.0:

@@ -165,8 +165,8 @@ def test_mc_profile_reproducible():
 
 
 # integrands whose rows are evaluated independently of the batch they are in;
-# with d = 8, 2,501 pairs span two default row blocks of every i, and the odd
-# count leaves the second row of each pair array off a cache-line boundary
+# with d = 8, 2,501 pairs span two segments of the radial design, the second
+# one shorter, and two default row blocks of every i of the pair sampler
 ORACLE_INTEGRANDS = {
     "additive": lambda: make_additive(geometric_coefficients(8, 0.8)),
     "product": lambda: make_product(geometric_coefficients(8, 0.8)),
@@ -176,6 +176,7 @@ ORACLE_INTEGRANDS = {
 }
 ORACLE_PAIRS = 2_501
 BLOCK_BUDGETS = {"one-row": 0, "default": streams._BLOCK_ELEMENTS, "unbounded": 2 ** 62}
+PROFILE_FIELDS = ("D", "raw_D", "se", "var_f", "d_t")
 
 
 def _profile_and_units(oracle, integrand, n, seed):
@@ -192,15 +193,23 @@ def reference_profiles():
             for name, make in ORACLE_INTEGRANDS.items()}
 
 
+@pytest.fixture(scope="module")
+def serial_profiles():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(streams, "_cpu_count", lambda: 1)
+        return {name: _profile_and_units(mc_profile, make(), ORACLE_PAIRS, 41)
+                for name, make in ORACLE_INTEGRANDS.items()}
+
+
 @pytest.mark.parametrize("blocks", sorted(BLOCK_BUDGETS))
 @pytest.mark.parametrize("workers", [1, 2, 8])
 @pytest.mark.parametrize("name", sorted(ORACLE_INTEGRANDS))
 def test_mc_profile_matches_whole_matrix_reference(name, workers, blocks,
-                                                   reference_profiles, monkeypatch):
+                                                   reference_profiles,
+                                                   serial_profiles, monkeypatch):
     monkeypatch.setattr(streams, "_BLOCK_ELEMENTS", BLOCK_BUDGETS[blocks])
     monkeypatch.setattr(streams, "_cpu_count", lambda: workers)
     f, n = ORACLE_INTEGRANDS[name](), ORACLE_PAIRS
-    expected, expected_units = reference_profiles[name]
     interval = sys.getswitchinterval()
     if workers == 8:  # more threads than cores, switching often
         sys.setswitchinterval(1e-6)
@@ -208,13 +217,29 @@ def test_mc_profile_matches_whole_matrix_reference(name, workers, blocks,
         got, units = _profile_and_units(mc_profile, f, n, 41)
     finally:
         sys.setswitchinterval(interval)
-    for field in ("D", "raw_D", "se"):
-        assert np.array_equal(getattr(got, field), getattr(expected, field)), field
-    assert (got.var_f, got.d_t) == (expected.var_f, expected.d_t)
+    # the same bits on one thread; the segments sum in another order than
+    # the reference's math.fsum
+    serial, serial_units = serial_profiles[name]
+    expected, expected_units = reference_profiles[name]
+    for field in PROFILE_FIELDS:
+        assert np.array_equal(getattr(got, field), getattr(serial, field)), field
+        np.testing.assert_allclose(getattr(got, field), getattr(expected, field),
+                                   rtol=1e-12, atol=0, err_msg=field)
     d = f.dimension
-    draws = sum(n * i + 2 * n * (d - i) for i in range(d + 1))
-    evals = 2 * n * (d + 1)
-    assert units == expected_units == (draws, f.steps_per_eval * evals, evals)
+    assert units == serial_units == expected_units == (
+        2 * d * n, f.steps_per_eval * (d + 1) * n, (d + 1) * n)
+
+
+@pytest.mark.parametrize("column", [0, -1])
+def test_mc_profile_allows_evaluators_that_return_a_view(column):
+    # p[:, column] is a view of the evaluated points; its copy is not
+    view = Integrand(dimension=4, evaluator=lambda p: p[:, column])
+    copy = Integrand(dimension=4, evaluator=lambda p: p[:, column].copy())
+    got = mc_profile(view, 20_000, new_stream(1))
+    expected = mc_profile(copy, 20_000, new_stream(1))
+    for field in PROFILE_FIELDS:
+        assert np.array_equal(getattr(got, field), getattr(expected, field)), field
+    assert got.raw_D[0] == pytest.approx(1 / 12, rel=0.05)
 
 
 @pytest.mark.parametrize("blocks", sorted(BLOCK_BUDGETS))
@@ -263,7 +288,7 @@ def test_sampler_derives_each_stream_key_once(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 8])
-def test_mc_profile_memory_is_a_pair_array_and_blocks_per_worker(workers, monkeypatch):
+def test_mc_profile_memory_is_a_segment_per_worker(workers, monkeypatch):
     monkeypatch.setattr(streams, "_cpu_count", lambda: workers)
     f, d, n = make_additive(geometric_coefficients(32)), 32, 20_000
     mc_profile(f, 200, new_stream(1))  # lazy imports and per-thread set-up
@@ -273,9 +298,12 @@ def test_mc_profile_memory_is_a_pair_array_and_blocks_per_worker(workers, monkey
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    pairs = 2 * n * 8
-    budget = 8 * streams._BLOCK_ELEMENTS
-    assert peak < min(workers, d + 1) * (pairs + 8 * budget), (peak, pairs)
+    segments = len(anova._segments(n, d))
+    # a segment's A and B, its terms and the evaluator's temporary, each of
+    # _SEGMENT_ELEMENTS floats, with room to spare; no [d + 1, n] array
+    segment = 6 * 8 * anova._SEGMENT_ELEMENTS
+    sums = segments * 2 * d * 8
+    assert peak < min(workers, segments) * segment + sums, (peak, segments)
 
 
 def _fraction_product_tail(integrand):
@@ -339,11 +367,12 @@ def test_mc_profile_raises_the_evaluator_error(workers, monkeypatch):
     calls = itertools.count()
 
     def evaluator(points):
-        if next(calls) == 7:
-            raise _EvaluatorFault("eighth batch")
+        # d = 4 and 1,000 pairs make one segment of five batches
+        if next(calls) == 3:
+            raise _EvaluatorFault("fourth batch")
         return points[:, 0]
 
-    with pytest.raises(_EvaluatorFault, match="eighth batch"):
+    with pytest.raises(_EvaluatorFault, match="fourth batch"):
         mc_profile(Integrand(dimension=4, evaluator=evaluator), 1_000, new_stream(2))
 
 

@@ -188,6 +188,8 @@ HUGE = "1e300,1e300"
                  "'decay.n'", id="decay-n"),
     pytest.param(["markov", "decay", "--d", "16", "--i", "2,32", "--n", "100"], 2,
                  "'decay.i'", id="decay-depth"),
+    pytest.param(["markov", "decay", "--d", "16", "--i", "4,4", "--n", "100"], 2,
+                 "'decay.i'", id="decay-repeated-depth"),
     pytest.param(["estimate", "--family", "additive", "--d", "4", "--method", "mc",
                   "--mc-n", "0", "--reps", "5"], 2, "'mc_n'", id="mc-n"),
     pytest.param(["estimate", "--family", "additive", "--d", "1", "--method",

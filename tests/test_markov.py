@@ -213,6 +213,12 @@ def test_measure_decay_memoryless_chain():
     assert np.all(report.msd == 0.0)
 
 
+def test_measure_decay_rejects_repeated_depths():
+    # each restart would be stepped once per occurrence of its depth
+    with pytest.raises(ValueError, match="repeat"):
+        measure_decay(make_lindley(16), [4, 8, 4], 100, new_stream(14))
+
+
 def test_measure_decay_geometric_fit():
     report = measure_decay(make_lindley(128), [4, 8, 16, 32, 64], 60_000,
                            new_stream(13))
