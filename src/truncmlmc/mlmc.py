@@ -192,6 +192,8 @@ def _cube_telescope(integrand: Integrand, base: np.ndarray | None,
         fine = integrand.eval_batch(rows, ledger).reshape(reps, n_l)
         if m_lo == 0:
             return fine
+        # the evaluator may return a view of rows, which the coarse splice rewrites
+        fine = fine.copy()
         points[:, :, m_lo:m_hi] = base[:, None, m_lo:m_hi]
         return fine - integrand.eval_batch(rows, ledger).reshape(reps, n_l)
 

@@ -131,6 +131,27 @@ def test_level_telescoping_degeneracy():
     assert np.all(rec.level_sq[0, 1:] == 0.0)
 
 
+@pytest.mark.parametrize("column", [0, -1])
+def test_cube_estimators_allow_evaluators_that_return_a_view(column):
+    # p[:, column] is a view of the evaluated rows, which the coarse splice
+    # rewrites; its copy is not
+    d = 8
+    view = Integrand(dimension=d, evaluator=lambda p: p[:, column])
+    copy = Integrand(dimension=d, evaluator=lambda p: p[:, column].copy())
+    schedule = truncation_schedule(d)
+
+    def chunk():
+        root = new_stream(19)
+        return [root.fork(j) for j in range(50)]
+
+    for estimate in (lambda f, s: estimate_mlmc(f, schedule, s),
+                     lambda f, s: estimate_mlmc_fixed(f, np.full(d, 0.5), schedule, s)):
+        got, expected = estimate(view, chunk()), estimate(copy, chunk())
+        assert np.array_equal(got.values, expected.values)
+        assert np.array_equal(got.level_sum, expected.level_sum)
+        assert np.array_equal(got.level_sq, expected.level_sq)
+
+
 def test_mlmc_mean_unbiased_quick():
     f = make_additive([1.0, 1.0])
     schedule = truncation_schedule(2)
