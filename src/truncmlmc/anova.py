@@ -19,7 +19,7 @@ Two routes produce a profile:
   second matrix B, so one A and one B serve every i.  The rows run in fixed
   segments as tasks on a thread pool, one thread per usable CPU at most, and
   each segment's per-i sums are pooled in segment order.  The variance
-  checks sample independent shared-prefix pairs of one i in row blocks.
+  checks run on the same design and the same pool, for their one i.
 """
 
 from __future__ import annotations
@@ -29,12 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrands import Integrand
-from .streams import (CostLedger, UniformStream, block_rows, draw_rows,
-                      part_stream, run_all)
+from .streams import CostLedger, UniformStream, draw_rows, part_stream, run_all
 
 # Elements of A (and of B) per segment of the radial design.  Unlike the row
 # blocks of streams._BLOCK_ELEMENTS, the segments set the order of the
-# profile's sums, so this constant is part of the output bytes.
+# design's sums, so this constant is part of the output bytes.
 _SEGMENT_ELEMENTS = 2 ** 14
 
 
@@ -158,53 +157,15 @@ def analytic_profile(integrand: Integrand) -> VarianceProfile:
     return VarianceProfile(D=D, var_f=var_f, d_t=dt_var / var_f, source="analytic")
 
 
-def _sample_pairs(integrand: Integrand, i: int, n: int,
-                  stream: UniformStream) -> np.ndarray:
-    """f(V) and f(V'), as rows [2, n], for n pairs V, V' that share exactly
-    their first i coordinates.
-
-    The coordinates are those of whole-matrix sampling from ``stream``: the
-    [n, i] common prefix, then the [n, d - i] tail of V, then that of V', each
-    row-major.  Row blocks of at most ``streams._BLOCK_ELEMENTS`` coordinates
-    draw their rows of all three at their offsets in the stream, so no value
-    depends on the block size.  Draws and evaluations are charged to the
-    stream's ledger, and its counter ends past the three matrices.
-    """
-    d = integrand.dimension
-    tail = d - i
-    parts = [part_stream(stream, offset) for offset in (0, n * i, n * i + n * tail)]
-    prefix, tails = parts[:1], parts[1:]
-    rows = block_rows(n, d)
-    points = np.empty((2, rows, d))
-    out = np.empty((2, n))
-    for start in range(0, n, rows):
-        m = min(rows, n - start)
-        block = points[:, :m]
-        block[:, :, :i] = draw_rows(prefix, m * i).reshape(m, i)
-        block[:, :, i:] = draw_rows(tails, m * tail).reshape(2, m, tail)
-        for k in range(2):
-            out[k, start:start + m] = integrand.eval_batch(block[k], stream.ledger)
-    stream.counter = parts[2].counter
-    return out
-
-
-def _jansen(pairs: np.ndarray) -> tuple[float, float]:
-    """Jansen's estimate ``mean((f(V) - f(V'))**2) / 2`` of D(i) from the
-    pairs [2, n] of index i, and its standard error.  Overwrites ``pairs[0]``
-    with the squared differences."""
-    terms = pairs[0]
-    terms -= pairs[1]
-    terms *= terms
-    return 0.5 * float(terms.mean()), float(0.5 * terms.std(ddof=1) / np.sqrt(terms.size))
-
-
 def _var_and_se(values: np.ndarray) -> tuple[float, float]:
     """Sample variance and its standard error.  Overwrites ``values``: they
-    are centred, then raised to the 4th power, in place."""
+    are centred, then squared twice, in place."""
     n = values.size
     values -= values.mean()
-    var = float(np.dot(values, values) / (n - 1))
-    mu4 = float(np.mean(np.power(values, 4, out=values)))
+    values *= values
+    var = float(values.sum() / (n - 1))
+    values *= values
+    mu4 = float(values.mean())
     se = float(np.sqrt(max(mu4 - var ** 2, 0.0) / n))
     return var, se
 
@@ -213,7 +174,7 @@ def _segments(n: int, d: int) -> list[tuple[int, int]]:
     """Rows ``0..n`` of the radial design as ``(start, stop)`` segments of
     ``_SEGMENT_ELEMENTS // d`` rows, at least one; the last may be shorter.
 
-    The segments fix the order in which the profile's sums are taken, so
+    The segments fix the order in which the design's sums are taken, so
     they depend on (n, d) alone, and the bits on no machine property.
     """
     rows = max(1, _SEGMENT_ELEMENTS // d)
@@ -221,26 +182,71 @@ def _segments(n: int, d: int) -> list[tuple[int, int]]:
 
 
 def _radial_sums(integrand: Integrand, a: np.ndarray, b: np.ndarray,
-                 ledger: CostLedger) -> tuple[np.ndarray, np.ndarray]:
-    """Sums and centred sums of squares [d] of the Jansen terms
-    ``(f(A) - f(A_B^(i)))**2`` over rows [m, d] of A and B, for i = 0..d-1;
-    ``A_B^(i)`` is A with columns i..d-1 taken from B.
+                 ledger: CostLedger, indices: list[int]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Sums and centred sums of squares [len(indices)] of the Jansen terms
+    ``(f(A) - f(A_B^(i)))**2`` over rows [m, d] of A and B, for each i of the
+    descending ``indices``; ``A_B^(i)`` is A with columns i..d-1 taken from B.
 
-    Overwrites ``a`` column by column, from d-1 down to 0.  f(A) is copied
-    before the first column changes, since an evaluator may return a view of
-    its input.
+    Overwrites ``a``: for each i, the columns from i up to the previous index
+    (d at first) are copied from ``b``, then f is evaluated, so i = d copies
+    nothing and its terms are exactly 0.  f(A) is copied before the first
+    column changes, since an evaluator may return a view of its input.
     """
-    d, m = a.shape[1], a.shape[0]
+    m, last = a.shape
     f_a = np.array(integrand.eval_batch(a, ledger))
-    terms = np.empty((d, m))
-    for i in range(d - 1, -1, -1):
-        a[:, i] = b[:, i]
-        np.subtract(f_a, integrand.eval_batch(a, ledger), out=terms[i])
+    terms = np.empty((len(indices), m))
+    for k, i in enumerate(indices):
+        a[:, i:last] = b[:, i:last]
+        last = i
+        np.subtract(f_a, integrand.eval_batch(a, ledger), out=terms[k])
     terms *= terms
     sums = terms.sum(axis=1)
     terms -= (sums / m)[:, None]
     terms *= terms
     return sums, terms.sum(axis=1)
+
+
+def _radial(integrand: Integrand, indices: list[int], n: int,
+            stream: UniformStream) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error [len(indices)] of the Jansen terms
+    ``(f(A) - f(A_B^(i)))**2`` of the radial design, for each i of the
+    descending ``indices``.
+
+    A and B, each [n, d], are drawn row-major from ``stream`` at its counter,
+    A first, and the counter advances by ``2 d n``.  The rows run in
+    segments of ``_SEGMENT_ELEMENTS // d`` rows, as tasks of a thread pool
+    with up to one thread per usable CPU, so the evaluator must be safe to
+    call from several threads at once.  A segment draws its rows of A and B
+    at their offsets in the stream and reduces its terms to per-i sums and
+    centred sums of squares on a ledger of its own, since a ledger is not
+    safe to share across threads; these are pooled in segment order, and the
+    ledgers' units are booked on the stream's.  The segments depend only on
+    (n, d), so neither the bits nor the units depend on the thread count.
+    """
+    d = integrand.dimension
+
+    def run_segment(task: tuple[list[UniformStream], int]):
+        parts, m = task
+        a, b = draw_rows(parts, m * d).reshape(2, m, d)
+        return _radial_sums(integrand, a, b, parts[0].ledger, indices)
+
+    # the first part derives the stream's key, which all parts share
+    tasks = []
+    for start, stop in _segments(n, d):
+        ledger = CostLedger()
+        tasks.append(([part_stream(stream, offset * d, ledger)
+                       for offset in (start, n + start)], stop - start))
+    sums, m2 = (np.array(column) for column in zip(*run_all(run_segment, tasks)))
+    for parts, _ in tasks:
+        stream.ledger.add(parts[0].ledger)
+    stream.counter += 2 * d * n
+    # pool the segments exactly: M2 = sum_s M2_s + sum_s m_s (mean_s - mean)^2
+    rows = np.array([m for _, m in tasks], dtype=float)[:, None]
+    mean = sums.sum(axis=0) / n
+    spread = sums / rows - mean
+    m2 = m2.sum(axis=0) + (rows * spread * spread).sum(axis=0)
+    return mean, np.sqrt(m2 / (n - 1) / n)
 
 
 def mc_profile(integrand: Integrand, n_pairs: int, stream: UniformStream) -> VarianceProfile:
@@ -260,47 +266,21 @@ def mc_profile(integrand: Integrand, n_pairs: int, stream: UniformStream) -> Var
 
     The books are ``2 d n`` draws and ``(d + 1) n`` evaluations, plus
     ``steps_per_eval (d + 1) n`` steps: at d = 32 and n = 20,000, 1.94M
-    units, against 33.0M for an independent pair sample of every i.  f(A)
-    is copied before A is overwritten, since an evaluator may return a view
-    of its input.
-
-    The rows run in segments of ``_SEGMENT_ELEMENTS // d`` rows, as tasks of
-    a thread pool with up to one thread per usable CPU, so the evaluator
-    must be safe to call from several threads at once.  A segment draws its
-    rows of A and B at their offsets in the fork and reduces its terms to
-    per-i sums and centred sums of squares; these are pooled in segment
-    order.  The segments depend only on (n_pairs, d), so the profile and the
-    units booked on the stream's ledger do not depend on the thread count.
+    units, against 33.0M for an independent pair sample of every i.  The
+    work runs in segments on a thread pool (see :func:`_radial`), so the
+    evaluator must be safe to call from several threads at once; the profile
+    and the units booked on the stream's ledger do not depend on the thread
+    count.
     """
     if n_pairs < 2:
         raise ValueError("n_pairs must be at least 2")
-    d, n = integrand.dimension, n_pairs
-    fork = stream.fork(0)
-
-    def run_segment(task: tuple[list[UniformStream], int]):
-        parts, m = task
-        a, b = draw_rows(parts, m * d).reshape(2, m, d)
-        return _radial_sums(integrand, a, b, parts[0].ledger)
-
-    # a ledger per segment, since a ledger is not safe to share across
-    # threads; the first part derives the fork's key, which all parts share
-    tasks = []
-    for start, stop in _segments(n, d):
-        ledger = CostLedger()
-        tasks.append(([part_stream(fork, offset * d, ledger)
-                       for offset in (start, n + start)], stop - start))
-    sums, m2 = (np.array(column) for column in zip(*run_all(run_segment, tasks)))
-    for parts, _ in tasks:
-        stream.ledger.add(parts[0].ledger)
-    # pool the segments exactly: M2 = sum_s M2_s + sum_s m_s (mean_s - mean)^2
-    rows = np.array([m for _, m in tasks], dtype=float)[:, None]
-    mean = sums.sum(axis=0) / n
-    spread = sums / rows - mean
-    m2 = m2.sum(axis=0) + (rows * spread * spread).sum(axis=0)
+    d = integrand.dimension
+    mean, se_mean = _radial(integrand, list(range(d - 1, -1, -1)), n_pairs,
+                            stream.fork(0))
     raw = np.zeros(d + 1)
     se = np.zeros(d + 1)
-    raw[:d] = 0.5 * mean
-    se[:d] = 0.5 * np.sqrt(m2 / (n - 1) / n)
+    raw[:d] = 0.5 * mean[::-1]
+    se[:d] = 0.5 * se_mean[::-1]
     D = isotonic_nonincreasing(raw)
     var_f = float(D[0])
     if var_f <= 0.0:
@@ -309,18 +289,31 @@ def mc_profile(integrand: Integrand, n_pairs: int, stream: UniformStream) -> Var
                            source="mc", n_pairs=n_pairs, se=se, raw_D=raw)
 
 
+def _check_arguments(integrand: Integrand, i: int, n: int) -> None:
+    if not 0 <= i <= integrand.dimension:
+        raise ValueError(f"index i={i} outside [0, {integrand.dimension}]")
+    if n < 2:
+        raise ValueError("n must be at least 2")
+
+
 def check_pair_variance_bound(integrand: Integrand, i: int, profile: VarianceProfile,
                               n: int, stream: UniformStream,
                               slack: float = 0.0) -> InequalityReport:
     """Check var(f(V) - f(V')) <= 4 D(i) on n shared-prefix pairs.
 
     The bound holds because the difference only involves interaction terms
-    reaching past coordinate i, each appearing twice.
+    reaching past coordinate i, each appearing twice.  The pairs are those of
+    index i of the radial design drawn from ``stream`` (see :func:`_radial`):
+    ``2 d n`` draws and ``2 n`` evaluations.
     """
-    if not 0 <= i <= integrand.dimension:
-        raise ValueError(f"index i={i} outside [0, {integrand.dimension}]")
-    pairs = _sample_pairs(integrand, i, n, stream)
-    lhs, se = _var_and_se(pairs[0] - pairs[1])
+    _check_arguments(integrand, i, n)
+    if profile.dimension != integrand.dimension:
+        raise ValueError(f"profile of dimension {profile.dimension} for an "
+                         f"integrand of dimension {integrand.dimension}")
+    # V and V' are exchangeable, so E[f(V) - f(V')] = 0 and the mean square of
+    # the differences is an unbiased estimate of their variance
+    mean, se = _radial(integrand, [i], n, stream)
+    lhs, se = float(mean[0]), float(se[0])
     rhs = 4.0 * float(profile.D[i])
     passed = lhs <= rhs * (1.0 + slack) + 4.0 * se
     return InequalityReport(lhs=lhs, rhs=rhs, se=se, slack=slack, passed=passed)
@@ -332,16 +325,18 @@ def check_residual_lower_bound(integrand: Integrand, g, i: int, n: int,
     """Check D(i) <= var(f(U) - g(U_1..U_i)) for a batched g on the first i coordinates.
 
     No function of the first i coordinates can explain more variance than the
-    conditional expectation, whose residual variance is exactly D(i).
+    conditional expectation, whose residual variance is exactly D(i).  For a
+    black-box integrand, D(i) is Jansen's estimate on index i of the radial
+    design drawn from fork 0 of ``stream``.
     """
-    if not 0 <= i <= integrand.dimension:
-        raise ValueError(f"index i={i} outside [0, {integrand.dimension}]")
+    _check_arguments(integrand, i, n)
     ledger = stream.ledger
     if integrand.family is not None:
         lhs = float(analytic_profile(integrand).D[i])
         lhs_se = 0.0
     else:
-        lhs, lhs_se = _jansen(_sample_pairs(integrand, i, n, stream.fork(0)))
+        mean, se = _radial(integrand, [i], n, stream.fork(0))
+        lhs, lhs_se = 0.5 * float(mean[0]), 0.5 * float(se[0])
     points = stream.fork(1).draw_matrix(n, integrand.dimension)
     residual = integrand.eval_batch(points, ledger) - np.asarray(
         g(points[:, :i]), dtype=float)

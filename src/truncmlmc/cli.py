@@ -14,7 +14,7 @@ import numpy as np
 
 from .anova import (DegenerateIntegrandError, NumericalFailure,
                     analytic_profile, mc_profile)
-from .config import (ConfigError, as_float_list, as_int, as_int_list,
+from .config import (ConfigError, as_float_list, as_int,
                      chain_from_config, decay_from_config,
                      integrand_from_config, load_config)
 from .markov import measure_decay
@@ -208,9 +208,7 @@ def cmd_markov(args) -> int:
 def cmd_lemma1(args) -> int:
     cfg = _merged_config(args)
     seed = _seed(args, cfg)
-    d_grid = as_int_list(cfg, "d_grid", None)
-    rows = lemma1_diagnostic(cfg, seed, d_grid=d_grid,
-                             reps=as_int(cfg, "reps", 2000))
+    rows = lemma1_diagnostic(cfg, seed)
     out = _out(args, cfg, "lemma1.csv")
     _write_csv(out, LEMMA_HEADER,
                [LEMMA_ROW % (r.family, r.d, r.lhs, r.rhs, r.rhs_se,

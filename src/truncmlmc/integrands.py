@@ -24,11 +24,11 @@ class Integrand:
     """A square-integrable function on the d-dimensional unit cube.
 
     ``evaluator`` is deterministic and batched.  It must be pure: the
-    sampling oracle calls it from several threads at once, and reads its
-    values in row blocks, so it may keep no mutable state and a row's value
-    may not depend on the other rows of the batch.  It may return a view of
-    its input, such as ``points[:, 0]``: the package writes into no array
-    that a value it holds may alias.  ``known_mean`` and
+    sampling oracle and the variance checks call it from several threads at
+    once, on segments of rows, so it may keep no mutable state and a row's
+    value may not depend on the other rows of the batch.  It may return a
+    view of its input, such as ``points[:, 0]``: the package writes into no
+    array that a value it holds may alias.  ``known_mean`` and
     ``coefficients`` are present for the built-in families and feed the
     analytic oracles.  ``steps_per_eval`` charges extra step units per point
     for integrands backed by a chain simulation.

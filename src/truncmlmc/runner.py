@@ -135,6 +135,18 @@ def run_markov_cell(cfg: dict[str, str], d: int, reps: int,
     return CellResult("markov", d, summary)
 
 
+def _d_grid(cfg: dict[str, str], d_grid=None) -> tuple[int, ...]:
+    """The dimensions to run: ``d_grid`` if given, else the config's
+    ``d_grid``, else ``integrand.d`` alone; an empty grid is a ConfigError."""
+    if d_grid is None:
+        d_grid = as_int_list(cfg, "d_grid", None)
+    if d_grid is None:
+        d_grid = (as_int(cfg, "integrand.d"),)
+    if not d_grid:
+        raise ConfigError("config key 'd_grid': empty grid")
+    return tuple(d_grid)
+
+
 def run_config(cfg: dict[str, str], seed: int):
     """Execute all requested (method, d, eps) cells of an integrand experiment.
 
@@ -147,11 +159,7 @@ def run_config(cfg: dict[str, str], seed: int):
     for method in methods:
         if method not in METHODS:
             raise ConfigError(f"config key 'methods': unknown method {method!r}")
-    d_grid = as_int_list(cfg, "d_grid", None)
-    if d_grid is None:
-        d_grid = (as_int(cfg, "integrand.d"),)
-    if not d_grid:
-        raise ConfigError("config key 'd_grid': empty grid")
+    d_grid = _d_grid(cfg)
     eps_list = as_float_list(cfg, "eps", (0.01,))
     if any(e <= 0 for e in eps_list):
         raise ConfigError("config key 'eps': tolerances must be positive")
@@ -212,8 +220,7 @@ def lemma1_diagnostic(cfg: dict[str, str], seed: int, d_grid=None,
     levels, so the inequality's hypotheses hold for its levels), the residual
     sequence from the analytic profile.  Pass requires lhs <= rhs + 4 SE(rhs).
     """
-    if d_grid is None:
-        d_grid = as_int_list(cfg, "d_grid", None) or (as_int(cfg, "integrand.d"),)
+    d_grid = _d_grid(cfg, d_grid)
     if reps is None:
         reps = as_int(cfg, "reps", 2000)
     root = new_stream(seed)

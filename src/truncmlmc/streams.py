@@ -16,12 +16,13 @@ random numbers: as easy as 1, 2, 3", SC'11), and every draw runs on one
 reused Philox per thread, reset to the stream's key and counter.  So a fork
 builds no numpy object at all.
 
-The bulk oracles (``anova.mc_profile`` and ``markov.measure_decay``) split
+The bulk oracles (the radial design of ``anova``, which serves
+``mc_profile`` and the variance checks, and ``markov.measure_decay``) split
 their work into row blocks and run them on one thread pool through
 :func:`run_all`; every block draws its rows at their own offsets in the
 stream, so no value depends on the thread count.  The decay's values do not
-depend on the block size either; the sampling oracle's blocks are segments
-of a size fixed by its inputs, since they set the order of its sums.
+depend on the block size either; the radial design's blocks are segments of
+a size fixed by its inputs, since they set the order of its sums.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ import numpy as np
 _SEED_MASK = (1 << 64) - 1
 _MASK32 = 0xFFFFFFFF
 
-# Elements per row block of the decay and of the pair sampler of the variance
-# checks, as in mlmc's chunks; no sampled value depends on it.
+# Paths per row block of the restart decay, as in mlmc's chunks; no sampled
+# value depends on it.
 _BLOCK_ELEMENTS = 2 ** 14
 
 # The hash constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).
@@ -304,12 +305,6 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def block_rows(n: int, width: int) -> int:
-    """Rows of ``width`` elements per block: as many as ``_BLOCK_ELEMENTS``
-    holds, at least one and at most ``n``."""
-    return min(n, max(1, _BLOCK_ELEMENTS // width))
-
-
 def pool_blocks(n: int) -> list[tuple[int, int]]:
     """Rows ``0..n`` of one element each, split into ``(start, stop)`` blocks
     of nearly equal size for :func:`run_all`.
@@ -318,7 +313,7 @@ def pool_blocks(n: int) -> list[tuple[int, int]]:
     permits, the block count is a multiple of the pool's thread count, so
     every thread gets the same share of rows.
     """
-    blocks = -(-n // block_rows(n, 1))
+    blocks = -(-n // max(1, _BLOCK_ELEMENTS))
     threads = min(_cpu_count(), blocks)
     blocks = min(n, -(-blocks // threads) * threads)
     return [(n * k // blocks, n * (k + 1) // blocks) for k in range(blocks)]

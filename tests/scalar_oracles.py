@@ -152,20 +152,28 @@ def prefix_redraw_payoff(model: ChainModel, path: ChainPath, i: int,
     return float(model.payoff(x))
 
 
-def shared_prefix_pair(integrand: Integrand, i: int, n: int,
-                       stream: UniformStream) -> tuple[np.ndarray, np.ndarray]:
-    """n value pairs (f(V), f(V')) with V, V' sharing exactly the first i coordinates.
+def _jansen_mean_and_se(f_a: list[float], f_i: list[float]) -> tuple[float, float]:
+    """Mean of the Jansen terms ``(f_a - f_i)**2`` and the standard error of
+    that mean, each reduced with ``math.fsum``."""
+    n = len(f_a)
+    terms = [(x - y) ** 2 for x, y in zip(f_a, f_i)]
+    mean = math.fsum(terms) / n
+    var = math.fsum((t - mean) ** 2 for t in terms) / (n - 1)
+    return mean, math.sqrt(var / n)
 
-    Draws the whole [n, i] common prefix, then the whole [n, d - i] tail of V,
-    then that of V', and evaluates each [n, d] point matrix in one batch.
-    """
+
+def reference_radial_index(integrand: Integrand, i: int, n: int,
+                           stream: UniformStream) -> tuple[float, float]:
+    """One index of the radial design done serially on whole matrices: A,
+    then B, each [n, d] from ``stream`` at its counter; the Jansen terms of
+    f(A) and f of A spliced with B's columns i..d-1, as their mean and the
+    standard error of that mean."""
     d = integrand.dimension
-    common = stream.draw_matrix(n, i)
-    tail_x = stream.draw_matrix(n, d - i)
-    tail_y = stream.draw_matrix(n, d - i)
-    x = integrand.eval_batch(np.hstack([common, tail_x]), stream.ledger)
-    y = integrand.eval_batch(np.hstack([common, tail_y]), stream.ledger)
-    return x, y
+    a = stream.draw_matrix(n, d)
+    b = stream.draw_matrix(n, d)
+    f_a = integrand.eval_batch(a, stream.ledger).tolist()
+    spliced = np.hstack([a[:, :i], b[:, i:]])
+    return _jansen_mean_and_se(f_a, integrand.eval_batch(spliced, stream.ledger).tolist())
 
 
 def reference_mc_profile(integrand: Integrand, n_pairs: int,
@@ -184,12 +192,10 @@ def reference_mc_profile(integrand: Integrand, n_pairs: int,
     se = np.zeros(d + 1)
     for i in range(d):
         spliced = np.hstack([a[:, :i], b[:, i:]])
-        f_i = integrand.eval_batch(spliced, stream.ledger).tolist()
-        terms = [(x - y) ** 2 for x, y in zip(f_a, f_i)]
-        mean = math.fsum(terms) / n
-        var = math.fsum((t - mean) ** 2 for t in terms) / (n - 1)
+        mean, se_mean = _jansen_mean_and_se(
+            f_a, integrand.eval_batch(spliced, stream.ledger).tolist())
         raw[i] = 0.5 * mean
-        se[i] = 0.5 * math.sqrt(var / n)
+        se[i] = 0.5 * se_mean
     D = isotonic_nonincreasing(raw)
     var_f = float(D[0])
     if var_f <= 0.0:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalar_oracles import reference_mc_profile, shared_prefix_pair
+from scalar_oracles import reference_mc_profile, reference_radial_index
 from truncmlmc import (DegenerateIntegrandError, Integrand,
                        UnsupportedIntegrandError, VarianceProfile,
                        analytic_profile, anova, chain_integrand,
@@ -166,7 +166,7 @@ def test_mc_profile_reproducible():
 
 # integrands whose rows are evaluated independently of the batch they are in;
 # with d = 8, 2,501 pairs span two segments of the radial design, the second
-# one shorter, and two default row blocks of every i of the pair sampler
+# one shorter
 ORACLE_INTEGRANDS = {
     "additive": lambda: make_additive(geometric_coefficients(8, 0.8)),
     "product": lambda: make_product(geometric_coefficients(8, 0.8)),
@@ -242,34 +242,43 @@ def test_mc_profile_allows_evaluators_that_return_a_view(column):
     assert got.raw_D[0] == pytest.approx(1 / 12, rel=0.05)
 
 
-@pytest.mark.parametrize("blocks", sorted(BLOCK_BUDGETS))
-def test_block_sampler_matches_whole_matrix_pairs(blocks, monkeypatch):
-    monkeypatch.setattr(streams, "_BLOCK_ELEMENTS", BLOCK_BUDGETS[blocks])
-    f = chain_integrand(make_lindley(8))
+def test_checks_match_the_whole_matrix_radial_reference():
+    f = chain_integrand(make_lindley(8))  # no family: the residual check samples
+    profile = analytic_profile(make_additive(np.ones(8)))
     for i in (0, 3, 8):
         expected, got = new_stream(7).fork(i), new_stream(7).fork(i)
         expected.draw(5)  # an offset into the stream that is not a Philox block
         got.draw(5)
-        x, y = shared_prefix_pair(f, i, 301, expected)
-        pairs = anova._sample_pairs(f, i, 301, got)
-        assert np.array_equal(pairs, [x, y]), i
+        before = got.ledger.snapshot()
+        mean, se = reference_radial_index(f, i, 301, expected)
+        pair = check_pair_variance_bound(f, i, profile, 301, got)
+        np.testing.assert_allclose([pair.lhs, pair.se], [mean, se], rtol=1e-12,
+                                   atol=0, err_msg=str(i))
         assert got.counter == expected.counter, i
         assert got.ledger.snapshot() == expected.ledger.snapshot(), i
+        assert tuple(b - a for a, b in zip(before, got.ledger.snapshot())) == (
+            2 * 8 * 301, f.steps_per_eval * 2 * 301, 2 * 301), i
+        mean, _ = reference_radial_index(f, i, 301, new_stream(7).fork(i).fork(0))
+        residual = check_residual_lower_bound(
+            f, lambda p: np.zeros(len(p)), i, 301, new_stream(7).fork(i))
+        np.testing.assert_allclose(residual.lhs, 0.5 * mean, rtol=1e-12, atol=0,
+                                   err_msg=str(i))
 
 
 def test_checks_do_not_depend_on_the_block_size(monkeypatch):
     f = make_product(geometric_coefficients(6, 0.8))
     black_box = Integrand(dimension=6, evaluator=f.evaluator)
     profile = analytic_profile(f)
-    reports = {}
-    for name, budget in BLOCK_BUDGETS.items():
+    reports = set()
+    for budget, workers in itertools.product(BLOCK_BUDGETS.values(), [1, 2, 8]):
         monkeypatch.setattr(streams, "_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(streams, "_cpu_count", lambda: workers)
         stream = new_stream(13)
         pair = check_pair_variance_bound(f, 2, profile, 3_001, stream.fork(0))
         residual = check_residual_lower_bound(
             black_box, lambda p: p[:, 0] - 0.5, 2, 3_001, stream.fork(1))
-        reports[name] = (pair, residual, stream.ledger.snapshot())
-    assert reports["one-row"] == reports["default"] == reports["unbounded"]
+        reports.add((pair, residual, stream.ledger.snapshot()))
+    assert len(reports) == 1, reports
 
 
 def test_sampler_derives_each_stream_key_once(monkeypatch):
@@ -282,8 +291,9 @@ def test_sampler_derives_each_stream_key_once(monkeypatch):
 
     monkeypatch.setattr(streams, "philox_keys", counting)
     f = make_additive(geometric_coefficients(4))
+    profile = analytic_profile(f)
     for i in range(5):
-        anova._sample_pairs(f, i, 10, new_stream(3).fork(i))
+        check_pair_variance_bound(f, i, profile, 10, new_stream(3).fork(i))
     assert derived == [1] * 5
 
 
@@ -390,6 +400,26 @@ def test_pair_variance_bound_identical_pair():
     assert report.lhs == 0.0
     assert report.rhs == 0.0
     assert report.passed
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_checks_need_two_pairs(n):
+    f = make_additive([1.0, 1.0])
+    zero = lambda p: np.zeros(len(p))
+    with pytest.raises(ValueError, match="n must be at least 2"):
+        check_pair_variance_bound(f, 1, analytic_profile(f), n, new_stream(4))
+    with pytest.raises(ValueError, match="n must be at least 2"):
+        check_residual_lower_bound(f, zero, 1, n, new_stream(4))
+    black_box = Integrand(dimension=2, evaluator=f.evaluator)
+    with pytest.raises(ValueError, match="n must be at least 2"):
+        check_residual_lower_bound(black_box, zero, 1, n, new_stream(4))
+
+
+def test_pair_variance_bound_rejects_a_profile_of_another_dimension():
+    f = make_additive([1.0, 1.0])
+    other = analytic_profile(make_additive([1.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="dimension"):
+        check_pair_variance_bound(f, 2, other, 100, new_stream(4))
 
 
 def test_pair_variance_bound_additive_values():

@@ -197,6 +197,8 @@ HUGE = "1e300,1e300"
                  id="mlmc-fixed-d1"),
     pytest.param(["lemma1", "--family", "product", "--d-grid", "1", "--reps", "5"],
                  2, "method=lemma1 d=1", id="lemma1-d1"),
+    pytest.param(["lemma1", "--family", "additive", "--d", "4", "--d-grid", ",",
+                  "--reps", "5"], 2, "'d_grid': empty grid", id="lemma1-empty-grid"),
     pytest.param(["estimate", "--family", "additive", "--d", "2", "--method",
                   "mlmc-fixed", "--fix-v", "explicit", "--v-values", "0.5,1.5",
                   "--reps", "5"], 2, "'fix_v_values'", id="fix-v-range"),
@@ -328,6 +330,12 @@ def test_lemma1_degenerate_single_coordinate():
     assert row.passed
     assert row.lhs == pytest.approx(1 / 12)
     assert row.rhs == pytest.approx(row.lhs, rel=0.1)
+
+
+def test_lemma1_rejects_an_empty_grid():
+    cfg = {"integrand.family": "additive", "integrand.d": "4"}
+    with pytest.raises(ConfigError, match="empty grid"):
+        lemma1_diagnostic(cfg, seed=11, d_grid=(), reps=5)
 
 
 def test_estimate_fix_v_modes_differ(tmp_path, monkeypatch):
