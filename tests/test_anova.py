@@ -242,7 +242,9 @@ def test_mc_profile_allows_evaluators_that_return_a_view(column):
     assert got.raw_D[0] == pytest.approx(1 / 12, rel=0.05)
 
 
-def test_checks_match_the_whole_matrix_radial_reference():
+@pytest.mark.parametrize("blocks", sorted(BLOCK_BUDGETS))
+def test_block_sampler_matches_whole_matrix_pairs(blocks, monkeypatch):
+    monkeypatch.setattr(streams, "_BLOCK_ELEMENTS", BLOCK_BUDGETS[blocks])
     f = chain_integrand(make_lindley(8))  # no family: the residual check samples
     profile = analytic_profile(make_additive(np.ones(8)))
     for i in (0, 3, 8):
