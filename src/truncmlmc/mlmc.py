@@ -57,7 +57,8 @@ class LevelSchedule:
 
 
 # Elements (points times coordinates, or chain innovations) that one level of
-# a chunk of replications may hold; fixed, so memory stays bounded in reps.
+# a chunk of replications, or of a cube level's sub-batch, may hold; fixed, so
+# memory stays bounded in reps.
 _CHUNK_ELEMENTS = 2 ** 14
 
 
@@ -69,7 +70,9 @@ class EstimateRecord:
     Multilevel estimators add ``level_sum`` and ``level_sq`` [R, L], the sum
     and the sum of squares of each level's increments, and the increments per
     level of one replication, ``level_count`` [L].  ``width`` counts the
-    elements of one replication's widest level and sizes the chunks.
+    elements of one replication that size the chunks: its narrowest level
+    for the cube estimators, which run wider levels in sub-batches of the
+    chunk's replications, and its widest level for the chain estimators.
     """
 
     values: np.ndarray
@@ -172,7 +175,12 @@ def _cube_telescope(integrand: Integrand, base: np.ndarray | None,
     of ``base`` [R, d], or onto a random base point when ``base`` is None.
 
     Each replication's uniforms come from one draw: the random base point
-    first, if any, then every level's prefixes in level order.
+    first, if any, then every level's prefixes in level order.  The record's
+    ``width`` is the narrowest level's n_l·d, so under the truncation
+    schedule (at most 9d draws per replication) a chunk draws at most 9
+    budgets of uniforms.  Level l then runs over consecutive replications in
+    sub-batches of ``_CHUNK_ELEMENTS // (n_l·d)``, at least one, so its
+    points hold at most the budget or one replication's level.
     """
     if schedule.dimension != integrand.dimension:
         raise ValueError("schedule dimension must match the integrand")
@@ -185,19 +193,23 @@ def _cube_telescope(integrand: Integrand, base: np.ndarray | None,
         base = drawn[:, :d]
 
     def sample(level: int, n_l: int, m_lo: int, m_hi: int) -> np.ndarray:
-        points = np.repeat(base[:, None, :], n_l, axis=1)
-        prefixes = drawn[:, offsets[level - 1]:offsets[level]]
-        points[:, :, :m_hi] = prefixes.reshape(reps, n_l, m_hi)
-        rows = points.reshape(reps * n_l, d)
-        fine = integrand.eval_batch(rows, ledger).reshape(reps, n_l)
-        if m_lo == 0:
-            return fine
-        # the evaluator may return a view of rows, which the coarse splice rewrites
-        fine = fine.copy()
-        points[:, :, m_lo:m_hi] = base[:, None, m_lo:m_hi]
-        return fine - integrand.eval_batch(rows, ledger).reshape(reps, n_l)
+        prefixes = drawn[:, offsets[level - 1]:offsets[level]].reshape(reps, n_l, m_hi)
+        diffs = np.empty((reps, n_l))
+        batch = max(1, _CHUNK_ELEMENTS // (n_l * d))
+        for start in range(0, reps, batch):
+            part = slice(start, start + batch)
+            points = np.repeat(base[part, None, :], n_l, axis=1)
+            points[:, :, :m_hi] = prefixes[part]
+            rows = points.reshape(-1, d)
+            # copied out before the coarse splice rewrites rows, of which the
+            # evaluator may return a view
+            diffs[part] = integrand.eval_batch(rows, ledger).reshape(-1, n_l)
+            if m_lo:
+                points[:, :, m_lo:m_hi] = base[part, None, m_lo:m_hi]
+                diffs[part] -= integrand.eval_batch(rows, ledger).reshape(-1, n_l)
+        return diffs
 
-    return _telescope(schedule, sample, ledger, before, max(schedule.n) * d)
+    return _telescope(schedule, sample, ledger, before, min(schedule.n) * d)
 
 
 def estimate_mlmc(integrand: Integrand, schedule: LevelSchedule,
@@ -282,9 +294,11 @@ def replicate(estimator: Callable[[Sequence[UniformStream]], EstimateRecord],
 
     The estimator runs a chunk of consecutive replications per call.  The first
     chunk is one replication; its record's ``width`` sizes the others to
-    ``_CHUNK_ELEMENTS`` elements per level, and its columns' shapes size the
-    cell's columns, which each chunk then fills in place.  Row j depends on
-    its own stream only, so the columns do not depend on the chunk sizes.
+    ``_CHUNK_ELEMENTS`` elements in one level (the narrowest for the cube
+    estimators, which run wider levels in sub-batches; the widest for
+    chains), and its columns' shapes size the cell's columns, which each
+    chunk then fills in place.  Row j depends on its own stream only, so the
+    columns do not depend on the chunk or sub-batch sizes.
     Raises NumericalFailure when a value, the sample variance or a per-level
     sum is not finite.
     """

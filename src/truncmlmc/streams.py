@@ -311,8 +311,12 @@ def pool_blocks(n: int) -> list[tuple[int, int]]:
 
     No block holds more than ``_BLOCK_ELEMENTS`` rows, and where ``n``
     permits, the block count is a multiple of the pool's thread count, so
-    every thread gets the same share of rows.
+    every thread gets the same share of rows.  No rows make no blocks.
     """
+    if n < 0:
+        raise ValueError("row count must be nonnegative")
+    if n == 0:
+        return []
     blocks = -(-n // max(1, _BLOCK_ELEMENTS))
     threads = min(_cpu_count(), blocks)
     blocks = min(n, -(-blocks // threads) * threads)

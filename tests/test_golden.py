@@ -82,8 +82,8 @@ def test_output_matches_pinned_hash(name, tmp_path):
     assert output_hash(name, tmp_path) == pinned[name], INVOCATIONS[name]
 
 
-@pytest.mark.parametrize("budget,workers", [(0, 8), (2 ** 62, 1)],
-                         ids=["one-per-chunk", "unbounded"])
+@pytest.mark.parametrize("budget,workers", [(0, 8), (4 * 256, 2), (2 ** 62, 1)],
+                         ids=["one-per-chunk", "sub-batches", "unbounded"])
 def test_hashes_do_not_depend_on_chunk_size(budget, workers, tmp_path, monkeypatch):
     # replication chunks, the row blocks of both oracles and their thread count
     monkeypatch.setattr(mlmc, "_CHUNK_ELEMENTS", budget)

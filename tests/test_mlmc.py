@@ -253,10 +253,11 @@ CELLS = {
 
 @pytest.mark.parametrize("method", sorted(CELLS))
 def test_columns_do_not_depend_on_chunk_size(method, monkeypatch):
-    # a budget of 0 runs one replication per chunk; 2**62 runs all but the
-    # first replication in one chunk
+    # a budget of 0 runs one replication per chunk; 4 * 256 runs the d = 256
+    # cube cells in chunks of 4 replications and their level 1 in sub-batches
+    # of one; 2**62 runs all but the first replication in one chunk
     columns = {}
-    for budget in (0, mlmc._CHUNK_ELEMENTS, 2 ** 62):
+    for budget in (0, 4 * 256, mlmc._CHUNK_ELEMENTS, 2 ** 62):
         monkeypatch.setattr(mlmc, "_CHUNK_ELEMENTS", budget)
         summary = CELLS[method](new_stream(71)).summary
         columns[budget] = (summary.values, summary.costs, summary.level_sum,
@@ -280,6 +281,29 @@ def test_replication_memory_is_bounded_by_the_chunk_budget():
                                      summary.level_sum, summary.level_sq))
     # the chunks and their concatenation are both alive while summarize runs
     assert peak < 2 * columns + 4 * 8 * mlmc._CHUNK_ELEMENTS, (peak, columns)
+
+
+@pytest.mark.parametrize("method,family,d", [("mlmc", make_product, 256),
+                                             ("mlmc-fixed", make_additive, 1024)])
+def test_cube_memory_is_bounded_by_the_chunk_budget(method, family, d):
+    integrand = family(geometric_coefficients(d))
+    root = new_stream(77)
+    run_estimator_cell(method, integrand, 50, root, fix_v="sample")  # first-call allocations
+    tracemalloc.start()
+    try:
+        summary = run_estimator_cell(method, integrand, 4000, root, fix_v="sample").summary
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = sum(a.nbytes for a in (summary.values, summary.costs,
+                                     summary.level_sum, summary.level_sq))
+    # one chunk's draw, at most 9d uniforms per replication in a chunk sized by
+    # the narrowest level, so 9 budgets; then one level sub-batch's points, its
+    # fine values and the evaluator's temporary, each at most the budget or
+    # one replication's widest level
+    widest = max(truncation_schedule(d).n) * d
+    budgets = 9 + 3 * max(1.0, widest / mlmc._CHUNK_ELEMENTS)
+    assert peak < 1.5 * columns + budgets * 8 * mlmc._CHUNK_ELEMENTS, (peak, columns)
 
 
 def test_replication_columns_are_filled_in_place():

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from truncmlmc import CostLedger, new_stream
-from truncmlmc.streams import UniformStream, draw_rows, philox_keys
+from truncmlmc.streams import (UniformStream, draw_rows, philox_keys, pool_blocks,
+                               run_all)
 
 DEFAULT_SEEDS = (0, 1, 42, 12345)
 
@@ -222,6 +223,13 @@ def test_threads_draw_the_same_bits_as_serial_runs():
     for mine, expected in zip(results, serial):
         assert len(mine) == len(expected)
         assert all(np.array_equal(a, b) for a, b in zip(mine, expected))
+
+
+def test_no_rows_make_no_blocks_and_no_calls():
+    assert pool_blocks(0) == []
+    assert run_all(lambda item: 1 / 0, []) == []
+    with pytest.raises(ValueError, match="nonnegative"):
+        pool_blocks(-1)
 
 
 def test_cli_import_leaves_numpy_random_unloaded():
