@@ -64,6 +64,22 @@ INVOCATIONS = {
     # the sampling oracle over several row blocks per i
     "anova_additive_mc_d32": ["anova", "--family", "additive", "--d", "32", "--method",
                               "mc", "--pairs", "3000", "--seed", "12"],
+    # the time-varying increments, both as chain levels and as the decay
+    "markov_time_varying_d256": ["markov", "--d", "256", "--time-varying", "--reps",
+                                 "20", "--seed", "12"],
+    "markov_decay_time_varying_d64": ["markov", "decay", "--d", "64", "--time-varying",
+                                      "--gamma", "-2", "--i", "0,2,4,8,16,64", "--n",
+                                      "5000", "--seed", "12"],
+    "markov_ab_d64": ["markov", "--d", "64", "--a", "-0.7", "--b", "0.5", "--gamma",
+                      "-3", "--reps", "100", "--seed", "12"],
+    # the exact oracle's product tail and d_t
+    "anova_product_analytic_d24": ["anova", "--family", "product", "--d", "24",
+                                   "--method", "analytic", "--decay-r", "0.7",
+                                   "--seed", "12"],
+    # the product family's level cells and theoretical bound
+    "bench_product": ["bench", "--family", "product", "--d-grid", "4,16,64",
+                      "--methods", "mc,mlmc,mlmc-fixed", "--mc-n", "2", "--reps",
+                      "40", "--seed", "3"],
 }
 
 
