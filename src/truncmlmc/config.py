@@ -6,6 +6,7 @@ the documented set, and a config plus a seed determines every output byte.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .integrands import (Integrand, geometric_coefficients, make_additive,
@@ -96,6 +97,13 @@ def as_float(cfg, key, default=...):
     return _coerce(cfg, key, float, default)
 
 
+def _finite_float(cfg, key, default=...):
+    value = as_float(cfg, key, default)
+    if not math.isfinite(value):
+        raise ConfigError(f"config key {key!r}: expected a finite number, got {value!r}")
+    return value
+
+
 def as_bool(cfg, key, default=...):
     def convert(value: str) -> bool:
         lowered = value.lower()
@@ -172,11 +180,11 @@ def chain_from_config(cfg: dict[str, str], d: int | None = None) -> tuple[ChainM
         d = as_int(cfg, "chain.d")
     if d < 2:
         raise ConfigError("config key 'chain.d': horizon must be at least 2")
-    a = as_float(cfg, "chain.a", LINDLEY_A)
-    b = as_float(cfg, "chain.b", LINDLEY_B)
+    a = _finite_float(cfg, "chain.a", LINDLEY_A)
+    b = _finite_float(cfg, "chain.b", LINDLEY_B)
+    gamma = _finite_float(cfg, "chain.gamma", -2.0)
     if not b > a:
         raise ConfigError("config keys 'chain.a'/'chain.b': need b > a")
-    gamma = as_float(cfg, "chain.gamma", -2.0)
     if gamma >= -1.0:
         raise ConfigError("config key 'chain.gamma': decay exponent must be below -1")
     if as_bool(cfg, "chain.time_varying", False):

@@ -72,6 +72,18 @@ class ChainPath:
     payoff: float
 
 
+def chain_step(model: ChainModel, t: int, x: float, y: float) -> float:
+    """One path's state after step t from state x with uniform y: the
+    model's increment and in-place update on one-element arrays."""
+    state = np.full(1, x)
+    model.step(t, state, model.increment(np.array([[t]]), np.full((1, 1), y))[0])
+    return float(state[0])
+
+
+def chain_payoff(model: ChainModel, x: float) -> float:
+    return float(np.asarray(model.payoff(np.full(1, x)), dtype=float)[0])
+
+
 def simulate_chain(model: ChainModel, stream: UniformStream) -> ChainPath:
     """Run the chain over its full horizon: d draws, d steps, one payoff."""
     d = model.horizon
@@ -79,13 +91,13 @@ def simulate_chain(model: ChainModel, stream: UniformStream) -> ChainPath:
     ys = stream.draw(d)
     states = np.empty(d + 1)
     states[0] = model.initial_state
-    x = np.float64(model.initial_state)
+    x = float(model.initial_state)
     for t in range(d):
-        x = model.step(t, x, ys[t])
+        x = chain_step(model, t, x, ys[t])
         states[t + 1] = x
     ledger.step_applications += d
     ledger.payoff_evals += 1
-    return ChainPath(states=states, uniforms=ys, payoff=float(model.payoff(x)))
+    return ChainPath(states=states, uniforms=ys, payoff=chain_payoff(model, x))
 
 
 def simulate_restart(model: ChainModel, i: int, uniforms,
@@ -102,13 +114,13 @@ def simulate_restart(model: ChainModel, i: int, uniforms,
     uniforms = np.asarray(uniforms, dtype=float)
     if uniforms.shape != (i,):
         raise ValueError(f"expected {i} innovations, got shape {uniforms.shape}")
-    x = np.float64(model.initial_state)
+    x = float(model.initial_state)
     for k in range(i):
-        x = model.step(d - i + k, x, uniforms[k])
+        x = chain_step(model, d - i + k, x, uniforms[k])
     if ledger is not None:
         ledger.step_applications += i
         ledger.payoff_evals += 1
-    return float(model.payoff(x))
+    return chain_payoff(model, x)
 
 
 def coupled_level_pair(model: ChainModel, m_hi: int, m_lo: int,
@@ -144,12 +156,12 @@ def prefix_redraw_payoff(model: ChainModel, path: ChainPath, i: int,
         return path.payoff
     ledger = stream.ledger
     ys = stream.draw(i)
-    x = np.float64(path.states[d - i])
+    x = float(path.states[d - i])
     for k in range(i):
-        x = model.step(d - i + k, x, ys[k])
+        x = chain_step(model, d - i + k, x, ys[k])
     ledger.step_applications += i
     ledger.payoff_evals += 1
-    return float(model.payoff(x))
+    return chain_payoff(model, x)
 
 
 def _jansen_mean_and_se(f_a: list[float], f_i: list[float]) -> tuple[float, float]:
@@ -204,12 +216,18 @@ def reference_mc_profile(integrand: Integrand, n_pairs: int,
                            source="mc", n_pairs=n_pairs, se=se, raw_D=raw)
 
 
+def _step_array(model: ChainModel, t: int, states: np.ndarray,
+                y: np.ndarray) -> None:
+    """Step one array of paths on its own, with increments of its own."""
+    model.step(t, states, model.increment(np.array([[t]]), y[None])[0])
+
+
 def reference_measure_decay(model: ChainModel, i_values: Sequence[int], n: int,
                             stream: UniformStream) -> DecayReport:
-    """The restart-gap decay done serially on full-length path arrays: step t
-    takes ``stream.draw(n)``, every i-step restart rides along the full
-    chain, and each depth's squared payoff gaps give its mean and standard
-    error, which the package's fits then take."""
+    """The restart-gap decay done serially on full-length path arrays, one
+    array per restart: step t takes ``stream.draw(n)``, every i-step restart
+    rides along the full chain, and each depth's squared payoff gaps give its
+    mean and standard error, which the package's fits then take."""
     d = model.horizon
     i_vals = tuple(int(i) for i in i_values)
     ledger = stream.ledger
@@ -218,13 +236,13 @@ def reference_measure_decay(model: ChainModel, i_values: Sequence[int], n: int,
     restarts: dict[int, np.ndarray | None] = {i: None for i in i_vals}
     for t in range(d):
         y = stream.draw(n)
-        full = model.step(t, full, y)
+        _step_array(model, t, full, y)
         ledger.step_applications += n
         for i in i_vals:
             if t == d - i:
                 restarts[i] = np.full(n, x0)
             if restarts[i] is not None:
-                restarts[i] = model.step(t, restarts[i], y)
+                _step_array(model, t, restarts[i], y)
                 ledger.step_applications += n
     pf_full = np.asarray(model.payoff(full), dtype=float)
     ledger.payoff_evals += n

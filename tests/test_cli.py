@@ -190,6 +190,12 @@ HUGE = "1e300,1e300"
                  "'decay.i'", id="decay-depth"),
     pytest.param(["markov", "decay", "--d", "16", "--i", "4,4", "--n", "100"], 2,
                  "'decay.i'", id="decay-repeated-depth"),
+    pytest.param(["markov", "--d", "16", "--gamma", "nan", "--reps", "5"], 2,
+                 "'chain.gamma'", id="markov-gamma-nan"),
+    pytest.param(["markov", "decay", "--d", "16", "--gamma", "nan", "--i", "2,4",
+                  "--n", "100"], 2, "'chain.gamma'", id="decay-gamma-nan"),
+    pytest.param(["markov", "--d", "16", "--b", "inf", "--reps", "5"], 2,
+                 "'chain.b'", id="markov-b-inf"),
     pytest.param(["estimate", "--family", "additive", "--d", "4", "--method", "mc",
                   "--mc-n", "0", "--reps", "5"], 2, "'mc_n'", id="mc-n"),
     pytest.param(["estimate", "--family", "additive", "--d", "1", "--method",

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import itertools
 import math
@@ -24,8 +25,8 @@ LINDLEY_MEAN_INCREMENT = -0.1  # uniform(-0.6, 0.4)
 
 def memoryless_chain(d, x0=0.0):
     """State is just the latest innovation; payoff the terminal state."""
-    return ChainModel(horizon=d, initial_state=x0,
-                      step=lambda t, x, y: y, payoff=lambda x: x)
+    return ChainModel(horizon=d, initial_state=x0, increment=lambda t, y: y,
+                      step=lambda t, x, z: np.copyto(x, z), payoff=lambda x: x)
 
 
 def test_lindley_one_step_hand_values():
@@ -99,10 +100,16 @@ def test_state_forgetting_chain_collapses_deep_levels():
         assert coupled_level_pair(m, m_hi, m_lo, new_stream(6)) == 0.0
 
 
-def test_chain_levels_match_scalar_coupled_pairs(monkeypatch):
+LINDLEY_MODELS = {"uniform": lambda d: make_lindley(d),
+                  "time-varying": lambda d: make_lindley(
+                      d, modulated_uniform_increments(d))}
+
+
+@pytest.mark.parametrize("increments", sorted(LINDLEY_MODELS))
+def test_chain_levels_match_scalar_coupled_pairs(increments, monkeypatch):
     # row j of level k holds n_k coupled increments drawn in turn from
     # stream j's fork k
-    model = make_lindley(16)
+    model = LINDLEY_MODELS[increments](16)
     schedule = markov_schedule(16, -2.0)
     levels = []
     telescope = markov._telescope
@@ -243,25 +250,27 @@ DECAY_BLOCKS = {"one-path": (0, 301), "default": (streams._BLOCK_ELEMENTS, 40_00
                 "unbounded": (2 ** 62, 40_001)}
 
 
-def _decay_and_units(measure, n):
+def _decay_and_units(measure, increments, n):
     stream = new_stream(17).fork(4)
     stream.draw(5)  # an offset into the stream that is not a Philox block
     before = stream.ledger.snapshot()
-    report = measure(make_lindley(32), DECAY_DEPTHS, n, stream)
+    report = measure(LINDLEY_MODELS[increments](32), DECAY_DEPTHS, n, stream)
     units = tuple(b - a for a, b in zip(before, stream.ledger.snapshot()))
     return report, units, stream.counter
 
 
 @pytest.fixture(scope="module")
 def reference_decay():
-    return {n: _decay_and_units(reference_measure_decay, n)
+    return {(increments, n): _decay_and_units(reference_measure_decay, increments, n)
+            for increments in LINDLEY_MODELS
             for n in {n for _, n in DECAY_BLOCKS.values()}}
 
 
+@pytest.mark.parametrize("increments", sorted(LINDLEY_MODELS))
 @pytest.mark.parametrize("blocks", sorted(DECAY_BLOCKS))
 @pytest.mark.parametrize("workers", [1, 2, 8])
-def test_measure_decay_matches_serial_reference(workers, blocks, reference_decay,
-                                                monkeypatch):
+def test_measure_decay_matches_serial_reference(workers, blocks, increments,
+                                                reference_decay, monkeypatch):
     budget, n = DECAY_BLOCKS[blocks]
     monkeypatch.setattr(streams, "_BLOCK_ELEMENTS", budget)
     monkeypatch.setattr(streams, "_cpu_count", lambda: workers)
@@ -269,10 +278,10 @@ def test_measure_decay_matches_serial_reference(workers, blocks, reference_decay
     if workers == 8:  # more threads than cores, switching often
         sys.setswitchinterval(1e-6)
     try:
-        got, units, counter = _decay_and_units(measure_decay, n)
+        got, units, counter = _decay_and_units(measure_decay, increments, n)
     finally:
         sys.setswitchinterval(interval)
-    expected, expected_units, expected_counter = reference_decay[n]
+    expected, expected_units, expected_counter = reference_decay[increments, n]
     assert got.i_values == expected.i_values == DECAY_DEPTHS
     for field in ("msd", "se"):
         assert np.array_equal(getattr(got, field), getattr(expected, field)), field
@@ -296,12 +305,12 @@ def test_measure_decay_raises_the_step_error(workers, monkeypatch):
     calls = itertools.count()
     lindley = make_lindley(16)
 
-    def step(t, x, y):
+    def step(t, x, z):
         if next(calls) == 50:
             raise _StepFault("fifty-first step")
-        return lindley.step(t, x, y)
+        lindley.step(t, x, z)
 
-    model = ChainModel(horizon=16, initial_state=0.0, step=step, payoff=lindley.payoff)
+    model = dataclasses.replace(lindley, step=step)
     with pytest.raises(_StepFault, match="fifty-first step"):
         measure_decay(model, (2, 4), 1_000, new_stream(3))
 
@@ -309,10 +318,12 @@ def test_measure_decay_raises_the_step_error(workers, monkeypatch):
 def test_measure_decay_pool_threads_keep_the_error_state(monkeypatch):
     monkeypatch.setattr(streams, "_BLOCK_ELEMENTS", 100)
     monkeypatch.setattr(streams, "_cpu_count", lambda: 8)
-    lindley = make_lindley(8)
-    model = ChainModel(horizon=8, initial_state=1e300,
-                       step=lambda t, x, y: x * (1.0 + y) * 1e10,
-                       payoff=lindley.payoff)
+    def step(t, x, z):
+        np.multiply(x, z, out=x)
+        np.multiply(x, 1e10, out=x)
+
+    model = ChainModel(horizon=8, initial_state=1e300, increment=lambda t, y: 1.0 + y,
+                       step=step, payoff=lambda x: x)
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError, match="overflow"):
             measure_decay(model, (2, 4), 1_000, new_stream(4))
@@ -323,9 +334,10 @@ def test_measure_decay_pool_threads_keep_the_error_state(monkeypatch):
     assert np.isnan(report.msd).all()
 
 
-# A block holds the full chain, its restarts and a draw, one element per path
-# each, plus the step's temporaries: about 9 arrays of a block's paths.
-DECAY_BLOCK_BUDGETS = 12
+# A block holds the full chain, its restarts, a draw and its increments, one
+# element per path each; the step makes no temporaries, and at the end the
+# payoff gap and its square add two: about 8 arrays of a block's paths.
+DECAY_BLOCK_BUDGETS = 10
 
 
 @pytest.mark.parametrize("workers", [1, 2, 8])
@@ -394,6 +406,26 @@ def test_modulated_increments_keep_drift_condition():
     assert max(integrals) < 1.0
     # genuinely time varying
     assert max(integrals) - min(integrals) > 1e-3
+
+
+@pytest.mark.parametrize("time_varying", [False, True])
+@pytest.mark.parametrize("a,b", [(-0.6, 0.4), (-0.7, 0.5)])
+def test_increment_block_matches_each_time_row(time_varying, a, b):
+    # the block form keeps the bits of (a - s) + ((b + s) - (a - s))·y with
+    # s = 0 or the time-varying shift in Python floats, applied one time
+    # index and one row at a time
+    d, amplitude = 24, 0.1
+    zeta = (modulated_uniform_increments(d, a, b, amplitude) if time_varying
+            else uniform_increments(a, b))
+    times = np.arange(d)[:, None]
+    y = new_stream(20).draw_matrix(d, 50)
+    block = zeta(times, y)
+    assert block.shape == y.shape
+    for t in range(d):
+        s = amplitude * math.sin(2.0 * math.pi * t / d) if time_varying else 0.0
+        expected = (a - s) + ((b + s) - (a - s)) * y[t]
+        assert np.array_equal(block[t], expected), t
+        assert np.array_equal(block[t], zeta(times[t:t + 1], y[t:t + 1])[0]), t
 
 
 def test_chain_integrand_reindexes_innovations():
