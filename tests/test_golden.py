@@ -72,6 +72,11 @@ INVOCATIONS = {
                                       "5000", "--seed", "12"],
     "markov_ab_d64": ["markov", "--d", "64", "--a", "-0.7", "--b", "0.5", "--gamma",
                       "-3", "--reps", "100", "--seed", "12"],
+    # a fixed point given on the command line
+    "estimate_mlmc_fixed_explicit": ["estimate", "--family", "product", "--d", "4",
+                                     "--method", "mlmc-fixed", "--fix-v", "explicit",
+                                     "--v-values", "0.1,0.9,0.3,0.6", "--reps", "50",
+                                     "--seed", "12"],
     # the exact oracle's product tail and d_t
     "anova_product_analytic_d24": ["anova", "--family", "product", "--d", "24",
                                    "--method", "analytic", "--decay-r", "0.7",
