@@ -100,13 +100,20 @@ def test_state_forgetting_chain_collapses_deep_levels():
         assert coupled_level_pair(m, m_hi, m_lo, new_stream(6)) == 0.0
 
 
-LINDLEY_MODELS = {"uniform": lambda d: make_lindley(d),
+LINDLEY_MODELS = {"uniform": make_lindley,
                   "time-varying": lambda d: make_lindley(
                       d, modulated_uniform_increments(d))}
 
 
-@pytest.mark.parametrize("increments", sorted(LINDLEY_MODELS))
-def test_chain_levels_match_scalar_coupled_pairs(increments, monkeypatch):
+def test_chain_levels_match_scalar_coupled_pairs(monkeypatch):
+    _check_levels_match_scalar_coupled_pairs("uniform", monkeypatch)
+
+
+def test_time_varying_chain_levels_match_scalar_coupled_pairs(monkeypatch):
+    _check_levels_match_scalar_coupled_pairs("time-varying", monkeypatch)
+
+
+def _check_levels_match_scalar_coupled_pairs(increments, monkeypatch):
     # row j of level k holds n_k coupled increments drawn in turn from
     # stream j's fork k
     model = LINDLEY_MODELS[increments](16)
@@ -266,11 +273,24 @@ def reference_decay():
             for n in {n for _, n in DECAY_BLOCKS.values()}}
 
 
-@pytest.mark.parametrize("increments", sorted(LINDLEY_MODELS))
 @pytest.mark.parametrize("blocks", sorted(DECAY_BLOCKS))
 @pytest.mark.parametrize("workers", [1, 2, 8])
-def test_measure_decay_matches_serial_reference(workers, blocks, increments,
-                                                reference_decay, monkeypatch):
+def test_measure_decay_matches_serial_reference(workers, blocks, reference_decay,
+                                                monkeypatch):
+    _check_decay_matches_serial_reference("uniform", workers, blocks,
+                                          reference_decay, monkeypatch)
+
+
+@pytest.mark.parametrize("blocks", sorted(DECAY_BLOCKS))
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_time_varying_decay_matches_serial_reference(workers, blocks, reference_decay,
+                                                     monkeypatch):
+    _check_decay_matches_serial_reference("time-varying", workers, blocks,
+                                          reference_decay, monkeypatch)
+
+
+def _check_decay_matches_serial_reference(increments, workers, blocks,
+                                          reference_decay, monkeypatch):
     budget, n = DECAY_BLOCKS[blocks]
     monkeypatch.setattr(streams, "_BLOCK_ELEMENTS", budget)
     monkeypatch.setattr(streams, "_cpu_count", lambda: workers)
@@ -318,6 +338,7 @@ def test_measure_decay_raises_the_step_error(workers, monkeypatch):
 def test_measure_decay_pool_threads_keep_the_error_state(monkeypatch):
     monkeypatch.setattr(streams, "_BLOCK_ELEMENTS", 100)
     monkeypatch.setattr(streams, "_cpu_count", lambda: 8)
+
     def step(t, x, z):
         np.multiply(x, z, out=x)
         np.multiply(x, 1e10, out=x)
