@@ -13,12 +13,13 @@ from .anova import (DegenerateIntegrandError, InequalityReport,
                     mc_profile, truncation_dimension)
 from .integrands import (Integrand, geometric_coefficients, make_additive,
                          make_product)
-from .markov import (ChainModel, DecayReport, chain_integrand, drift_integral,
-                     estimate_chain_mlmc, make_lindley, markov_schedule,
-                     measure_decay, modulated_uniform_increments,
-                     standard_mc_chain, uniform_increments)
+from .markov import (ChainModel, DecayReport, chain_integrand, chain_width,
+                     drift_integral, estimate_chain_mlmc, make_lindley,
+                     markov_schedule, measure_decay,
+                     modulated_uniform_increments, standard_mc_chain,
+                     uniform_increments)
 from .mlmc import (EstimateRecord, EstimateSummary, LevelBudgetReport,
-                   LevelSchedule, check_level_budget_bound,
+                   LevelSchedule, check_level_budget_bound, cube_width,
                    dyadic_prefixes, estimate_mlmc, estimate_mlmc_fixed,
                    level_budget_rhs_se, level_variance_estimates,
                    optimal_allocation, predicted_variance,

@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .anova import NumericalFailure
 from .integrands import Integrand
 from .mlmc import (EstimateRecord, LevelSchedule, _telescope, dyadic_prefixes,
                    record_from_snapshot)
@@ -84,15 +85,22 @@ def markov_schedule(d: int, gamma: float) -> LevelSchedule:
     """Dyadic prefixes with n_l = ceil(d 2^(l(gamma-1)/2)) replications per level.
 
     Requires gamma < -1: for slower payoff-gap decay the level variance sums
-    diverge and no schedule of this shape controls the variance.
+    diverge and no schedule of this shape controls the variance.  The exact
+    n_l is positive, so one replication is kept where the power underflows.
     """
     if gamma >= -1.0:
         raise ValueError("decay exponent gamma must be below -1")
     m = dyadic_prefixes(d)
     levels = len(m) - 1
-    n = tuple(math.ceil(d * 2.0 ** (l * (gamma - 1.0) / 2.0))
+    n = tuple(max(1, math.ceil(d * 2.0 ** (l * (gamma - 1.0) / 2.0)))
               for l in range(1, levels + 1))
     return LevelSchedule(m=m, n=n)
+
+
+def chain_width(schedule: LevelSchedule) -> int:
+    """Innovations of one chain replication that size its chunks: its
+    widest level's n_l·m_l."""
+    return max(n_l * m_l for n_l, m_l in zip(schedule.n, schedule.m[1:]))
 
 
 def estimate_chain_mlmc(model: ChainModel, gamma: float,
@@ -135,15 +143,14 @@ def estimate_chain_mlmc(model: ChainModel, gamma: float,
         pays = np.asarray(model.payoff(states), dtype=float).reshape(len(states), -1, n_l)
         return pays[0] - pays[1] if m_lo else pays[0]
 
-    width = max(n_l * m_l for n_l, m_l in zip(schedule.n, schedule.m[1:]))
-    return _telescope(schedule, sample, ledger, ledger.snapshot(), width)
+    return _telescope(schedule, sample, ledger, ledger.snapshot())
 
 
 def standard_mc_chain(model: ChainModel, n: int,
                       streams: UniformStream | Sequence[UniformStream]
                       ) -> EstimateRecord:
     """Average terminal payoffs over n full-horizon paths advanced in lockstep,
-    one average per stream."""
+    one average per stream; chunks of them are sized by n."""
     if n < 1:
         raise ValueError("path count must be positive")
     streams, ledger = chunk_streams(streams)
@@ -157,7 +164,7 @@ def standard_mc_chain(model: ChainModel, n: int,
         ledger.step_applications += states.size
     values = np.asarray(model.payoff(states), dtype=float).reshape(len(streams), n)
     ledger.payoff_evals += states.size
-    return record_from_snapshot(values.mean(axis=1), before, ledger, n)
+    return record_from_snapshot(values.mean(axis=1), before, ledger)
 
 
 def _loglinear_fit(x: np.ndarray, log_y: np.ndarray) -> tuple[float, float, float]:
@@ -184,7 +191,7 @@ def measure_decay(model: ChainModel, i_values: Sequence[int], n: int,
     reduced at full length.  So the estimates, the fits and the units booked
     on the stream's ledger are the same at any block size and thread count.
     Both decay fits are least squares on log(msd) over the i with positive
-    estimates.
+    estimates.  Raises NumericalFailure when a gap or its SE is not finite.
     """
     if n < 2:
         raise ValueError("need at least 2 coupled paths")
@@ -236,6 +243,8 @@ def measure_decay(model: ChainModel, i_values: Sequence[int], n: int,
         # one row at a time, so std's temporaries stay one row long
         msd[k] = row.mean()
         se[k] = row.std(ddof=1) / math.sqrt(n)
+    if not (np.isfinite(msd).all() and np.isfinite(se).all()):
+        raise NumericalFailure("non-finite payoff gap")
     return _decay_report(i_vals, msd, se)
 
 

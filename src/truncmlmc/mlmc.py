@@ -13,7 +13,6 @@ contributes the plain spliced value.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -69,15 +68,11 @@ class EstimateRecord:
     ``values`` is [R] and ``costs`` [R, 3] (draw, step and eval units).
     Multilevel estimators add ``level_sum`` and ``level_sq`` [R, L], the sum
     and the sum of squares of each level's increments, and the increments per
-    level of one replication, ``level_count`` [L].  ``width`` counts the
-    elements of one replication that size the chunks: its narrowest level
-    for the cube estimators, which run wider levels in sub-batches of the
-    chunk's replications, and its widest level for the chain estimators.
+    level of one replication, ``level_count`` [L].
     """
 
     values: np.ndarray
     costs: np.ndarray
-    width: int
     level_sum: np.ndarray | None = None
     level_sq: np.ndarray | None = None
     level_count: tuple[int, ...] | None = None
@@ -129,9 +124,16 @@ def truncation_schedule(d: int) -> LevelSchedule:
     return LevelSchedule(m=m, n=n)
 
 
+def cube_width(schedule: LevelSchedule) -> int:
+    """Elements of one replication of a cube estimator that size its chunks:
+    the narrowest level's n_l·d points' coordinates.  Wider levels run in
+    sub-batches of the chunk's replications."""
+    return min(schedule.n) * schedule.dimension
+
+
 def record_from_snapshot(values: np.ndarray, before: tuple[int, int, int],
-                         ledger: CostLedger, width: int, level_sum=None,
-                         level_sq=None, level_count=None) -> EstimateRecord:
+                         ledger: CostLedger, level_sum=None, level_sq=None,
+                         level_count=None) -> EstimateRecord:
     """Close out a chunk of replications against the ledger state captured at
     its start.  Every replication of a chunk does the same work, so each is
     charged an equal share of the chunk's units."""
@@ -141,14 +143,13 @@ def record_from_snapshot(values: np.ndarray, before: tuple[int, int, int],
         raise RuntimeError(f"cost units {delta.tolist()} do not split evenly "
                            f"over {reps} replications")
     return EstimateRecord(values=values, costs=np.tile(delta // reps, (reps, 1)),
-                          width=width, level_sum=level_sum, level_sq=level_sq,
+                          level_sum=level_sum, level_sq=level_sq,
                           level_count=level_count)
 
 
 def _telescope(schedule: LevelSchedule,
                sample: Callable[[int, int, int, int], np.ndarray],
-               ledger: CostLedger, before: tuple[int, int, int],
-               width: int) -> EstimateRecord:
+               ledger: CostLedger, before: tuple[int, int, int]) -> EstimateRecord:
     """A chunk of replications of the telescoping sum of level means over ``schedule``.
 
     ``sample(level, n_l, m_lo, m_hi)`` returns an [R, n_l] array: row j holds
@@ -163,7 +164,7 @@ def _telescope(schedule: LevelSchedule,
         sums.append(diffs.sum(axis=1))
         squares.append(np.vecdot(diffs, diffs))
         values = values + diffs.mean(axis=1)
-    return record_from_snapshot(values, before, ledger, width,
+    return record_from_snapshot(values, before, ledger,
                                 np.column_stack(sums), np.column_stack(squares),
                                 schedule.n)
 
@@ -175,11 +176,11 @@ def _cube_telescope(integrand: Integrand, base: np.ndarray | None,
     of ``base`` [R, d], or onto a random base point when ``base`` is None.
 
     Each replication's uniforms come from one draw: the random base point
-    first, if any, then every level's prefixes in level order.  The record's
-    ``width`` is the narrowest level's n_l·d, so under the truncation
-    schedule (at most 9d draws per replication) a chunk draws at most 9
-    budgets of uniforms.  Level l then runs over consecutive replications in
-    sub-batches of ``_CHUNK_ELEMENTS // (n_l·d)``, at least one, so its
+    first, if any, then every level's prefixes in level order.  Chunks are
+    sized by :func:`cube_width`, the narrowest level's n_l·d, so under the
+    truncation schedule (at most 9d draws per replication) a chunk draws at
+    most 9 budgets of uniforms.  Level l then runs over consecutive
+    replications in sub-batches of ``_CHUNK_ELEMENTS // (n_l·d)``, at least one, so its
     points hold at most the budget or one replication's level.
     """
     if schedule.dimension != integrand.dimension:
@@ -209,7 +210,7 @@ def _cube_telescope(integrand: Integrand, base: np.ndarray | None,
                 diffs[part] -= integrand.eval_batch(rows, ledger).reshape(-1, n_l)
         return diffs
 
-    return _telescope(schedule, sample, ledger, before, min(schedule.n) * d)
+    return _telescope(schedule, sample, ledger, before)
 
 
 def estimate_mlmc(integrand: Integrand, schedule: LevelSchedule,
@@ -252,7 +253,7 @@ def estimate_mlmc_fixed(integrand: Integrand, v, schedule: LevelSchedule,
 def standard_mc(integrand: Integrand, n: int,
                 streams: UniformStream | Sequence[UniformStream]) -> EstimateRecord:
     """Plain averages of f over n uniform points (n*d draws, n payoff
-    evaluations), one per stream."""
+    evaluations), one per stream; chunks of them are sized by n·d."""
     if n < 1:
         raise ValueError("sample count must be positive")
     d = integrand.dimension
@@ -260,7 +261,7 @@ def standard_mc(integrand: Integrand, n: int,
     before = ledger.snapshot()
     points = draw_rows(streams, n * d).reshape(len(streams) * n, d)
     values = integrand.eval_batch(points, ledger).reshape(len(streams), n)
-    return record_from_snapshot(values.mean(axis=1), before, ledger, n * d)
+    return record_from_snapshot(values.mean(axis=1), before, ledger)
 
 
 def _joined(columns: list[np.ndarray]) -> np.ndarray:
@@ -288,40 +289,42 @@ def summarize(records: Sequence[EstimateRecord]) -> EstimateSummary:
 
 
 def replicate(estimator: Callable[[Sequence[UniformStream]], EstimateRecord],
-              reps: int, stream: UniformStream) -> EstimateSummary:
+              reps: int, stream: UniformStream, width: int) -> EstimateSummary:
     """Run ``reps`` independent replications, replication j on ``stream.fork(j)``,
     and summarize.
 
-    The estimator runs a chunk of consecutive replications per call.  The first
-    chunk is one replication; its record's ``width`` sizes the others to
-    ``_CHUNK_ELEMENTS`` elements in one level (the narrowest for the cube
-    estimators, which run wider levels in sub-batches; the widest for
-    chains), and its columns' shapes size the cell's columns, which each
-    chunk then fills in place.  Row j depends on its own stream only, so the
+    The estimator runs a chunk of consecutive replications per call.
+    ``width`` counts the elements of one replication that size the chunks,
+    a function of the estimator's schedule alone: :func:`cube_width` for the
+    cube telescopes, ``markov.chain_width`` for chains, n·d for
+    :func:`standard_mc` and n for ``markov.standard_mc_chain``.  Every chunk
+    but the last holds ``_CHUNK_ELEMENTS // width`` replications, at least
+    one.  The first chunk's columns size the cell's columns, which each chunk
+    then fills in place.  Row j depends on its own stream only, so the
     columns do not depend on the chunk or sub-batch sizes.
     Raises NumericalFailure when a value, the sample variance or a per-level
     sum is not finite.
     """
     if reps < 2:
         raise ValueError("need at least 2 replications")
-    first, columns = None, {}
-    start, size = 0, 1
+    if width < 1:
+        raise ValueError("replication width must be positive")
+    size = max(1, _CHUNK_ELEMENTS // width)
+    columns = None
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        while start < reps:
+        for start in range(0, reps, size):
             stop = min(reps, start + size)
             record = estimator([stream.fork(j) for j in range(start, stop)])
             if record.values.size != stop - start:
                 raise ValueError(f"estimator returned {record.values.size} "
                                  f"replications for {stop - start} streams")
-            if first is None:
-                first = record
+            if columns is None:
                 columns = {name: np.empty((reps,) + column.shape[1:], column.dtype)
                            for name in ("values", "costs", "level_sum", "level_sq")
                            if (column := getattr(record, name)) is not None}
             for name, column in columns.items():
                 column[start:stop] = getattr(record, name)
-            start, size = stop, max(1, _CHUNK_ELEMENTS // record.width)
-        summary = summarize([dataclasses.replace(first, **columns)])
+        summary = summarize([EstimateRecord(level_count=record.level_count, **columns)])
     checked = [summary.values, summary.sample_variance]
     if summary.level_sum is not None:
         checked += [summary.level_sum, summary.level_sq]

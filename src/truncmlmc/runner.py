@@ -18,12 +18,12 @@ from .config import (METHODS, ConfigError, as_choice, as_float_list,
                      as_int, as_int_list, as_str_list, chain_from_config,
                      integrand_from_config)
 from .integrands import Integrand
-from .markov import estimate_chain_mlmc, markov_schedule
+from .markov import chain_width, estimate_chain_mlmc, markov_schedule
 from .mlmc import (EstimateSummary, LevelSchedule, NumericalFailure,
-                   check_level_budget_bound, estimate_mlmc, estimate_mlmc_fixed,
-                   level_budget_rhs_se, level_variance_estimates, replicate,
-                   standard_mc, total_budget, truncation_schedule,
-                   work_normalized_variance)
+                   check_level_budget_bound, cube_width, estimate_mlmc,
+                   estimate_mlmc_fixed, level_budget_rhs_se,
+                   level_variance_estimates, replicate, standard_mc,
+                   total_budget, truncation_schedule, work_normalized_variance)
 from .streams import UniformStream, new_stream
 
 # Fork labels under the root seed, one per randomness consumer.  Fixed for
@@ -97,12 +97,13 @@ def _multilevel_schedule(method: str, d: int) -> LevelSchedule:
 
 
 def _replicate_cell(method: str, d: int, estimator, reps: int,
-                    root: UniformStream) -> EstimateSummary:
-    """Replicate ``estimator`` on the cell's labelled stream; failures name the cell."""
+                    root: UniformStream, width: int) -> EstimateSummary:
+    """Replicate ``estimator``, whose replications are ``width`` elements wide,
+    on the cell's labelled stream; failures name the cell."""
     if reps < 2:
         raise ConfigError("config key 'reps': need at least 2 replications")
     try:
-        return replicate(estimator, reps, root.fork(FORK_LABELS[method]).fork(d))
+        return replicate(estimator, reps, root.fork(FORK_LABELS[method]).fork(d), width)
     except NumericalFailure as exc:
         raise NumericalFailure(f"cell method={method} d={d}: {exc}") from exc
 
@@ -117,21 +118,26 @@ def run_estimator_cell(method: str, integrand: Integrand, reps: int,
     if method == "mc":
         if mc_n < 1:
             raise ConfigError("config key 'mc_n': need at least 1 point")
-        estimator = partial(standard_mc, integrand, mc_n)
+        estimator, width = partial(standard_mc, integrand, mc_n), mc_n * d
     elif method == "mlmc":
-        estimator = partial(estimate_mlmc, integrand, _multilevel_schedule(method, d))
+        schedule = _multilevel_schedule(method, d)
+        estimator, width = partial(estimate_mlmc, integrand, schedule), cube_width(schedule)
     else:
         v = resolve_fixed_point(fix_v, d, root, fix_v_values)
-        estimator = partial(estimate_mlmc_fixed, integrand, v,
-                            _multilevel_schedule(method, d))
-    return CellResult(method, d, _replicate_cell(method, d, estimator, reps, root))
+        schedule = _multilevel_schedule(method, d)
+        estimator = partial(estimate_mlmc_fixed, integrand, v, schedule)
+        width = cube_width(schedule)
+    return CellResult(method, d, _replicate_cell(method, d, estimator, reps, root,
+                                                 width))
 
 
 def run_markov_cell(cfg: dict[str, str], d: int, reps: int,
                     root: UniformStream) -> CellResult:
     model, gamma = chain_from_config(cfg, d)
-    summary = _replicate_cell("markov", d, partial(estimate_chain_mlmc, model, gamma),
-                              reps, root)
+    schedule = markov_schedule(d, gamma)
+    estimator = partial(estimate_chain_mlmc, model, gamma, schedule=schedule)
+    summary = _replicate_cell("markov", d, estimator, reps, root,
+                              chain_width(schedule))
     return CellResult("markov", d, summary)
 
 
@@ -232,7 +238,8 @@ def lemma1_diagnostic(cfg: dict[str, str], seed: int, d_grid=None,
         schedule = _multilevel_schedule("lemma1", d)
         v = np.full(d, 0.5)
         summary = _replicate_cell(
-            "lemma1", d, partial(estimate_mlmc_fixed, integrand, v, schedule), reps, root)
+            "lemma1", d, partial(estimate_mlmc_fixed, integrand, v, schedule), reps,
+            root, cube_width(schedule))
         V = level_variance_estimates(summary)
         counts = summary.replications * summary.level_count
         V_se = V * np.sqrt(2.0 / np.maximum(counts - 1.0, 1.0))

@@ -10,11 +10,13 @@ one chain step, one payoff evaluation each cost one unit) on a
 
 A stream draws the Philox4x64 sequence of numpy's
 ``Generator(Philox(SeedSequence(seed, spawn_key=path)))``, bit for bit.  Its
-Philox key is that ``SeedSequence``'s state, but computed here: a chunk's keys
-come out of one pass of numpy uint32 arithmetic (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC'11), and every draw runs on one
-reused Philox per thread, reset to the stream's key and counter.  So a fork
-builds no numpy object at all.
+Philox key is that ``SeedSequence``'s state, but computed here (Salmon et
+al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).  A chunk's
+streams are mostly siblings: the pool after their paths' common prefix is
+mixed once, in cached plain integers, and only the labels after it go
+through one pass of numpy uint32 arithmetic for the whole chunk.  Every
+draw runs on one reused Philox per thread, reset to the stream's key and
+counter.  So a fork builds no numpy object at all.
 
 The bulk oracles (the radial design of ``anova``, which serves
 ``mc_profile`` and the variance checks, and ``markov.measure_decay``) split
@@ -67,13 +69,29 @@ def _xorshift(values: np.ndarray) -> np.ndarray:
     return values
 
 
-@lru_cache(maxsize=256)
-def _seed_pool(seed: int) -> tuple[int, ...]:
-    """SeedSequence's entropy pool for ``seed`` before any spawn-key word.
+def _label_words(path: tuple[int, ...]) -> list[int]:
+    """The uint32 words SeedSequence reads from a spawn key: each label in
+    little-endian order, and 0 as one word."""
+    words = []
+    for label in path:
+        words.append(label & _MASK32)
+        label >>= 32
+        while label:
+            words.append(label & _MASK32)
+            label >>= 32
+    return words
 
-    The pool takes the seed's 32-bit words, zero-padded to the pool size, then
-    mixes every word into every other; this part is shared by all streams
-    with the same seed, so it is computed once per seed in plain integers.
+
+@lru_cache(maxsize=256)
+def _prefix_pool(seed: int, prefix: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """SeedSequence's entropy pool for ``seed`` after the spawn-key labels
+    ``prefix``, and the number of spawn-key words mixed in.
+
+    The pool takes the seed's 32-bit words, zero-padded to the pool size,
+    mixes every word into every other, then hashes each spawn-key word into
+    every pool word.  All streams of a chunk with one seed share the part
+    for their paths' common prefix, so it is computed once, in plain
+    integers.
     """
     hashes = count()
 
@@ -92,13 +110,19 @@ def _seed_pool(seed: int) -> tuple[int, ...]:
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    return tuple(pool)
+    words = _label_words(prefix)
+    for word in words:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return tuple(pool), len(words)
 
 
 @lru_cache(maxsize=64)
-def _word_constants(words: int) -> tuple[np.ndarray, np.ndarray]:
-    """Xor and multiply constants [words, pool] of the spawn-key hashmixes."""
-    xor = np.array([_hash_constant(_INIT_A, _MULT_A, _SEED_HASHES + k)
+def _word_constants(first: int, words: int) -> tuple[np.ndarray, np.ndarray]:
+    """Xor and multiply constants [words, pool] of the hashmixes of spawn-key
+    words ``first`` to ``first + words``."""
+    start = _SEED_HASHES + first * _POOL_SIZE
+    xor = np.array([_hash_constant(_INIT_A, _MULT_A, start + k)
                     for k in range(words * _POOL_SIZE)], dtype=np.uint32)
     xor = xor.reshape(words, _POOL_SIZE)
     mult = xor * _MULT_A
@@ -110,40 +134,50 @@ _STATE_XOR = np.array([_hash_constant(_INIT_B, _MULT_B, k) for k in range(4)],
 _STATE_MULT = _STATE_XOR * _MULT_B
 
 
-def _label_words(path: tuple[int, ...]) -> list[int]:
-    """The uint32 words SeedSequence reads from a spawn key: each label in
-    little-endian order, and 0 as one word."""
-    words = []
-    for label in path:
-        words.append(label & _MASK32)
-        label >>= 32
-        while label:
-            words.append(label & _MASK32)
-            label >>= 32
-    return words
-
-
 def philox_keys(seeds: Sequence[int], paths: Sequence[tuple[int, ...]]) -> np.ndarray:
     """Philox keys [R, 2] (uint64) of the streams ``(seeds[j], paths[j])``,
     for seeds below 2**64.
 
     Row j equals ``SeedSequence(seeds[j], spawn_key=paths[j])
     .generate_state(2, np.uint64)``: the seed's pool, then each spawn-key
-    word hashed into every pool word, then the state hash.  The words of all
-    streams go through numpy together, one word position at a time.
+    word hashed into every pool word, then the state hash.  When all seeds
+    are equal, the pool after the paths' longest common prefix comes from
+    :func:`_prefix_pool`; for mixed seeds that prefix is empty.  The words
+    after it go through numpy for all streams together, one word position
+    at a time, so a chunk of sibling forks mixes one label per stream.
     """
-    words = [_label_words(path) for path in paths]
-    width = max(map(len, words), default=0)
-    pool = np.array([_seed_pool(seed) for seed in seeds], dtype=np.uint32)
-    pool = pool.reshape(len(words), _POOL_SIZE)
-    if width:
-        lengths = np.array([len(w) for w in words])
-        padded = np.array([w + [0] * (width - len(w)) for w in words], dtype=np.uint32)
-        xor, mult = _word_constants(width)
-        hashed = _xorshift((padded[:, :, None] ^ xor) * mult)
-        for w in range(width):
-            mixed = _xorshift(pool * _MIX_MULT_L - hashed[:, w] * _MIX_MULT_R)
-            pool = np.where((lengths > w)[:, None], mixed, pool)
+    rows = len(paths)
+    if not rows:
+        return np.empty((0, 2), dtype=np.uint64)
+    seeds = list(seeds)
+    columns = list(zip(*paths))  # as long as the shortest path
+    start = 0
+    if seeds.count(seeds[0]) == rows:
+        while start < len(columns) and columns[start].count(columns[start][0]) == rows:
+            start += 1
+        pool, first = _prefix_pool(seeds[0], tuple(paths[0][:start]))
+        pool = np.array([pool], dtype=np.uint32)
+    else:
+        first = 0
+        pool = np.array([_prefix_pool(seed, ())[0] for seed in seeds], dtype=np.uint32)
+    words = lengths = None
+    if len(set(map(len, paths))) == 1:
+        try:  # labels below 2**32 are one word each
+            words = np.array(columns[start:], dtype=np.uint32).reshape(-1, rows)
+        except OverflowError:
+            pass
+    if words is None:
+        suffixes = [_label_words(path[start:]) for path in paths]
+        lengths = np.array([len(w) for w in suffixes])
+        width = lengths.max()
+        words = np.array([w + [0] * (width - len(w)) for w in suffixes],
+                         dtype=np.uint32).reshape(rows, width).T
+    xor, mult = _word_constants(first, len(words))
+    for w, word in enumerate(words):
+        hashed = _xorshift((word[:, None] ^ xor[w]) * mult[w])
+        mixed = _xorshift(pool * _MIX_MULT_L - hashed * _MIX_MULT_R)
+        pool = mixed if lengths is None else np.where((lengths > w)[:, None], mixed, pool)
+    pool = np.broadcast_to(pool, (rows, _POOL_SIZE))
     state = _xorshift((pool ^ _STATE_XOR) * _STATE_MULT)
     return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
 
@@ -186,7 +220,7 @@ class UniformStream:
     def __init__(self, seed: int, path: tuple[int, ...] = (),
                  ledger: CostLedger | None = None):
         self.seed = seed & _SEED_MASK
-        self.path = tuple(path)
+        self.path = tuple(map(int, path))  # key derivation reads Python ints
         self.counter = 0
         self.ledger = CostLedger() if ledger is None else ledger
         self.key: tuple[int, int] | None = None
@@ -202,7 +236,11 @@ class UniformStream:
         """
         if label < 0:
             raise ValueError("fork label must be a nonnegative integer")
-        return UniformStream(self.seed, self.path + (int(label),), self.ledger)
+        # the parent's fields are already normalized, so __init__ is skipped
+        child = UniformStream.__new__(UniformStream)
+        child.seed, child.path, child.counter = self.seed, self.path + (int(label),), 0
+        child.ledger, child.key = self.ledger, None
+        return child
 
     def draw(self, n: int) -> np.ndarray:
         """Next ``n`` uniforms in [0, 1); counter and ledger advance by ``n``."""
@@ -251,28 +289,39 @@ def draw_rows(streams: Sequence[UniformStream], n: int) -> np.ndarray:
 
     Keys not yet derived are derived together.  Each row resets the thread's
     Philox to the stream's key at the block that holds its counter, then
-    discards the block's values the stream has already drawn.
+    discards the block's values the stream has already drawn.  The draws of
+    streams on the first stream's ledger are booked there in one addition.
     """
     if n < 0:
         raise ValueError("draw count must be nonnegative")
     fresh = [stream for stream in streams if stream.key is None]
     if fresh:
         keys = philox_keys([s.seed for s in fresh], [s.path for s in fresh])
-        for stream, key in zip(fresh, keys.tolist()):
-            stream.key = tuple(key)
+        for stream, key in zip(fresh, zip(keys[:, 0].tolist(), keys[:, 1].tolist())):
+            stream.key = key
     bitgen, gen = _philox()
     out = np.empty((len(streams), n))
-    for j, stream in enumerate(streams):
-        bitgen.state = {"bit_generator": "Philox",
-                        "state": {"counter": (stream.counter >> 2, 0, 0, 0),
-                                  "key": stream.key},
-                        "buffer": (0, 0, 0, 0), "buffer_pos": 4,
-                        "has_uint32": 0, "uinteger": 0}
-        if stream.counter & 3:
-            bitgen.random_raw(stream.counter & 3)
-        gen.random(out=out[j])
-        stream.counter += n
-        stream.ledger.coordinate_draws += n
+    if not streams:
+        return out
+    # one state dict for every row; the setter copies its values
+    position = {"counter": None, "key": None}
+    state = {"bit_generator": "Philox", "state": position,
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    ledger, shared = streams[0].ledger, 0
+    for row, stream in zip(out, streams):
+        counter = stream.counter
+        position["counter"] = (counter >> 2, 0, 0, 0)
+        position["key"] = stream.key
+        bitgen.state = state
+        if counter & 3:
+            bitgen.random_raw(counter & 3)
+        gen.random(out=row)
+        stream.counter = counter + n
+        if stream.ledger is ledger:
+            shared += 1
+        else:
+            stream.ledger.coordinate_draws += n
+    ledger.coordinate_draws += shared * n
     return out
 
 

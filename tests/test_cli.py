@@ -196,6 +196,9 @@ HUGE = "1e300,1e300"
                   "--n", "100"], 2, "'chain.gamma'", id="decay-gamma-nan"),
     pytest.param(["markov", "--d", "16", "--b", "inf", "--reps", "5"], 2,
                  "'chain.b'", id="markov-b-inf"),
+    pytest.param(["markov", "decay", "--d", "16", "--a=-1e308", "--b", "1e308",
+                  "--i", "2,4", "--n", "100"], 3, "non-finite payoff gap",
+                 id="decay-overflow"),
     pytest.param(["estimate", "--family", "additive", "--d", "4", "--method", "mc",
                   "--mc-n", "0", "--reps", "5"], 2, "'mc_n'", id="mc-n"),
     pytest.param(["estimate", "--family", "additive", "--d", "1", "--method",
@@ -229,6 +232,17 @@ def test_cli_exit_codes_name_the_fault(argv, code, fragment, tmp_path,
     err = capsys.readouterr().err
     prefix = "config error:" if code == 2 else "numerical failure:"
     assert err.startswith(prefix) and fragment in err, err
+
+
+def test_markov_schedule_keeps_a_replication_where_the_power_underflows(
+        tmp_path, monkeypatch):
+    # 2 ** (l * (gamma - 1) / 2) underflows to 0 for gamma = -1e3, but every
+    # exact n_l is positive
+    monkeypatch.chdir(tmp_path)
+    assert main(["markov", "--d", "16", "--gamma=-1e3", "--reps", "5",
+                 "--seed", "1"]) == 0
+    rows = read_csv(tmp_path / "markov.csv")
+    assert {row[5] for row in rows[1:]} == {"1"}  # level_count
 
 
 def test_anova_overflow_warns_on_no_thread(tmp_path, monkeypatch):

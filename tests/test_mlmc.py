@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from truncmlmc import mlmc
 from truncmlmc import (CostLedger, EstimateRecord, Integrand, LevelSchedule,
-                       analytic_profile, check_level_budget_bound, estimate_mlmc,
+                       analytic_profile, check_level_budget_bound, cube_width,
+                       estimate_mlmc,
                        estimate_mlmc_fixed, geometric_coefficients,
                        level_variance_estimates, make_additive, make_product,
                        new_stream, optimal_allocation, predicted_variance,
@@ -23,7 +24,7 @@ from truncmlmc.runner import run_estimator_cell, run_markov_cell
 def record(value, draw_units):
     """One hand-made replication that drew ``draw_units`` uniforms."""
     return EstimateRecord(values=np.array([value]),
-                          costs=np.array([[draw_units, 0, 0]]), width=1)
+                          costs=np.array([[draw_units, 0, 0]]))
 
 
 def test_schedule_examples():
@@ -155,7 +156,8 @@ def test_cube_estimators_allow_evaluators_that_return_a_view(column):
 def test_mlmc_mean_unbiased_quick():
     f = make_additive([1.0, 1.0])
     schedule = truncation_schedule(2)
-    summary = replicate(lambda s: estimate_mlmc(f, schedule, s), 4000, new_stream(23))
+    summary = replicate(lambda s: estimate_mlmc(f, schedule, s), 4000, new_stream(23),
+                        cube_width(schedule))
     se = math.sqrt(summary.sample_variance / summary.replications)
     assert abs(summary.mean - 0.0) < 4 * se
 
@@ -164,7 +166,8 @@ def test_mlmc_fixed_mean_unbiased_for_corner_base_point():
     f = make_product([1.0, 1.0])
     schedule = truncation_schedule(2)
     summary = replicate(
-        lambda s: estimate_mlmc_fixed(f, [0.0, 0.0], schedule, s), 4000, new_stream(29))
+        lambda s: estimate_mlmc_fixed(f, [0.0, 0.0], schedule, s), 4000, new_stream(29),
+        cube_width(schedule))
     se = math.sqrt(summary.sample_variance / summary.replications)
     assert abs(summary.mean - 1.0) < 4 * se
 
@@ -178,7 +181,7 @@ def test_midpoint_base_point_zeroes_additive_suffix():
     # centered prefix averages, so a few thousand replications center on 0
     summary = replicate(
         lambda s: estimate_mlmc_fixed(f, np.full(d, 0.5), schedule, s), 3000,
-        new_stream(37))
+        new_stream(37), cube_width(schedule))
     se = math.sqrt(summary.sample_variance / summary.replications)
     assert abs(summary.mean) < 4 * se
     assert rec.level_sum is not None
@@ -198,14 +201,15 @@ def test_standard_mc_mean_and_variance():
     f = make_additive([1.0, 1.0])  # variance 1/6
     rec = standard_mc(f, 10_000, [new_stream(43)])
     assert abs(rec.values[0]) < 4 * math.sqrt((1 / 6) / 10_000)
-    summary = replicate(lambda s: standard_mc(f, 1, s), 4000, new_stream(47))
+    summary = replicate(lambda s: standard_mc(f, 1, s), 4000, new_stream(47), 2)
     se = (1 / 6) * math.sqrt(2 / (summary.replications - 1))
     assert abs(summary.sample_variance - 1 / 6) < 4 * se
 
 
 def test_replicate_constant_closure():
     rec = record(3.0, 5)
-    summary = replicate(lambda s: rec, 2, new_stream(1))
+    # one replication per chunk, as the closure returns
+    summary = replicate(lambda s: rec, 2, new_stream(1), mlmc._CHUNK_ELEMENTS)
     assert summary.mean == 3.0
     assert summary.sample_variance == 0.0
     assert summary.mean_cost == 5.0
@@ -222,9 +226,25 @@ def test_summary_mean_matches_recorded_values():
     assert summary.sample_variance == pytest.approx(values.var(ddof=1), rel=1e-12)
 
 
+def test_replicate_runs_full_chunks_from_the_first(monkeypatch):
+    # a width of 2 against a budget of 12 gives chunks of 6 replications
+    monkeypatch.setattr(mlmc, "_CHUNK_ELEMENTS", 12)
+    f = make_additive([1.0, 1.0])
+    for reps in (2, 6, 7, 40):
+        chunks = []
+
+        def estimator(streams):
+            chunks.append(len(streams))
+            return standard_mc(f, 1, streams)
+
+        replicate(estimator, reps, new_stream(3), 2)
+        assert len(chunks) == math.ceil(reps / 6), (reps, chunks)
+        assert chunks == [min(6, reps - start) for start in range(0, reps, 6)]
+
+
 def test_replicate_requires_two():
     with pytest.raises(ValueError):
-        replicate(lambda s: record(1.0, 1), 1, new_stream(1))
+        replicate(lambda s: record(1.0, 1), 1, new_stream(1), 1)
 
 
 def test_fixed_base_levels_satisfy_variance_identity():
@@ -234,7 +254,7 @@ def test_fixed_base_levels_satisfy_variance_identity():
     schedule = truncation_schedule(d)
     summary = replicate(
         lambda s: estimate_mlmc_fixed(f, np.full(d, 0.5), schedule, s), 6000,
-        new_stream(59))
+        new_stream(59), cube_width(schedule))
     predicted = predicted_variance(summary, schedule)
     se = summary.sample_variance * math.sqrt(2 / (summary.replications - 1))
     assert abs(summary.sample_variance - predicted) < 4 * se
@@ -255,7 +275,7 @@ CELLS = {
 def test_columns_do_not_depend_on_chunk_size(method, monkeypatch):
     # a budget of 0 runs one replication per chunk; 4 * 256 runs the d = 256
     # cube cells in chunks of 4 replications and their level 1 in sub-batches
-    # of one; 2**62 runs all but the first replication in one chunk
+    # of one; 2**62 runs every replication in one chunk
     columns = {}
     for budget in (0, 4 * 256, mlmc._CHUNK_ELEMENTS, 2 ** 62):
         monkeypatch.setattr(mlmc, "_CHUNK_ELEMENTS", budget)
@@ -354,10 +374,10 @@ def test_bare_stream_is_a_chunk_of_one(name):
 def test_chain_mc_memory_is_bounded_by_the_chunk_budget():
     model = make_lindley(256)
     estimator = partial(standard_mc_chain, model, 2000)  # one path batch: 2000
-    replicate(estimator, 2, new_stream(75))  # first-call allocations
+    replicate(estimator, 2, new_stream(75), 2000)  # first-call allocations
     tracemalloc.start()
     try:
-        replicate(estimator, 16, new_stream(76))
+        replicate(estimator, 16, new_stream(76), 2000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -369,7 +389,7 @@ def test_chain_mc_memory_is_bounded_by_the_chunk_budget():
 def test_chunk_costs_must_split_evenly():
     ledger = CostLedger(coordinate_draws=5)
     with pytest.raises(RuntimeError, match="split evenly"):
-        mlmc.record_from_snapshot(np.zeros(2), (0, 0, 0), ledger, width=1)
+        mlmc.record_from_snapshot(np.zeros(2), (0, 0, 0), ledger)
 
 
 def test_samples_needed_cases():
@@ -394,8 +414,8 @@ def test_work_normalized_variance_and_budget():
 
 def test_work_normalized_variance_invariant_to_averaging():
     f = make_additive([1.0, 1.0])
-    one = replicate(lambda s: standard_mc(f, 1, s), 4000, new_stream(61))
-    two = replicate(lambda s: standard_mc(f, 2, s), 4000, new_stream(61))
+    one = replicate(lambda s: standard_mc(f, 1, s), 4000, new_stream(61), 2)
+    two = replicate(lambda s: standard_mc(f, 2, s), 4000, new_stream(61), 4)
     a, b = work_normalized_variance(one), work_normalized_variance(two)
     assert abs(a - b) / a < 0.2
 
@@ -459,7 +479,7 @@ def test_level_budget_bound_holds_with_measured_variances():
     schedule = truncation_schedule(d)
     summary = replicate(
         lambda s: estimate_mlmc_fixed(f, np.full(d, 0.5), schedule, s), 4000,
-        new_stream(67))
+        new_stream(67), cube_width(schedule))
     V = level_variance_estimates(summary)
     nu = analytic_profile(f).D
     rep = check_level_budget_bound(schedule.m, V, nu)

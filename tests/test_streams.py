@@ -134,6 +134,24 @@ SEEDS = st.one_of(st.just(0), st.integers(1, 2**32 - 1),
 LABELS = st.one_of(st.just(0), st.integers(1, 2**32 - 1),
                    st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**96))
 PATHS = st.lists(LABELS, max_size=4).map(tuple)
+# labels at the word boundaries, mixed with the general ones
+EDGE_LABELS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64]), LABELS)
+
+
+@st.composite
+def sibling_chunks(draw):
+    """Forks of one stream, as a chunk of replications or of their levels
+    draws them: a shared prefix of 0-3 labels, then one or two labels that
+    vary, and at times one unrelated row."""
+    seed = draw(SEEDS)
+    prefix = tuple(draw(st.lists(EDGE_LABELS, max_size=3)))
+    tails = draw(st.lists(st.lists(EDGE_LABELS, min_size=1, max_size=2).map(tuple),
+                          min_size=1, max_size=8))
+    chunk = [(seed, prefix + tail) for tail in tails]
+    other = draw(st.none() | st.tuples(SEEDS, PATHS))
+    if other is not None:
+        chunk.insert(draw(st.integers(0, len(chunk))), other)
+    return chunk
 
 
 def numpy_generator(seed, path):
@@ -142,10 +160,11 @@ def numpy_generator(seed, path):
         np.random.SeedSequence(seed, spawn_key=path)))
 
 
-@given(st.lists(st.tuples(SEEDS, PATHS), min_size=1, max_size=8))
-@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(SEEDS, PATHS), min_size=1, max_size=8) | sibling_chunks())
+@settings(max_examples=300, deadline=None)
 def test_keys_match_seed_sequence(chunk):
-    # one chunk mixes seeds, path lengths and labels of one, two and three words
+    # a chunk mixes seeds, path lengths and labels of one, two and three words,
+    # or holds sibling forks that share their seed and a prefix
     keys = philox_keys([seed for seed, _ in chunk], [path for _, path in chunk])
     expected = [np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)
                 for seed, path in chunk]
