@@ -221,6 +221,8 @@ class UniformStream:
                  ledger: CostLedger | None = None):
         self.seed = seed & _SEED_MASK
         self.path = tuple(map(int, path))  # key derivation reads Python ints
+        if any(label < 0 for label in self.path):
+            raise ValueError("path labels must be nonnegative integers")
         self.counter = 0
         self.ledger = CostLedger() if ledger is None else ledger
         self.key: tuple[int, int] | None = None

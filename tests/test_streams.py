@@ -107,6 +107,8 @@ def test_invalid_arguments_rejected():
         s.fork(-1)
     with pytest.raises(ValueError):
         s.draw(-1)
+    with pytest.raises(ValueError):
+        UniformStream(1, (0, -1))
 
 
 @pytest.mark.parametrize("seed", DEFAULT_SEEDS)
