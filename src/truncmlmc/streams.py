@@ -310,14 +310,14 @@ def draw_rows(streams: Sequence[UniformStream], n: int) -> np.ndarray:
     state = {"bit_generator": "Philox", "state": position,
              "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     ledger, shared = streams[0].ledger, 0
-    for row, stream in zip(out, streams):
+    for j, stream in enumerate(streams):
         counter = stream.counter
         position["counter"] = (counter >> 2, 0, 0, 0)
         position["key"] = stream.key
         bitgen.state = state
         if counter & 3:
             bitgen.random_raw(counter & 3)
-        gen.random(out=row)
+        gen.random(out=out[j])
         stream.counter = counter + n
         if stream.ledger is ledger:
             shared += 1
