@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import mlmc
 from .anova import NumericalFailure
 from .integrands import Integrand
 from .mlmc import (EstimateRecord, LevelSchedule, _telescope, dyadic_prefixes,
@@ -99,8 +100,9 @@ def markov_schedule(d: int, gamma: float) -> LevelSchedule:
 
 def chain_width(schedule: LevelSchedule) -> int:
     """Innovations of one chain replication that size its chunks: its
-    widest level's n_l·m_l."""
-    return max(n_l * m_l for n_l, m_l in zip(schedule.n, schedule.m[1:]))
+    narrowest level's n_l·m_l.  Wider levels run in batches of the chunk's
+    replications (see :func:`estimate_chain_mlmc`)."""
+    return min(n_l * m_l for n_l, m_l in zip(schedule.n, schedule.m[1:]))
 
 
 def estimate_chain_mlmc(model: ChainModel, gamma: float,
@@ -112,6 +114,13 @@ def estimate_chain_mlmc(model: ChainModel, gamma: float,
     mutually independent; within a level the n_l coupled increments are iid,
     so the estimator variance is exactly sum_l V_l / n_l.  Unbiased for the
     expected terminal payoff.
+
+    Chunks are sized by :func:`chain_width`, the narrowest level's n_l·m_l.
+    Level l then runs over consecutive replications in batches of
+    ``_CHUNK_ELEMENTS // (n_l·m_l)``, at least one, so a batch's innovations
+    hold at most the budget or one replication's level.  Each batch forks its
+    replications' streams, draws and computes their increments once, and
+    steps all their paths together.
     """
     d = model.horizon
     if schedule is None:
@@ -122,10 +131,14 @@ def estimate_chain_mlmc(model: ChainModel, gamma: float,
     x0 = float(model.initial_state)
     times = np.arange(d)[:, None]
 
-    def sample(level: int, n_l: int, m_lo: int, m_hi: int) -> np.ndarray:
+    def batch(n_l: int, m_hi: int) -> int:
+        # read at call time, so a patched budget reaches the batches too
+        return max(1, mlmc._CHUNK_ELEMENTS // (n_l * m_hi))
+
+    def sample(level: int, n_l: int, m_lo: int, m_hi: int, rows: slice) -> np.ndarray:
         # one row of innovations per path, a replication's n_l paths adjacent;
         # transposed so that row k holds every path's increment of step k
-        ys = draw_rows([s.fork(level) for s in streams], n_l * m_hi)
+        ys = draw_rows([s.fork(level) for s in streams[rows]], n_l * m_hi)
         ys = np.ascontiguousarray(ys.reshape(-1, m_hi).T)
         z = model.increment(times[d - m_hi:], ys)
         del ys  # only the increments stay alive while the states step
@@ -143,7 +156,8 @@ def estimate_chain_mlmc(model: ChainModel, gamma: float,
         pays = np.asarray(model.payoff(states), dtype=float).reshape(len(states), -1, n_l)
         return pays[0] - pays[1] if m_lo else pays[0]
 
-    return _telescope(schedule, sample, ledger, ledger.snapshot())
+    return _telescope(schedule, sample, batch, len(streams), ledger,
+                      ledger.snapshot())
 
 
 def standard_mc_chain(model: ChainModel, n: int,

@@ -148,24 +148,36 @@ def record_from_snapshot(values: np.ndarray, before: tuple[int, int, int],
 
 
 def _telescope(schedule: LevelSchedule,
-               sample: Callable[[int, int, int, int], np.ndarray],
+               sample: Callable[[int, int, int, int, slice], np.ndarray],
+               batch: Callable[[int, int], int], reps: int,
                ledger: CostLedger, before: tuple[int, int, int]) -> EstimateRecord:
-    """A chunk of replications of the telescoping sum of level means over ``schedule``.
+    """A chunk of ``reps`` replications of the telescoping sum of level means
+    over ``schedule``.
 
-    ``sample(level, n_l, m_lo, m_hi)`` returns an [R, n_l] array: row j holds
-    replication j's n_l coupled increments, the payoff at prefix length m_hi
-    minus the payoff at m_lo, with no coarse term when m_lo = 0 (the level-0
-    term is identically zero).  Each row is reduced as one replication's
-    vector would be, so its bits do not depend on R.
+    Level l runs over consecutive replications in batches of ``batch(n_l,
+    m_l)``.  ``sample(level, n_l, m_lo, m_hi, rows)`` returns the batch's
+    [len(rows), n_l] increments: row j holds replication ``rows.start + j``'s
+    n_l coupled increments, the payoff at prefix length m_hi minus the payoff
+    at m_lo, with no coarse term when m_lo = 0 (the level-0 term is
+    identically zero).  Each batch is reduced into the chunk's columns before
+    the next is sampled, so no level's increments are held for the whole
+    chunk.  Each row is reduced as one replication's vector would be, and
+    its level means are added to 0.0 in level order, so its bits depend on
+    neither the chunk nor the batch.
     """
-    values, sums, squares = 0.0, [], []
+    values = np.zeros(reps)
+    level_sum = np.empty((reps, schedule.levels))
+    level_sq = np.empty((reps, schedule.levels))
     for k in range(schedule.levels):
-        diffs = sample(k + 1, schedule.n[k], schedule.m[k], schedule.m[k + 1])
-        sums.append(diffs.sum(axis=1))
-        squares.append(np.vecdot(diffs, diffs))
-        values = values + diffs.mean(axis=1)
-    return record_from_snapshot(values, before, ledger,
-                                np.column_stack(sums), np.column_stack(squares),
+        n_l, m_lo, m_hi = schedule.n[k], schedule.m[k], schedule.m[k + 1]
+        size = batch(n_l, m_hi)
+        for start in range(0, reps, size):
+            rows = slice(start, min(reps, start + size))
+            diffs = sample(k + 1, n_l, m_lo, m_hi, rows)
+            level_sum[rows, k] = diffs.sum(axis=1)
+            level_sq[rows, k] = np.vecdot(diffs, diffs)
+            values[rows] += diffs.mean(axis=1)
+    return record_from_snapshot(values, before, ledger, level_sum, level_sq,
                                 schedule.n)
 
 
@@ -193,7 +205,9 @@ def _cube_telescope(integrand: Integrand, base: np.ndarray | None,
     if base is None:
         base = drawn[:, :d]
 
-    def sample(level: int, n_l: int, m_lo: int, m_hi: int) -> np.ndarray:
+    def sample(level: int, n_l: int, m_lo: int, m_hi: int, rows: slice) -> np.ndarray:
+        # every level is one batch of the whole chunk, since its points run
+        # in sub-batches here
         prefixes = drawn[:, offsets[level - 1]:offsets[level]].reshape(reps, n_l, m_hi)
         diffs = np.empty((reps, n_l))
         batch = max(1, _CHUNK_ELEMENTS // (n_l * d))
@@ -210,7 +224,7 @@ def _cube_telescope(integrand: Integrand, base: np.ndarray | None,
                 diffs[part] -= integrand.eval_batch(rows, ledger).reshape(-1, n_l)
         return diffs
 
-    return _telescope(schedule, sample, ledger, before)
+    return _telescope(schedule, sample, lambda n_l, m_hi: reps, reps, ledger, before)
 
 
 def estimate_mlmc(integrand: Integrand, schedule: LevelSchedule,
@@ -297,11 +311,13 @@ def replicate(estimator: Callable[[Sequence[UniformStream]], EstimateRecord],
     ``width`` counts the elements of one replication that size the chunks,
     a function of the estimator's schedule alone: :func:`cube_width` for the
     cube telescopes, ``markov.chain_width`` for chains, n·d for
-    :func:`standard_mc` and n for ``markov.standard_mc_chain``.  Every chunk
-    but the last holds ``_CHUNK_ELEMENTS // width`` replications, at least
-    one.  The first chunk's columns size the cell's columns, which each chunk
-    then fills in place.  Row j depends on its own stream only, so the
-    columns do not depend on the chunk or sub-batch sizes.
+    :func:`standard_mc` and n for ``markov.standard_mc_chain``.  Both
+    multilevel widths are the narrowest level's, and the wider levels run
+    in batches of the chunk's replications.  Every chunk but the last holds
+    ``_CHUNK_ELEMENTS // width`` replications, at least one.  The first
+    chunk's columns size the cell's columns, which each chunk then fills in
+    place.  Row j depends on its own stream only, so the columns do not
+    depend on the chunk or batch sizes.
     Raises NumericalFailure when a value, the sample variance or a per-level
     sum is not finite.
     """

@@ -153,6 +153,14 @@ def _d_grid(cfg: dict[str, str], d_grid=None) -> tuple[int, ...]:
     return tuple(d_grid)
 
 
+def _tolerances(cfg: dict[str, str]) -> tuple[float, ...]:
+    """The config's tolerances ``eps``, each positive and finite."""
+    eps_list = as_float_list(cfg, "eps", (0.01,))
+    if not all(0.0 < e < math.inf for e in eps_list):  # false for nan too
+        raise ConfigError("config key 'eps': tolerances must be positive and finite")
+    return eps_list
+
+
 def run_config(cfg: dict[str, str], seed: int):
     """Execute all requested (method, d, eps) cells of an integrand experiment.
 
@@ -166,9 +174,7 @@ def run_config(cfg: dict[str, str], seed: int):
         if method not in METHODS:
             raise ConfigError(f"config key 'methods': unknown method {method!r}")
     d_grid = _d_grid(cfg)
-    eps_list = as_float_list(cfg, "eps", (0.01,))
-    if any(e <= 0 for e in eps_list):
-        raise ConfigError("config key 'eps': tolerances must be positive")
+    eps_list = _tolerances(cfg)
     reps = as_int(cfg, "reps", 1000)
     mc_n = as_int(cfg, "mc_n", 1)
     fix_v = as_choice(cfg, "fix_v", {"midpoint", "sample", "explicit"}, "midpoint")
@@ -185,12 +191,10 @@ def compare_scaling(cfg: dict[str, str], seed: int) -> list[BenchRow]:
     MLMC rows also carry the analytic variance bound driven by the truncation
     dimension, the quantity the measured variance is expected to respect.
     """
-    eps_list = as_float_list(cfg, "eps", (0.01,))
+    eps_list = _tolerances(cfg)
     if len(eps_list) != 1:
         raise ConfigError("config key 'eps': scaling comparison expects one tolerance")
     eps = eps_list[0]
-    if eps <= 0:
-        raise ConfigError("config key 'eps': tolerance must be positive")
     cells, _ = run_config({**cfg, "eps": str(eps)}, seed)
     rows = []
     for cell in cells:

@@ -30,6 +30,7 @@ a size fixed by its inputs, since they set the order of its sums.
 from __future__ import annotations
 
 import contextvars
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -220,7 +221,9 @@ class UniformStream:
     def __init__(self, seed: int, path: tuple[int, ...] = (),
                  ledger: CostLedger | None = None):
         self.seed = seed & _SEED_MASK
-        self.path = tuple(map(int, path))  # key derivation reads Python ints
+        # key derivation reads Python ints; a float or other non-integer
+        # label raises TypeError instead of aliasing an integer one
+        self.path = tuple(map(operator.index, path))
         if any(label < 0 for label in self.path):
             raise ValueError("path labels must be nonnegative integers")
         self.counter = 0
@@ -236,11 +239,12 @@ class UniformStream:
         The parent is unaffected; the child's draw sequence is a pure function
         of ``(seed, path, label)``.
         """
+        label = operator.index(label)  # a float raises TypeError, as in __init__
         if label < 0:
             raise ValueError("fork label must be a nonnegative integer")
         # the parent's fields are already normalized, so __init__ is skipped
         child = UniformStream.__new__(UniformStream)
-        child.seed, child.path, child.counter = self.seed, self.path + (int(label),), 0
+        child.seed, child.path, child.counter = self.seed, self.path + (label,), 0
         child.ledger, child.key = self.ledger, None
         return child
 

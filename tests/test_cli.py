@@ -156,6 +156,17 @@ def test_cli_config_error_exit_code(tmp_path, monkeypatch, capsys):
     assert "not_a_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "0.1,nan"])
+def test_grid_rejects_non_finite_tolerances(eps, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(f"integrand.family = additive\nd_grid = 4\neps = {eps}\n"
+                   "reps = 4\nseed = 1\n")
+    assert main(["estimate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'eps'" in err, err
+
+
 def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code = main(["estimate", "--family", "additive", "--d", "2", "--coeffs",
@@ -224,6 +235,10 @@ HUGE = "1e300,1e300"
     pytest.param(["bench", "--family", "product", "--d-grid", "2", "--coeffs", TINY,
                   "--methods", "mc", "--reps", "10", "--eps", "0.1"], 3, "variance",
                  id="bench-zero-variance"),
+    pytest.param(["bench", "--eps", "nan", "--d-grid", "4", "--reps", "4"], 2,
+                 "'eps'", id="bench-eps-nan"),
+    pytest.param(["bench", "--eps", "inf", "--d-grid", "4", "--reps", "4"], 2,
+                 "'eps'", id="bench-eps-inf"),
 ])
 def test_cli_exit_codes_name_the_fault(argv, code, fragment, tmp_path,
                                        monkeypatch, capsys):

@@ -58,6 +58,9 @@ INVOCATIONS = {
     "grid_threads1": ["estimate", "--config", "{config}", "--threads", "1"],
     "grid_threads2": ["estimate", "--config", "{config}", "--threads", "2"],
     "markov_d256": ["markov", "--d", "256", "--reps", "20", "--seed", "12"],
+    # a chain level wider than the budget runs in several replication batches
+    "markov_d1024": ["markov", "--d", "1024", "--gamma", "-2", "--reps", "40",
+                     "--seed", "12"],
     # d = 2 has a single level: pooled level sums over one column
     "lemma1_product_d2_d8": ["lemma1", "--family", "product", "--d-grid", "2,8",
                              "--seed", "12"],

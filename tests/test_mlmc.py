@@ -275,7 +275,9 @@ CELLS = {
 def test_columns_do_not_depend_on_chunk_size(method, monkeypatch):
     # a budget of 0 runs one replication per chunk; 4 * 256 runs the d = 256
     # cube cells in chunks of 4 replications and their level 1 in sub-batches
-    # of one; 2**62 runs every replication in one chunk
+    # of one, and the d = 64 chain in chunks of 68 replications with every
+    # level but the narrowest in batches of 16 to 48; 2**62 runs every
+    # replication in one chunk
     columns = {}
     for budget in (0, 4 * 256, mlmc._CHUNK_ELEMENTS, 2 ** 62):
         monkeypatch.setattr(mlmc, "_CHUNK_ELEMENTS", budget)
@@ -288,12 +290,16 @@ def test_columns_do_not_depend_on_chunk_size(method, monkeypatch):
             assert np.array_equal(a, b) if a is not None else b is None, budget
 
 
-def test_replication_memory_is_bounded_by_the_chunk_budget():
+@pytest.mark.parametrize("d,reps", [(64, 4000), (1024, 1000)])
+def test_replication_memory_is_bounded_by_the_chunk_budget(d, reps):
+    # at d = 1024 a chunk holds 130 replications, every level but the
+    # narrowest runs in batches of them, and the widest in batches of 16
+    cfg = {"chain.d": str(d)}
     root = new_stream(73)
-    run_markov_cell({"chain.d": "64"}, 64, 50, root)  # first-call allocations
+    run_markov_cell(cfg, d, 50, root)  # first-call allocations
     tracemalloc.start()
     try:
-        summary = run_markov_cell({"chain.d": "64"}, 64, 4000, root).summary
+        summary = run_markov_cell(cfg, d, reps, root).summary
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -109,6 +109,21 @@ def test_invalid_arguments_rejected():
         s.draw(-1)
     with pytest.raises(ValueError):
         UniformStream(1, (0, -1))
+    # a truncated float label would alias the integer one below it
+    for label in (1.5, np.float64(1.0)):
+        with pytest.raises(TypeError):
+            s.fork(label)
+    with pytest.raises(TypeError):
+        UniformStream(1, (2.7,))
+
+
+def test_numpy_integer_labels_are_python_ints():
+    for label in (np.int64(3), np.uint64(3), np.uint32(3)):
+        child = new_stream(1).fork(label)
+        assert child.path == (3,) and type(child.path[0]) is int
+        assert np.array_equal(child.draw(4), new_stream(1).fork(3).draw(4))
+    path = UniformStream(1, (np.int32(2), np.uint64(2**40))).path
+    assert path == (2, 2**40) and all(type(label) is int for label in path)
 
 
 @pytest.mark.parametrize("seed", DEFAULT_SEEDS)
