@@ -305,7 +305,8 @@ def test_replication_memory_is_bounded_by_the_chunk_budget(d, reps):
         tracemalloc.stop()
     columns = sum(a.nbytes for a in (summary.values, summary.costs,
                                      summary.level_sum, summary.level_sq))
-    # the chunks and their concatenation are both alive while summarize runs
+    # the cell's columns, one chunk's columns and level batch, and the
+    # summary's temporaries
     assert peak < 2 * columns + 4 * 8 * mlmc._CHUNK_ELEMENTS, (peak, columns)
 
 
