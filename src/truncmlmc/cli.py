@@ -77,9 +77,10 @@ def _merged_config(args) -> dict[str, str]:
 
 
 def _seed(args, cfg) -> int:
-    if args.seed is not None:
-        return args.seed
-    return as_int(cfg, "seed", 0)
+    seed = args.seed if args.seed is not None else as_int(cfg, "seed", 0)
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(f"seed {seed}: must lie in [0, 2**64)")
+    return seed
 
 
 def _out(args, cfg, default: str) -> str:
@@ -90,14 +91,14 @@ def _run_lines(cell: CellResult):
     """The RUN_HEADER rows of a cell, formatted, without line ends."""
     summary = cell.summary
     # each replication's value and cost are formatted once, not once per level
-    reps = [RUN_REP % row for row in zip(range(summary.replications),
-                                         summary.values.tolist(),
-                                         summary.costs.sum(axis=1).tolist())]
+    cost = summary.cost_units
+    reps = [RUN_REP % (rep, value, cost)
+            for rep, value in enumerate(summary.values.tolist())]
     if summary.level_sum is None:
         for rep in reps:
             yield rep + ",,,"
         return
-    levels = list(enumerate(summary.level_count.tolist(), start=1))
+    levels = list(enumerate(summary.level_count, start=1))
     for rep, sums in zip(reps, summary.level_sum.tolist()):
         for (level, count), level_sum in zip(levels, sums):
             yield RUN_LEVEL_ROW % (rep, level, level_sum, count)
@@ -236,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multilevel Monte Carlo estimators whose cost tracks the "
                     "truncation dimension; deterministic CSV benchmarks.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, help="root seed (decimal 64-bit integer)")
+    common.add_argument("--seed", type=int,
+                        help="root seed (decimal integer in [0, 2**64))")
     common.add_argument("--out", help="output CSV path")
     common.add_argument("--config", help="flat key=value config file")
     common.add_argument("--threads", type=int,

@@ -147,18 +147,20 @@ def integrand_from_config(cfg: dict[str, str], d: int | None = None) -> Integran
         d = as_int(cfg, "integrand.d")
     if d < 1:
         raise ConfigError("config key 'integrand.d': dimension must be positive")
-    coeffs = as_float_list(cfg, "integrand.coeffs", None)
+    key = "integrand.coeffs"
+    coeffs = as_float_list(cfg, key, None)
     if coeffs is not None:
         if len(coeffs) != d:
             raise ConfigError(
-                f"config key 'integrand.coeffs': expected {d} entries, got {len(coeffs)}")
+                f"config key {key!r}: expected {d} entries, got {len(coeffs)}")
     else:
-        coeffs = geometric_coefficients(d, as_float(cfg, "integrand.decay_r", 0.5))
+        key = "integrand.decay_r"
+        coeffs = geometric_coefficients(d, as_float(cfg, key, 0.5))
     maker = make_additive if family == "additive" else make_product
     try:
         return maker(coeffs)
     except ValueError as exc:
-        raise ConfigError(f"config key 'integrand.coeffs': {exc}") from exc
+        raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
 def decay_from_config(cfg: dict[str, str], horizon: int) -> tuple[tuple[int, ...], int]:

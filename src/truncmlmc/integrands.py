@@ -66,13 +66,16 @@ def geometric_coefficients(d: int, decay: float = 0.5) -> np.ndarray:
     """c_i = decay**(i-1): later coordinates matter geometrically less."""
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    return decay ** np.arange(d, dtype=float)
+    with np.errstate(over="ignore"):  # an infinite c_i is rejected when validated
+        return decay ** np.arange(d, dtype=float)
 
 
 def _validated_coefficients(c, product: bool) -> np.ndarray:
     c = np.atleast_1d(np.asarray(c, dtype=float)).copy()
     if c.ndim != 1 or c.size < 1:
         raise ValueError("coefficients must be a nonempty vector")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("coefficients must be finite")
     if not np.any(c != 0.0):
         raise ValueError("all-zero coefficients give a zero-variance integrand")
     if product and np.any((c <= -1.0) | (c > 1.0)):

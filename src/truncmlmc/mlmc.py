@@ -63,9 +63,10 @@ _CHUNK_ELEMENTS = 2 ** 14
 
 @dataclass(frozen=True)
 class EstimateRecord:
-    """A chunk of R replications in columns.
+    """R replications in columns: a chunk of a cell, or a whole cell.
 
-    ``values`` is [R] and ``costs`` [R, 3] (draw, step and eval units).
+    ``values`` is [R].  ``costs`` [3] holds the draw, step and eval units of
+    one replication: every replication of an estimator does the same work.
     Multilevel estimators add ``level_sum`` and ``level_sq`` [R, L], the sum
     and the sum of squares of each level's increments, and the increments per
     level of one replication, ``level_count`` [L].
@@ -78,33 +79,25 @@ class EstimateRecord:
     level_count: tuple[int, ...] | None = None
 
     @property
-    def cost_units(self) -> int:
-        """Units of one replication; every replication of a chunk costs the same."""
-        return int(self.costs[0].sum())
-
-
-@dataclass(frozen=True)
-class EstimateSummary:
-    """R independent replications in columns, with their mean, unbiased sample
-    variance (R-1 divisor) and mean cost.
-
-    ``values`` is [R], ``costs`` [R, 3] (draw, step and eval units).  Multilevel
-    estimators add ``level_sum`` and ``level_sq`` [R, L] and the increments per
-    level of one replication, ``level_count`` [L].
-    """
-
-    mean: float
-    sample_variance: float
-    mean_cost: float
-    values: np.ndarray
-    costs: np.ndarray
-    level_sum: np.ndarray | None = None
-    level_sq: np.ndarray | None = None
-    level_count: np.ndarray | None = None
-
-    @property
     def replications(self) -> int:
         return self.values.size
+
+    @property
+    def cost_units(self) -> int:
+        return int(self.costs.sum())
+
+    @property
+    def mean(self) -> float:
+        return float(self.values.mean())
+
+    @property
+    def sample_variance(self) -> float:
+        """Unbiased sample variance of the values (R-1 divisor)."""
+        return float(self.values.var(ddof=1))
+
+    @property
+    def mean_cost(self) -> float:
+        return float(self.cost_units)
 
 
 def dyadic_prefixes(d: int) -> tuple[int, ...]:
@@ -135,14 +128,14 @@ def record_from_snapshot(values: np.ndarray, before: tuple[int, int, int],
                          ledger: CostLedger, level_sum=None, level_sq=None,
                          level_count=None) -> EstimateRecord:
     """Close out a chunk of replications against the ledger state captured at
-    its start.  Every replication of a chunk does the same work, so each is
-    charged an equal share of the chunk's units."""
+    its start.  Every replication of a chunk does the same work, so the record
+    holds one equal share of the chunk's units."""
     reps = values.size
     delta = np.subtract(ledger.snapshot(), before)
     if np.any(delta % reps):
         raise RuntimeError(f"cost units {delta.tolist()} do not split evenly "
                            f"over {reps} replications")
-    return EstimateRecord(values=values, costs=np.tile(delta // reps, (reps, 1)),
+    return EstimateRecord(values=values, costs=delta // reps,
                           level_sum=level_sum, level_sq=level_sq,
                           level_count=level_count)
 
@@ -278,34 +271,24 @@ def standard_mc(integrand: Integrand, n: int,
     return record_from_snapshot(values.mean(axis=1), before, ledger)
 
 
-def _joined(columns: list[np.ndarray]) -> np.ndarray:
-    """The columns of consecutive chunks as one; a single chunk's is not copied."""
-    return columns[0] if len(columns) == 1 else np.concatenate(columns)
-
-
-def summarize(records: Sequence[EstimateRecord]) -> EstimateSummary:
-    """Pool chunks of replications into columns with their mean, unbiased
-    sample variance and mean cost."""
-    values = _joined([r.values for r in records])
-    if values.size < 2:
+def summarize(record: EstimateRecord) -> EstimateRecord:
+    """The record of a cell, checked: at least 2 replications, and finite
+    values, sample variance and per-level sums, or NumericalFailure."""
+    if record.replications < 2:
         raise ValueError("summaries need at least 2 replications")
-    costs = _joined([r.costs for r in records])
-    level_sum = level_sq = level_count = None
-    if records[0].level_sum is not None:
-        level_sum = _joined([r.level_sum for r in records])
-        level_sq = _joined([r.level_sq for r in records])
-        level_count = np.array(records[0].level_count)
-    return EstimateSummary(mean=float(values.mean()),
-                           sample_variance=float(values.var(ddof=1)),
-                           mean_cost=float(costs.sum(axis=1).mean()),
-                           values=values, costs=costs, level_sum=level_sum,
-                           level_sq=level_sq, level_count=level_count)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        checked = [record.values, record.sample_variance, record.level_sum,
+                   record.level_sq]
+        if not all(np.isfinite(column).all() for column in checked
+                   if column is not None):
+            raise NumericalFailure("non-finite estimate")
+    return record
 
 
 def replicate(estimator: Callable[[Sequence[UniformStream]], EstimateRecord],
-              reps: int, stream: UniformStream, width: int) -> EstimateSummary:
+              reps: int, stream: UniformStream, width: int) -> EstimateRecord:
     """Run ``reps`` independent replications, replication j on ``stream.fork(j)``,
-    and summarize.
+    and summarize them in one record.
 
     The estimator runs a chunk of consecutive replications per call.
     ``width`` counts the elements of one replication that size the chunks,
@@ -315,11 +298,12 @@ def replicate(estimator: Callable[[Sequence[UniformStream]], EstimateRecord],
     multilevel widths are the narrowest level's, and the wider levels run
     in batches of the chunk's replications.  Every chunk but the last holds
     ``_CHUNK_ELEMENTS // width`` replications, at least one.  The first
-    chunk's columns size the cell's columns, which each chunk then fills in
-    place.  Row j depends on its own stream only, so the columns do not
-    depend on the chunk or batch sizes.
-    Raises NumericalFailure when a value, the sample variance or a per-level
-    sum is not finite.
+    chunk sizes the cell's ``values``, ``level_sum`` and ``level_sq``
+    columns, which each chunk fills in place; a chunk's record is dropped
+    before the next chunk runs.  The first chunk's cost row and
+    ``level_count`` stand for every replication: a later chunk that costs
+    other units per replication raises ValueError.  Row j depends on its own
+    stream only, so the columns do not depend on the chunk or batch sizes.
     """
     if reps < 2:
         raise ValueError("need at least 2 replications")
@@ -327,7 +311,7 @@ def replicate(estimator: Callable[[Sequence[UniformStream]], EstimateRecord],
         raise ValueError("replication width must be positive")
     size = max(1, _CHUNK_ELEMENTS // width)
     columns = None
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+    with np.errstate(over="ignore", invalid="ignore"):  # summarize checks
         for start in range(0, reps, size):
             stop = min(reps, start + size)
             record = estimator([stream.fork(j) for j in range(start, stop)])
@@ -336,24 +320,23 @@ def replicate(estimator: Callable[[Sequence[UniformStream]], EstimateRecord],
                                  f"replications for {stop - start} streams")
             if columns is None:
                 columns = {name: np.empty((reps,) + column.shape[1:], column.dtype)
-                           for name in ("values", "costs", "level_sum", "level_sq")
+                           for name in ("values", "level_sum", "level_sq")
                            if (column := getattr(record, name)) is not None}
+                costs, level_count = record.costs, record.level_count
+            elif not np.array_equal(record.costs, costs):
+                raise ValueError(f"a chunk's replications cost {record.costs.tolist()} "
+                                 f"units, the first chunk's {costs.tolist()}")
             for name, column in columns.items():
                 column[start:stop] = getattr(record, name)
-        summary = summarize([EstimateRecord(level_count=record.level_count, **columns)])
-    checked = [summary.values, summary.sample_variance]
-    if summary.level_sum is not None:
-        checked += [summary.level_sum, summary.level_sq]
-    if not all(np.isfinite(column).all() for column in checked):
-        raise NumericalFailure("non-finite estimate")
-    return summary
+            del record
+    return summarize(EstimateRecord(costs=costs, level_count=level_count, **columns))
 
 
-def level_variance_estimates(summary: EstimateSummary) -> np.ndarray:
+def level_variance_estimates(summary: EstimateRecord) -> np.ndarray:
     """Unbiased per-level increment variances from the pooled level sums."""
     if summary.level_sum is None:
         raise ValueError("summary carries no per-level sums")
-    count = summary.replications * summary.level_count
+    count = summary.replications * np.array(summary.level_count)
     if np.any(count < 2):
         raise ValueError("every level needs at least 2 samples")
     # a left-to-right fold: sum(axis=0) turns pairwise on a single column (L = 1)
@@ -363,7 +346,7 @@ def level_variance_estimates(summary: EstimateSummary) -> np.ndarray:
     return np.maximum((total_sq - total ** 2 / count) / (count - 1), 0.0)
 
 
-def predicted_variance(summary: EstimateSummary, schedule: LevelSchedule) -> float:
+def predicted_variance(summary: EstimateRecord, schedule: LevelSchedule) -> float:
     """sum_l V_l / n_l from pooled level sums; exact in expectation for
     estimators whose levels are mutually independent (fixed base point, chains)."""
     v = level_variance_estimates(summary)
@@ -371,24 +354,32 @@ def predicted_variance(summary: EstimateSummary, schedule: LevelSchedule) -> flo
 
 
 def samples_needed(variance: float, eps: float) -> int:
-    """Replications needed to push the averaged variance to eps^2: ceil(var/eps^2)."""
+    """Replications needed to push the averaged variance to eps^2: ceil(var/eps^2),
+    at least 1 where the quotient underflows to 0, or NumericalFailure when
+    eps^2 underflows to 0 or the count overflows."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     if variance <= 0.0:
         raise DegenerateIntegrandError("variance must be positive to size a budget")
-    return math.ceil(variance / eps ** 2)
+    try:
+        return max(1, math.ceil(variance / eps ** 2))
+    except (ZeroDivisionError, OverflowError):
+        raise NumericalFailure(f"no finite sample count at eps={eps!r}") from None
 
 
-def work_normalized_variance(summary: EstimateSummary) -> float:
+def work_normalized_variance(summary: EstimateRecord) -> float:
     """Mean cost times sample variance; invariant under trivial averaging."""
     return summary.mean_cost * summary.sample_variance
 
 
-def total_budget(summary: EstimateSummary, eps: float) -> float:
+def total_budget(summary: EstimateRecord, eps: float) -> float:
     """Expected cost to reach variance eps^2 by independent replication."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    return samples_needed(summary.sample_variance, eps) * summary.mean_cost
+    budget = samples_needed(summary.sample_variance, eps) * summary.mean_cost
+    if not math.isfinite(budget):
+        raise NumericalFailure(f"total budget at eps={eps!r} is not finite")
+    return budget
 
 
 def optimal_allocation(V, t, target_variance: float) -> np.ndarray:

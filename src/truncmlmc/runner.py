@@ -19,7 +19,7 @@ from .config import (METHODS, ConfigError, as_choice, as_float_list,
                      integrand_from_config)
 from .integrands import Integrand
 from .markov import chain_width, estimate_chain_mlmc, markov_schedule
-from .mlmc import (EstimateSummary, LevelSchedule, NumericalFailure,
+from .mlmc import (EstimateRecord, LevelSchedule, NumericalFailure,
                    check_level_budget_bound, cube_width, estimate_mlmc,
                    estimate_mlmc_fixed, level_budget_rhs_se,
                    level_variance_estimates, replicate, standard_mc,
@@ -60,7 +60,7 @@ class CellResult:
 
     method: str
     d: int
-    summary: EstimateSummary
+    summary: EstimateRecord
 
 
 def resolve_fixed_point(mode: str, d: int, root: UniformStream,
@@ -97,7 +97,7 @@ def _multilevel_schedule(method: str, d: int) -> LevelSchedule:
 
 
 def _replicate_cell(method: str, d: int, estimator, reps: int,
-                    root: UniformStream, width: int) -> EstimateSummary:
+                    root: UniformStream, width: int) -> EstimateRecord:
     """Replicate ``estimator``, whose replications are ``width`` elements wide,
     on the cell's labelled stream; failures name the cell."""
     if reps < 2:
@@ -154,10 +154,11 @@ def _d_grid(cfg: dict[str, str], d_grid=None) -> tuple[int, ...]:
 
 
 def _tolerances(cfg: dict[str, str]) -> tuple[float, ...]:
-    """The config's tolerances ``eps``, each positive and finite."""
+    """The config's tolerances ``eps``: each, and its square, positive and finite."""
     eps_list = as_float_list(cfg, "eps", (0.01,))
-    if not all(0.0 < e < math.inf for e in eps_list):  # false for nan too
-        raise ConfigError("config key 'eps': tolerances must be positive and finite")
+    if not all(0.0 < e and 0.0 < e * e < math.inf for e in eps_list):  # not nan
+        raise ConfigError("config key 'eps': tolerances and their squares must be "
+                          "positive and finite")
     return eps_list
 
 
@@ -245,7 +246,7 @@ def lemma1_diagnostic(cfg: dict[str, str], seed: int, d_grid=None,
             "lemma1", d, partial(estimate_mlmc_fixed, integrand, v, schedule), reps,
             root, cube_width(schedule))
         V = level_variance_estimates(summary)
-        counts = summary.replications * summary.level_count
+        counts = summary.replications * np.array(summary.level_count)
         V_se = V * np.sqrt(2.0 / np.maximum(counts - 1.0, 1.0))
         nu = analytic_profile(integrand).D
         rhs_se = level_budget_rhs_se(schedule.m, V, V_se)

@@ -40,7 +40,6 @@ from typing import Sequence
 
 import numpy as np
 
-_SEED_MASK = (1 << 64) - 1
 _MASK32 = 0xFFFFFFFF
 
 # Paths per row block of the restart decay, as in mlmc's chunks; no sampled
@@ -220,7 +219,9 @@ class UniformStream:
 
     def __init__(self, seed: int, path: tuple[int, ...] = (),
                  ledger: CostLedger | None = None):
-        self.seed = seed & _SEED_MASK
+        self.seed = operator.index(seed)
+        if not 0 <= self.seed < 1 << 64:  # no seed may alias another
+            raise ValueError(f"seed {self.seed} does not lie in [0, 2**64)")
         # key derivation reads Python ints; a float or other non-integer
         # label raises TypeError instead of aliasing an integer one
         self.path = tuple(map(operator.index, path))

@@ -108,7 +108,7 @@ def _mlmc_cells(reps=10_000, d_grid=(4, 16, 64, 256)):
             stream = root.fork(fork_label).fork(d)
             summary = replicate(lambda s: estimate_mlmc(integrand, schedule, s),
                                 reps, stream, cube_width(schedule))
-            yield name, d, integrand, summary, summary.costs[:, 0].max()
+            yield name, d, integrand, summary, summary.costs[0]
 
 
 @criterion(4, "variance of the truncation-coupled estimator within its bound, "
@@ -131,8 +131,8 @@ def test_criterion_05_cost_bound():
         record = estimate_mlmc(make_additive(geometric_coefficients(d)), schedule,
                                [new_stream(50)])
         expected = d + sum(nl * ml for nl, ml in zip(schedule.n, schedule.m[1:]))
-        assert record.costs[0, 0] == expected
-        assert record.costs[0, 0] <= 9 * d
+        assert record.costs[0] == expected
+        assert record.costs[0] <= 9 * d
     for name, d, _, _, max_draws in _mlmc_cells(reps=200):
         assert max_draws <= 9 * d, (name, d)
 

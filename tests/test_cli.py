@@ -1,8 +1,14 @@
+import contextlib
 import csv
+import io
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from truncmlmc import Integrand, cli, new_stream, streams
 from truncmlmc.cli import main
@@ -170,7 +176,7 @@ def test_grid_rejects_non_finite_tolerances(eps, tmp_path, monkeypatch, capsys):
 def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code = main(["estimate", "--family", "additive", "--d", "2", "--coeffs",
-                 "inf,1", "--method", "mc", "--reps", "5", "--seed", "1"])
+                 "1e300,1", "--method", "mc", "--reps", "5", "--seed", "1"])
     assert code == 3
     err = capsys.readouterr().err
     assert "mc" in err and "d=2" in err
@@ -239,14 +245,56 @@ HUGE = "1e300,1e300"
                  "'eps'", id="bench-eps-nan"),
     pytest.param(["bench", "--eps", "inf", "--d-grid", "4", "--reps", "4"], 2,
                  "'eps'", id="bench-eps-inf"),
+    # eps ** 2 underflows to 0, the count var / eps ** 2 overflows, the count
+    # times the units of a replication overflows, eps ** 2 overflows
+    pytest.param(["bench", "--eps", "1e-200", "--d-grid", "4", "--reps", "4"], 2,
+                 "'eps'", id="bench-eps-square-underflows"),
+    pytest.param(["bench", "--eps", "1e-160", "--d-grid", "4", "--reps", "4"], 3,
+                 "sample count", id="bench-eps-count-overflows"),
+    pytest.param(["bench", "--eps", "5e-155", "--d-grid", "4", "--reps", "4"], 3,
+                 "total budget", id="bench-eps-budget-overflows"),
+    pytest.param(["bench", "--eps", "1e308", "--d-grid", "4", "--reps", "4"], 2,
+                 "'eps'", id="bench-eps-square-overflows"),
+    pytest.param(["estimate", "--d", "2", "--coeffs", "1,nan", "--method", "mc",
+                  "--reps", "5"], 2, "'integrand.coeffs': coefficients must be finite",
+                 id="estimate-coeffs-nan"),
+    pytest.param(["anova", "--d", "2", "--coeffs", "1,inf"], 2,
+                 "'integrand.coeffs': coefficients must be finite", id="anova-coeffs-inf"),
+    pytest.param(["lemma1", "--d", "4", "--decay-r", "nan", "--reps", "5"], 2,
+                 "'integrand.decay_r': coefficients must be finite",
+                 id="lemma1-decay-r-nan"),
+    # every c_i = 1e308 ** (i - 1) past the first two overflows to inf
+    pytest.param(["bench", "--d-grid", "4", "--decay-r", "1e308", "--reps", "4"], 2,
+                 "'integrand.decay_r': coefficients must be finite",
+                 id="bench-decay-r-overflows"),
 ])
 def test_cli_exit_codes_name_the_fault(argv, code, fragment, tmp_path,
                                        monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert main(argv + ["--seed", "1"]) == code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--seed", "1"]) == code
     err = capsys.readouterr().err
     prefix = "config error:" if code == 2 else "numerical failure:"
     assert err.startswith(prefix) and fragment in err, err
+    # one line on stderr: the message, and no warning
+    assert err.count("\n") == 1, err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_seeds_outside_64_bits_are_config_errors(seed, tmp_path, monkeypatch, capsys):
+    # apart from the exit-code table, which appends its own --seed; a seed
+    # reduced mod 2**64 would alias one in range
+    monkeypatch.chdir(tmp_path)
+    argv = ["estimate", "--method", "mlmc", "--d", "8", "--reps", "10"]
+    config = tmp_path / "seed.cfg"
+    config.write_text(f"seed = {seed}\n")
+    assert main(argv + ["--seed", seed]) == 2
+    assert main(argv + ["--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: seed {seed}: must lie in [0, 2**64)\n" * 2, err
+    assert main(argv + ["--seed", str(2 ** 64 - 1)]) == 0
 
 
 def test_markov_schedule_keeps_a_replication_where_the_power_underflows(
@@ -386,3 +434,96 @@ def test_estimate_fix_v_modes_differ(tmp_path, monkeypatch):
     assert mid != (tmp_path / "exp.csv").read_bytes()
     # explicit mode requires a full-length point
     assert main(base + ["--fix-v", "explicit", "--v-values", "0.1"]) == 2
+
+
+# --- exit codes over generated argvs ----------------------------------------
+
+FUZZ_FLOATS = ("nan", "inf", "-inf", "0", "-1", "1e200", "1e-200", "1e308", "-1e308",
+               "1e-308")
+FUZZ_SEEDS = ("-1", str(2 ** 64))
+
+
+def _floats(*valid):
+    """One of ``valid`` about half the time, else a value from FUZZ_FLOATS."""
+    return st.one_of(st.sampled_from(valid), st.sampled_from(FUZZ_FLOATS))
+
+
+def _float_list(size, *valid):
+    """``size`` entries from ``valid``, or 1 to ``size`` entries of which any
+    may be out of range."""
+    return st.one_of(st.lists(st.sampled_from(valid), min_size=size, max_size=size),
+                     st.lists(_floats(*valid), min_size=1, max_size=size)).map(",".join)
+
+
+def _int_list(top):
+    return st.lists(st.integers(-1, top), min_size=1, max_size=3).map(
+        lambda values: ",".join(map(str, values)))
+
+
+def _ints(top):
+    return st.integers(-1, top).map(str)
+
+
+@st.composite
+def bounded_argvs(draw):
+    """A CLI argv with d and the d grid at most 16, reps at most 8 and pairs,
+    mc_n and decay paths at most 64; every numeric flag may be out of range."""
+    command = draw(st.sampled_from(("anova", "estimate", "bench", "markov", "lemma1")))
+    argv = [command]
+    d = draw(st.integers(-1, 16))
+    size = max(d, 1)
+    flags = {"--d": st.just(str(d)),
+             "--seed": st.one_of(st.sampled_from(("0", "12", str(2 ** 64 - 1))),
+                                 st.sampled_from(FUZZ_SEEDS))}
+    if command == "markov":
+        if draw(st.booleans()):
+            argv.append("decay")
+            flags.update({"--i": _int_list(16), "--n": _ints(64)})
+        else:
+            flags["--reps"] = _ints(8)
+        flags.update({"--gamma": _floats("-2", "-1.5"), "--a": _floats("-1", "-0.5"),
+                      "--b": _floats("1", "0.5"), "--time-varying": st.none()})
+    else:
+        flags.update({"--family": st.sampled_from(("additive", "product")),
+                      "--coeffs": _float_list(size, "0.5", "-0.5", "1"),
+                      "--decay-r": _floats("0.5", "0.9")})
+    if command == "anova":
+        flags.update({"--method": st.sampled_from(("analytic", "mc")),
+                      "--pairs": _ints(64)})
+    if command in ("estimate", "bench", "lemma1"):
+        flags["--reps"] = _ints(8)
+    if command in ("estimate", "bench"):
+        flags["--mc-n"] = _ints(64)
+    if command == "estimate":
+        flags.update({"--method": st.sampled_from(("mc", "mlmc", "mlmc-fixed")),
+                      "--fix-v": st.sampled_from(("midpoint", "sample", "explicit")),
+                      "--v-values": _float_list(size, "0.5", "0.1")})
+    if command in ("bench", "lemma1"):
+        flags["--d-grid"] = _int_list(16)
+    if command == "bench":
+        flags.update({"--eps": _floats("0.1", "0.01", "1e-150"),
+                      "--methods": st.sampled_from(("mc", "mlmc,mlmc-fixed"))})
+    for flag, values in flags.items():
+        # the size flags are always given, so that no run is large
+        if flag in ("--d", "--reps", "--n") or draw(st.booleans()):
+            value = draw(values)
+            argv.append(flag if value is None else f"{flag}={value}")
+    return argv
+
+
+@given(bounded_argvs())
+@settings(max_examples=300, deadline=None)
+def test_every_exit_code_is_truthful(argv):
+    # 0, or a one-line config error (2) or numerical failure (3); argparse's
+    # own usage errors exit 2 through SystemExit
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # a warning is a second line
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv + ["--out", os.path.join(tmp, "out.csv")])
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    if code in (2, 3) and "usage:" not in err.getvalue():
+        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())

@@ -61,6 +61,10 @@ INVOCATIONS = {
     # a chain level wider than the budget runs in several replication batches
     "markov_d1024": ["markov", "--d", "1024", "--gamma", "-2", "--reps", "40",
                      "--seed", "12"],
+    # a drift of 0 keeps the batched levels' increments nonzero, so a batch
+    # that samples other replications changes bytes
+    "markov_d1024_zero_drift": ["markov", "--d", "1024", "--a", "-0.5", "--b", "0.5",
+                                "--gamma", "-2", "--reps", "40", "--seed", "12"],
     # d = 2 has a single level: pooled level sums over one column
     "lemma1_product_d2_d8": ["lemma1", "--family", "product", "--d-grid", "2,8",
                              "--seed", "12"],

@@ -165,7 +165,7 @@ def test_chain_mlmc_cost_identity():
     schedule = markov_schedule(d, -2.0)
     ledger = CostLedger()
     rec = estimate_chain_mlmc(make_lindley(d), -2.0, [new_stream(7, ledger)])
-    draw_units, step_units, eval_units = rec.costs[0]
+    draw_units, step_units, eval_units = rec.costs
     expected_steps = sum(nl * (hi + lo) for nl, hi, lo
                          in zip(schedule.n, schedule.m[1:], schedule.m[:-1]))
     assert step_units == expected_steps
@@ -212,7 +212,7 @@ def test_standard_mc_chain_costs():
     ledger = CostLedger()
     rec = standard_mc_chain(make_lindley(6), 50, [new_stream(10, ledger)])
     assert ledger.snapshot() == (300, 300, 50)
-    assert rec.costs[0].sum() == 650
+    assert rec.costs.sum() == 650
 
 
 def test_measure_decay_endpoints_and_monotonicity():

@@ -21,10 +21,11 @@ from truncmlmc.markov import estimate_chain_mlmc, make_lindley, standard_mc_chai
 from truncmlmc.runner import run_estimator_cell, run_markov_cell
 
 
-def record(value, draw_units):
-    """One hand-made replication that drew ``draw_units`` uniforms."""
-    return EstimateRecord(values=np.array([value]),
-                          costs=np.array([[draw_units, 0, 0]]))
+def record(values, draw_units):
+    """Hand-made replications, one per value, each of which drew
+    ``draw_units`` uniforms."""
+    return EstimateRecord(values=np.array(values, dtype=float),
+                          costs=np.array([draw_units, 0, 0]))
 
 
 def test_schedule_examples():
@@ -75,13 +76,13 @@ def test_mlmc_draw_cost_is_exact_and_bounded(d):
     f = make_additive(geometric_coefficients(d))
     schedule = truncation_schedule(d)
     rec = estimate_mlmc(f, schedule, [new_stream(13)])
-    draw_units, step_units, eval_units = rec.costs[0]
+    draw_units, step_units, eval_units = rec.costs
     expected_draws = d + sum(nl * ml for nl, ml in zip(schedule.n, schedule.m[1:]))
     assert draw_units == expected_draws
     assert draw_units <= 9 * d
     expected_evals = 1 + schedule.n[0] + 2 * sum(schedule.n[1:])
     assert eval_units == expected_evals
-    assert rec.costs[0].sum() == draw_units + eval_units
+    assert rec.costs.sum() == draw_units + eval_units
 
 
 def test_mlmc_charges_base_payoff_without_evaluating_it():
@@ -96,7 +97,7 @@ def test_mlmc_charges_base_payoff_without_evaluating_it():
     counted = Integrand(dimension=d, evaluator=evaluator, steps_per_eval=3)
     schedule = truncation_schedule(d)
     rec = estimate_mlmc(counted, schedule, [new_stream(13)])
-    _, step_units, eval_units = rec.costs[0]
+    _, step_units, eval_units = rec.costs
     assert sum(rows) == schedule.n[0] + 2 * sum(schedule.n[1:])
     assert eval_units == 1 + sum(rows)
     assert step_units == 3 * eval_units
@@ -108,7 +109,7 @@ def test_mlmc_fixed_cost_excludes_base_point():
     f = make_additive(geometric_coefficients(d))
     schedule = truncation_schedule(d)
     rec = estimate_mlmc_fixed(f, np.full(d, 0.5), schedule, [new_stream(13)])
-    draw_units, _, eval_units = rec.costs[0]
+    draw_units, _, eval_units = rec.costs
     assert draw_units == sum(nl * ml for nl, ml in zip(schedule.n, schedule.m[1:]))
     assert eval_units == schedule.n[0] + 2 * sum(schedule.n[1:])
 
@@ -191,8 +192,8 @@ def test_standard_mc_single_sample():
     f = make_additive([1.0, 1.0])
     stream = new_stream(41)
     rec = standard_mc(f, 1, [stream])
-    assert rec.costs[0].sum() == 2 + 1
-    assert rec.costs[0, 0] == 2
+    assert rec.costs.sum() == 2 + 1
+    assert rec.costs[0] == 2
     check = new_stream(41)
     assert rec.values[0] == f.eval(check.draw(2))
 
@@ -207,7 +208,7 @@ def test_standard_mc_mean_and_variance():
 
 
 def test_replicate_constant_closure():
-    rec = record(3.0, 5)
+    rec = record([3.0], 5)
     # one replication per chunk, as the closure returns
     summary = replicate(lambda s: rec, 2, new_stream(1), mlmc._CHUNK_ELEMENTS)
     assert summary.mean == 3.0
@@ -219,9 +220,9 @@ def test_summary_mean_matches_recorded_values():
     f = make_product([0.5, 0.5, 0.5])
     schedule = truncation_schedule(3)
     root = new_stream(53)
-    records = [estimate_mlmc(f, schedule, [root.fork(j)]) for j in range(100)]
-    summary = summarize(records)
-    values = np.concatenate([r.values for r in records])
+    rec = estimate_mlmc(f, schedule, [root.fork(j) for j in range(100)])
+    summary = summarize(rec)
+    values = rec.values
     assert summary.mean == pytest.approx(values.mean(), rel=1e-12)
     assert summary.sample_variance == pytest.approx(values.var(ddof=1), rel=1e-12)
 
@@ -244,7 +245,14 @@ def test_replicate_runs_full_chunks_from_the_first(monkeypatch):
 
 def test_replicate_requires_two():
     with pytest.raises(ValueError):
-        replicate(lambda s: record(1.0, 1), 1, new_stream(1), 1)
+        replicate(lambda s: record([1.0], 1), 1, new_stream(1), 1)
+
+
+def test_replicate_rejects_chunks_of_unequal_cost():
+    # the first chunk's cost row stands for every replication of the cell
+    chunks = iter([record([1.0], 5), record([2.0], 6)])
+    with pytest.raises(ValueError, match="cost"):
+        replicate(lambda s: next(chunks), 2, new_stream(1), mlmc._CHUNK_ELEMENTS)
 
 
 def test_fixed_base_levels_satisfy_variance_identity():
@@ -403,6 +411,8 @@ def test_samples_needed_cases():
     assert samples_needed(1.0, 0.1) == 100
     assert samples_needed(0.025, 0.1) == 3
     assert samples_needed(1e-6, 1.0) == 1
+    # var / eps ** 2 underflows to 0, yet one replication is needed
+    assert samples_needed(1e-20, 1e154) == 1
     with pytest.raises(ValueError):
         samples_needed(0.0, 0.1)
     with pytest.raises(ValueError):
@@ -410,7 +420,7 @@ def test_samples_needed_cases():
 
 
 def test_work_normalized_variance_and_budget():
-    summary = summarize([record(3.0, 10), record(4.0, 10)])
+    summary = summarize(record([3.0, 4.0], 10))
     assert summary.sample_variance == pytest.approx(0.5)
     assert work_normalized_variance(summary) == pytest.approx(5.0)
     # variance 0.5, cost 10: eps 0.1 needs 50 replications
@@ -432,7 +442,7 @@ def test_work_normalized_variance_invariant_to_averaging():
        st.floats(min_value=1e-3, max_value=1e3))
 @settings(max_examples=60, deadline=None)
 def test_total_budget_sandwich(variance, eps, cost):
-    summary = summarize([record(0.0, 1), record(1.0, 1)])
+    summary = summarize(record([0.0, 1.0], 1))
     budget = samples_needed(variance, eps) * cost
     lower = (cost + cost * variance / eps ** 2) / 2
     upper = cost + cost * variance / eps ** 2

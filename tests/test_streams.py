@@ -115,6 +115,10 @@ def test_invalid_arguments_rejected():
             s.fork(label)
     with pytest.raises(TypeError):
         UniformStream(1, (2.7,))
+    # a seed reduced mod 2**64 would alias one in range
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match=r"2\*\*64"):
+            new_stream(seed)
 
 
 def test_numpy_integer_labels_are_python_ints():
