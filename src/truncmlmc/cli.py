@@ -3,6 +3,12 @@
 All output is deterministic given (config, seed): reals are written with 17
 significant digits, rows in fixed grid order, UTF-8, comma-delimited.  Exit
 codes: 0 success, 2 configuration error, 3 numerical failure.
+
+Each flag's argparse dest is its config key.  ``main`` merges the config
+files and the given flags into one config and reads its seed; a subcommand's
+handler returns its default file name, CSV header, rows and message, and
+``main`` writes the CSV and prints the message.  The ``config`` readers check
+every value.
 """
 
 from __future__ import annotations
@@ -14,14 +20,13 @@ import numpy as np
 
 from .anova import (DegenerateIntegrandError, NumericalFailure,
                     analytic_profile, mc_profile)
-from .config import (ConfigError, as_float_list, as_int,
+from .config import (KNOWN_KEYS, ConfigError, as_int, as_seed,
                      chain_from_config, decay_from_config,
                      integrand_from_config, load_config)
 from .markov import measure_decay
 from .mlmc import total_budget, work_normalized_variance
 from .runner import (FORK_LABELS, CellResult, compare_scaling,
-                     lemma1_diagnostic, run_config, run_estimator_cell,
-                     run_markov_cell)
+                     lemma1_diagnostic, run_cells, run_config, run_markov_cell)
 from .streams import new_stream
 
 RUN_HEADER = ("rep", "value", "cost_units", "level", "level_sum", "level_count")
@@ -65,26 +70,14 @@ def _write_csv(path: str, header, lines) -> None:
 
 
 def _merged_config(args) -> dict[str, str]:
+    """The config files, then every flag given: a flag's dest is its key."""
     cfg: dict[str, str] = {}
-    for path in (getattr(args, "config", None), getattr(args, "integrand_cfg", None)):
+    for path in (args.config, getattr(args, "integrand_cfg", None)):
         if path:
             cfg.update(load_config(path))
-    for attr, key in getattr(args, "override_map", {}).items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            cfg[key] = str(value)
+    cfg.update((key, str(value)) for key, value in vars(args).items()
+               if key in KNOWN_KEYS and value is not None)
     return cfg
-
-
-def _seed(args, cfg) -> int:
-    seed = args.seed if args.seed is not None else as_int(cfg, "seed", 0)
-    if not 0 <= seed < 1 << 64:
-        raise ConfigError(f"seed {seed}: must lie in [0, 2**64)")
-    return seed
-
-
-def _out(args, cfg, default: str) -> str:
-    return args.out or cfg.get("out") or default
 
 
 def _run_lines(cell: CellResult):
@@ -104,47 +97,38 @@ def _run_lines(cell: CellResult):
             yield RUN_LEVEL_ROW % (rep, level, level_sum, count)
 
 
-def cmd_anova(args) -> int:
-    cfg = _merged_config(args)
+def cmd_anova(args, cfg, seed):
     integrand = integrand_from_config(cfg)
-    seed = _seed(args, cfg)
     # a non-finite profile raises NumericalFailure when it is built
     if args.method == "analytic":
         with np.errstate(over="ignore", invalid="ignore"):
             profile = analytic_profile(integrand)
         se = np.zeros(integrand.dimension + 1)
     else:
-        pairs = as_int(cfg, "pairs", 100_000)
-        if pairs < 2:
-            raise ConfigError("config key 'pairs': need at least 2 pairs")
+        pairs = as_int(cfg, "pairs", 100_000, least=2)
         stream = new_stream(seed).fork(FORK_LABELS["anova"]).fork(integrand.dimension)
         with np.errstate(over="ignore", invalid="ignore"):
             profile = mc_profile(integrand, pairs, stream)
         se = profile.se
-    out = _out(args, cfg, "profile.csv")
-    _write_csv(out, ANOVA_HEADER,
-               [ANOVA_ROW % (i, D, se_i, profile.d_t, profile.var_f)
-                for i, (D, se_i) in enumerate(zip(profile.D.tolist(), se.tolist()))])
-    print(f"anova: var_f={profile.var_f:.17g} d_t={profile.d_t:.17g} -> {out}")
-    return 0
+    return ("profile.csv", ANOVA_HEADER,
+            [ANOVA_ROW % (i, D, se_i, profile.d_t, profile.var_f)
+             for i, (D, se_i) in enumerate(zip(profile.D.tolist(), se.tolist()))],
+            f"anova: var_f={profile.var_f:.17g} d_t={profile.d_t:.17g}")
 
 
-def cmd_estimate(args) -> int:
-    cfg = _merged_config(args)
-    seed = _seed(args, cfg)
-    out = _out(args, cfg, "runs.csv")
+def _cell_message(name: str, cell: CellResult) -> str:
+    summary = cell.summary
+    return (f"{name} d={cell.d}: mean={summary.mean:.17g} "
+            f"variance={summary.sample_variance:.17g} "
+            f"mean_cost={summary.mean_cost:.17g}")
+
+
+def cmd_estimate(args, cfg, seed):
     if args.method is not None:
-        integrand = integrand_from_config(cfg)
-        cell = run_estimator_cell(
-            args.method, integrand, as_int(cfg, "reps", 1000), new_stream(seed),
-            mc_n=as_int(cfg, "mc_n", 1), fix_v=cfg.get("fix_v", "midpoint"),
-            fix_v_values=as_float_list(cfg, "fix_v_values", None))
-        _write_csv(out, RUN_HEADER, _run_lines(cell))
-        summary = cell.summary
-        print(f"estimate {args.method} d={cell.d}: mean={summary.mean:.17g} "
-              f"variance={summary.sample_variance:.17g} "
-              f"mean_cost={summary.mean_cost:.17g} -> {out}")
-        return 0
+        (cell,) = run_cells(cfg, seed, (args.method,),
+                            (as_int(cfg, "integrand.d", least=1),))
+        return ("runs.csv", RUN_HEADER, _run_lines(cell),
+                _cell_message(f"estimate {args.method}", cell))
     # no single method requested: run the configured (method, d, eps) grid
     cells, eps_list = run_config(cfg, seed)
     lines = []
@@ -158,28 +142,20 @@ def cmd_estimate(args) -> int:
     for cell in cells:
         lines.extend(GRID_REP_ROW % (cell.method, cell.d, line)
                      for line in _run_lines(cell))
-    _write_csv(out, GRID_HEADER, lines)
-    print(f"estimate grid: {len(cells)} cells -> {out}")
-    return 0
+    return "runs.csv", GRID_HEADER, lines, f"estimate grid: {len(cells)} cells"
 
 
-def cmd_bench(args) -> int:
-    cfg = _merged_config(args)
-    seed = _seed(args, cfg)
+def cmd_bench(args, cfg, seed):
     rows = compare_scaling(cfg, seed)
-    out = _out(args, cfg, "bench.csv")
-    _write_csv(out, BENCH_HEADER,
-               [BENCH_ROW % (r.method, r.d, r.mean, r.sample_variance, r.mean_cost,
-                             r.wnv, r.total_budget,
-                             "" if r.theoretical_bound is None
-                             else _G % r.theoretical_bound) for r in rows])
-    print(f"bench: {len(rows)} rows -> {out}")
-    return 0
+    return ("bench.csv", BENCH_HEADER,
+            [BENCH_ROW % (r.method, r.d, r.mean, r.sample_variance, r.mean_cost,
+                          r.wnv, r.total_budget,
+                          "" if r.theoretical_bound is None
+                          else _G % r.theoretical_bound) for r in rows],
+            f"bench: {len(rows)} rows")
 
 
-def cmd_markov(args) -> int:
-    cfg = _merged_config(args)
-    seed = _seed(args, cfg)
+def cmd_markov(args, cfg, seed):
     root = new_stream(seed)
     if args.mode == "decay":
         model, _ = chain_from_config(cfg)
@@ -188,54 +164,43 @@ def cmd_markov(args) -> int:
         # a non-finite gap raises NumericalFailure once the gaps are reduced
         with np.errstate(over="ignore", invalid="ignore"):
             report = measure_decay(model, i_values, n, stream)
-        out = _out(args, cfg, "decay.csv")
-        _write_csv(out, DECAY_HEADER,
-                   [DECAY_ROW % (i, report.msd[k], report.se[k], report.fitted_gamma,
-                                 report.fitted_c_prime, report.power_r2,
-                                 report.geom_kappa, report.geom_theta, report.geom_r2)
-                    for k, i in enumerate(report.i_values)])
-        print(f"markov decay: gamma_hat={report.fitted_gamma:.17g} "
-              f"kappa_hat={report.geom_kappa:.17g} -> {out}")
-        return 0
-    d = as_int(cfg, "chain.d")
-    cell = run_markov_cell(cfg, d, as_int(cfg, "reps", 1000), root)
-    out = _out(args, cfg, "markov.csv")
-    _write_csv(out, RUN_HEADER, _run_lines(cell))
-    summary = cell.summary
-    print(f"markov d={d}: mean={summary.mean:.17g} "
-          f"variance={summary.sample_variance:.17g} "
-          f"mean_cost={summary.mean_cost:.17g} -> {out}")
-    return 0
+        return ("decay.csv", DECAY_HEADER,
+                [DECAY_ROW % (i, report.msd[k], report.se[k], report.fitted_gamma,
+                              report.fitted_c_prime, report.power_r2,
+                              report.geom_kappa, report.geom_theta, report.geom_r2)
+                 for k, i in enumerate(report.i_values)],
+                f"markov decay: gamma_hat={report.fitted_gamma:.17g} "
+                f"kappa_hat={report.geom_kappa:.17g}")
+    cell = run_markov_cell(cfg, as_int(cfg, "chain.d", least=2),
+                           as_int(cfg, "reps", 1000, least=2), root)
+    return "markov.csv", RUN_HEADER, _run_lines(cell), _cell_message("markov", cell)
 
 
-def cmd_lemma1(args) -> int:
-    cfg = _merged_config(args)
-    seed = _seed(args, cfg)
+def cmd_lemma1(args, cfg, seed):
     rows = lemma1_diagnostic(cfg, seed)
-    out = _out(args, cfg, "lemma1.csv")
-    _write_csv(out, LEMMA_HEADER,
-               [LEMMA_ROW % (r.family, r.d, r.lhs, r.rhs, r.rhs_se,
-                             "true" if r.passed else "false") for r in rows])
-    print(f"lemma1: {sum(r.passed for r in rows)}/{len(rows)} passed -> {out}")
-    return 0
+    return ("lemma1.csv", LEMMA_HEADER,
+            [LEMMA_ROW % (r.family, r.d, r.lhs, r.rhs, r.rhs_se,
+                          "true" if r.passed else "false") for r in rows],
+            f"lemma1: {sum(r.passed for r in rows)}/{len(rows)} passed")
 
 
-def _add_integrand_flags(parser) -> dict[str, str]:
+def _add_integrand_flags(parser) -> None:
     parser.add_argument("--integrand", dest="integrand_cfg", metavar="CFG",
                         help="flat config file with integrand.* keys")
-    parser.add_argument("--family", choices=("additive", "product"))
-    parser.add_argument("--d", type=int)
-    parser.add_argument("--coeffs", metavar="C1,C2,...")
-    parser.add_argument("--decay-r", dest="decay_r", type=float)
-    return {"family": "integrand.family", "d": "integrand.d",
-            "coeffs": "integrand.coeffs", "decay_r": "integrand.decay_r"}
+    parser.add_argument("--family", dest="integrand.family",
+                        choices=("additive", "product"))
+    parser.add_argument("--d", dest="integrand.d", type=int)
+    parser.add_argument("--coeffs", dest="integrand.coeffs",
+                        help="comma-separated coefficients, one per coordinate")
+    parser.add_argument("--decay-r", dest="integrand.decay_r", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="truncmlmc",
         description="Multilevel Monte Carlo estimators whose cost tracks the "
-                    "truncation dimension; deterministic CSV benchmarks.")
+                    "truncation dimension; deterministic CSV benchmarks.  Each "
+                    "flag sets the config key shown as its metavar.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int,
                         help="root seed (decimal integer in [0, 2**64))")
@@ -247,79 +212,76 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("anova", parents=[common],
                        help="residual-variance profile D(0..d) and d_t to CSV")
-    overrides = _add_integrand_flags(p)
+    _add_integrand_flags(p)
     p.add_argument("--method", choices=("analytic", "mc"), default="analytic")
     p.add_argument("--pairs", type=int, help="sample pairs per index (mc method)")
-    p.set_defaults(handler=cmd_anova, override_map={**overrides, "pairs": "pairs"})
+    p.set_defaults(handler=cmd_anova)
 
     p = sub.add_parser("estimate", parents=[common],
                        help="run one estimator or the configured grid")
-    overrides = dict(_add_integrand_flags(p))
+    _add_integrand_flags(p)
     p.add_argument("--method", choices=("mc", "mlmc", "mlmc-fixed"),
                    help="single estimator; omit to run the config's method grid")
     p.add_argument("--reps", type=int)
     p.add_argument("--mc-n", dest="mc_n", type=int,
                    help="points per replication for the mc method")
     p.add_argument("--fix-v", dest="fix_v", choices=("midpoint", "sample", "explicit"))
-    p.add_argument("--v-values", dest="fix_v_values", metavar="V1,V2,...",
+    p.add_argument("--v-values", dest="fix_v_values",
                    help="explicit base point for --fix-v explicit")
-    overrides.update({"reps": "reps", "mc_n": "mc_n", "fix_v": "fix_v",
-                      "fix_v_values": "fix_v_values"})
-    p.set_defaults(handler=cmd_estimate, override_map=overrides)
+    p.set_defaults(handler=cmd_estimate)
 
     p = sub.add_parser("bench", parents=[common],
                        help="method/dimension scaling table at one tolerance")
-    overrides = dict(_add_integrand_flags(p))
-    p.add_argument("--d-grid", dest="d_grid", metavar="D1,D2,...")
+    _add_integrand_flags(p)
+    p.add_argument("--d-grid", dest="d_grid", help="comma-separated dimensions")
     p.add_argument("--eps", type=float)
-    p.add_argument("--methods", metavar="M1,M2,...")
+    p.add_argument("--methods", help="comma-separated estimators")
     p.add_argument("--reps", type=int)
     p.add_argument("--mc-n", dest="mc_n", type=int)
-    overrides.update({"d_grid": "d_grid", "eps": "eps", "methods": "methods",
-                      "reps": "reps", "mc_n": "mc_n"})
-    p.set_defaults(handler=cmd_bench, override_map=overrides)
+    p.set_defaults(handler=cmd_bench)
 
     p = sub.add_parser("markov", parents=[common],
                        help="chain-functional estimator or restart-gap decay")
     p.add_argument("mode", nargs="?", choices=("estimate", "decay"),
                    default="estimate")
-    p.add_argument("--preset", choices=("lindley",))
-    p.add_argument("--d", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--time-varying", dest="time_varying", action="store_const",
+    p.add_argument("--preset", dest="chain.preset", choices=("lindley",))
+    p.add_argument("--d", dest="chain.d", type=int)
+    p.add_argument("--gamma", dest="chain.gamma", type=float)
+    p.add_argument("--a", dest="chain.a", type=float)
+    p.add_argument("--b", dest="chain.b", type=float)
+    p.add_argument("--time-varying", dest="chain.time_varying", action="store_const",
                    const="true")
     p.add_argument("--reps", type=int)
-    p.add_argument("--i", dest="decay_i", metavar="I1,I2,...",
-                   help="restart depths for decay mode")
-    p.add_argument("--n", dest="decay_n", type=int,
+    p.add_argument("--i", dest="decay.i", help="restart depths for decay mode")
+    p.add_argument("--n", dest="decay.n", type=int,
                    help="coupled paths per depth for decay mode")
-    p.set_defaults(handler=cmd_markov, override_map={
-        "preset": "chain.preset", "d": "chain.d", "gamma": "chain.gamma",
-        "a": "chain.a", "b": "chain.b", "time_varying": "chain.time_varying",
-        "reps": "reps", "decay_i": "decay.i", "decay_n": "decay.n"})
+    p.set_defaults(handler=cmd_markov)
 
     p = sub.add_parser("lemma1", parents=[common],
                        help="level-budget inequality with measured level variances")
-    overrides = dict(_add_integrand_flags(p))
-    p.add_argument("--d-grid", dest="d_grid", metavar="D1,D2,...")
+    _add_integrand_flags(p)
+    p.add_argument("--d-grid", dest="d_grid", help="comma-separated dimensions")
     p.add_argument("--reps", type=int)
-    overrides.update({"d_grid": "d_grid", "reps": "reps"})
-    p.set_defaults(handler=cmd_lemma1, override_map=overrides)
+    p.set_defaults(handler=cmd_lemma1)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        cfg = _merged_config(args)
+        seed = as_seed(cfg)
+        default, header, lines, message = args.handler(args, cfg, seed)
+        out = cfg.get("out") or default
+        _write_csv(out, header, lines)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NumericalFailure, DegenerateIntegrandError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    print(f"{message} -> {out}")
+    return 0
 
 
 if __name__ == "__main__":

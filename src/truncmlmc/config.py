@@ -2,6 +2,9 @@
 
 One assignment per line, ``#`` starts a comment, keys are validated against
 the documented set, and a config plus a seed determines every output byte.
+The readers parse and check each key once: integers against their lower
+bound, floats as finite numbers, choices against their options.  Every bad
+value raises ConfigError naming its key; the CLI's flags write the same keys.
 """
 
 from __future__ import annotations
@@ -89,19 +92,50 @@ def _coerce(cfg: dict[str, str], key: str, convert, default):
         raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
-def as_int(cfg, key, default=...):
-    return _coerce(cfg, key, int, default)
+def _integer(least):
+    def convert(text: str) -> int:
+        value = int(text)
+        if least is not None and value < least:
+            raise ValueError(f"expected at least {least}, got {value}")
+        return value
+
+    return convert
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return value
+
+
+def _items(convert):
+    return lambda value: tuple(convert(p.strip()) for p in value.split(",") if p.strip())
+
+
+def _choice(options):
+    def convert(value: str) -> str:
+        if value not in options:
+            raise ValueError(f"expected one of {sorted(options)}, got {value!r}")
+        return value
+
+    return convert
+
+
+def as_int(cfg, key, default=..., least=None):
+    return _coerce(cfg, key, _integer(least), default)
 
 
 def as_float(cfg, key, default=...):
-    return _coerce(cfg, key, float, default)
+    return _coerce(cfg, key, _finite, default)
 
 
-def _finite_float(cfg, key, default=...):
-    value = as_float(cfg, key, default)
-    if not math.isfinite(value):
-        raise ConfigError(f"config key {key!r}: expected a finite number, got {value!r}")
-    return value
+def as_seed(cfg) -> int:
+    """The ``seed`` key, default 0; seeds outside [0, 2**64) would alias."""
+    seed = as_int(cfg, "seed", 0)
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(f"seed {seed}: must lie in [0, 2**64)")
+    return seed
 
 
 def as_bool(cfg, key, default=...):
@@ -116,37 +150,51 @@ def as_bool(cfg, key, default=...):
     return _coerce(cfg, key, convert, default)
 
 
-def as_int_list(cfg, key, default=...):
-    return _coerce(cfg, key, lambda v: tuple(int(p) for p in v.split(",") if p.strip()),
-                   default)
+def as_int_list(cfg, key, default=..., least=None):
+    return _coerce(cfg, key, _items(_integer(least)), default)
 
 
 def as_float_list(cfg, key, default=...):
-    return _coerce(cfg, key, lambda v: tuple(float(p) for p in v.split(",") if p.strip()),
-                   default)
-
-
-def as_str_list(cfg, key, default=...):
-    return _coerce(cfg, key, lambda v: tuple(p.strip() for p in v.split(",") if p.strip()),
-                   default)
+    return _coerce(cfg, key, _items(_finite), default)
 
 
 def as_choice(cfg, key, options, default=...):
-    def convert(value: str) -> str:
-        if value not in options:
-            raise ValueError(f"expected one of {sorted(options)}, got {value!r}")
-        return value
+    return _coerce(cfg, key, _choice(options), default)
 
-    return _coerce(cfg, key, convert, default)
+
+def as_choice_list(cfg, key, options, default=...):
+    """A nonempty comma-separated list of ``options``."""
+    names = _coerce(cfg, key, _items(_choice(options)), default)
+    if not names:
+        raise ConfigError(f"config key {key!r}: empty list")
+    return names
+
+
+def tolerances_from_config(cfg: dict[str, str]) -> tuple[float, ...]:
+    """The tolerances ``eps``: each, and its square, positive and finite."""
+    eps_list = as_float_list(cfg, "eps", (0.01,))
+    if not all(0.0 < e and 0.0 < e * e < math.inf for e in eps_list):
+        raise ConfigError("config key 'eps': tolerances and their squares must be "
+                          "positive and finite")
+    return eps_list
+
+
+def fixed_point_from_config(cfg: dict[str, str]) -> tuple[str, tuple[float, ...] | None]:
+    """The fixed-suffix mode ``fix_v`` and the explicit base point
+    ``fix_v_values``, whose entries lie in [0, 1]; its length is checked
+    against each cell's d."""
+    mode = as_choice(cfg, "fix_v", {"midpoint", "sample", "explicit"}, "midpoint")
+    values = as_float_list(cfg, "fix_v_values", None)
+    if values is not None and not all(0.0 <= v <= 1.0 for v in values):
+        raise ConfigError("config key 'fix_v_values': entries must lie in [0, 1]")
+    return mode, values
 
 
 def integrand_from_config(cfg: dict[str, str], d: int | None = None) -> Integrand:
     """Build the configured test-family integrand, optionally overriding d."""
     family = as_choice(cfg, "integrand.family", {"additive", "product"}, "additive")
     if d is None:
-        d = as_int(cfg, "integrand.d")
-    if d < 1:
-        raise ConfigError("config key 'integrand.d': dimension must be positive")
+        d = as_int(cfg, "integrand.d", least=1)
     key = "integrand.coeffs"
     coeffs = as_float_list(cfg, key, None)
     if coeffs is not None:
@@ -165,13 +213,11 @@ def integrand_from_config(cfg: dict[str, str], d: int | None = None) -> Integran
 
 def decay_from_config(cfg: dict[str, str], horizon: int) -> tuple[tuple[int, ...], int]:
     """Restart depths and coupled path count of the payoff-gap decay measurement."""
-    i_values, n = as_int_list(cfg, "decay.i"), as_int(cfg, "decay.n", 10_000)
+    i_values, n = as_int_list(cfg, "decay.i"), as_int(cfg, "decay.n", 10_000, least=2)
     if any(not 0 <= i <= horizon for i in i_values):
         raise ConfigError(f"config key 'decay.i': restart depths must lie in [0, {horizon}]")
     if len(set(i_values)) != len(i_values):
         raise ConfigError("config key 'decay.i': restart depths must not repeat")
-    if n < 2:
-        raise ConfigError("config key 'decay.n': need at least 2 coupled paths")
     return i_values, n
 
 
@@ -179,12 +225,10 @@ def chain_from_config(cfg: dict[str, str], d: int | None = None) -> tuple[ChainM
     """Build the configured chain model and its decay exponent for scheduling."""
     as_choice(cfg, "chain.preset", {"lindley"}, "lindley")
     if d is None:
-        d = as_int(cfg, "chain.d")
-    if d < 2:
-        raise ConfigError("config key 'chain.d': horizon must be at least 2")
-    a = _finite_float(cfg, "chain.a", LINDLEY_A)
-    b = _finite_float(cfg, "chain.b", LINDLEY_B)
-    gamma = _finite_float(cfg, "chain.gamma", -2.0)
+        d = as_int(cfg, "chain.d", least=2)
+    a = as_float(cfg, "chain.a", LINDLEY_A)
+    b = as_float(cfg, "chain.b", LINDLEY_B)
+    gamma = as_float(cfg, "chain.gamma", -2.0)
     if not b > a:
         raise ConfigError("config keys 'chain.a'/'chain.b': need b > a")
     if gamma >= -1.0:

@@ -14,9 +14,9 @@ from functools import partial
 import numpy as np
 
 from .anova import analytic_profile
-from .config import (METHODS, ConfigError, as_choice, as_float_list,
-                     as_int, as_int_list, as_str_list, chain_from_config,
-                     integrand_from_config)
+from .config import (METHODS, ConfigError, as_choice_list, as_int, as_int_list,
+                     chain_from_config, fixed_point_from_config,
+                     integrand_from_config, tolerances_from_config)
 from .integrands import Integrand
 from .markov import chain_width, estimate_chain_mlmc, markov_schedule
 from .mlmc import (EstimateRecord, LevelSchedule, NumericalFailure,
@@ -74,10 +74,8 @@ def resolve_fixed_point(mode: str, d: int, root: UniformStream,
         v = np.asarray(explicit if explicit is not None else (), dtype=float)
         if v.shape != (d,):
             raise ConfigError(f"config key 'fix_v_values': expected {d} entries")
-        if not np.all((v >= 0.0) & (v <= 1.0)):
-            raise ConfigError("config key 'fix_v_values': entries must lie in [0, 1]")
         return v
-    raise ConfigError(f"config key 'fix_v': unknown mode {mode!r}")
+    raise ValueError(f"unknown fixed-point mode {mode!r}")
 
 
 def variance_bound(integrand: Integrand) -> float | None:
@@ -100,8 +98,6 @@ def _replicate_cell(method: str, d: int, estimator, reps: int,
                     root: UniformStream, width: int) -> EstimateRecord:
     """Replicate ``estimator``, whose replications are ``width`` elements wide,
     on the cell's labelled stream; failures name the cell."""
-    if reps < 2:
-        raise ConfigError("config key 'reps': need at least 2 replications")
     try:
         return replicate(estimator, reps, root.fork(FORK_LABELS[method]).fork(d), width)
     except NumericalFailure as exc:
@@ -116,8 +112,6 @@ def run_estimator_cell(method: str, integrand: Integrand, reps: int,
         raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
     d = integrand.dimension
     if method == "mc":
-        if mc_n < 1:
-            raise ConfigError("config key 'mc_n': need at least 1 point")
         estimator, width = partial(standard_mc, integrand, mc_n), mc_n * d
     elif method == "mlmc":
         schedule = _multilevel_schedule(method, d)
@@ -145,21 +139,29 @@ def _d_grid(cfg: dict[str, str], d_grid=None) -> tuple[int, ...]:
     """The dimensions to run: ``d_grid`` if given, else the config's
     ``d_grid``, else ``integrand.d`` alone; an empty grid is a ConfigError."""
     if d_grid is None:
-        d_grid = as_int_list(cfg, "d_grid", None)
+        d_grid = as_int_list(cfg, "d_grid", None, least=1)
     if d_grid is None:
-        d_grid = (as_int(cfg, "integrand.d"),)
+        d_grid = (as_int(cfg, "integrand.d", least=1),)
     if not d_grid:
         raise ConfigError("config key 'd_grid': empty grid")
     return tuple(d_grid)
 
 
-def _tolerances(cfg: dict[str, str]) -> tuple[float, ...]:
-    """The config's tolerances ``eps``: each, and its square, positive and finite."""
-    eps_list = as_float_list(cfg, "eps", (0.01,))
-    if not all(0.0 < e and 0.0 < e * e < math.inf for e in eps_list):  # not nan
-        raise ConfigError("config key 'eps': tolerances and their squares must be "
-                          "positive and finite")
-    return eps_list
+def run_cells(cfg: dict[str, str], seed: int, methods=None,
+              d_grid=None) -> list[CellResult]:
+    """Run the (method, d) cells in grid order: ``methods`` and ``d_grid`` if
+    given, else the config's; ``reps``, ``mc_n`` and the fixed point are the
+    config's, each read and checked once."""
+    if methods is None:
+        methods = as_choice_list(cfg, "methods", METHODS, ("mc", "mlmc"))
+    d_grid = _d_grid(cfg, d_grid)
+    reps = as_int(cfg, "reps", 1000, least=2)
+    mc_n = as_int(cfg, "mc_n", 1, least=1)
+    fix_v, fix_v_values = fixed_point_from_config(cfg)
+    root = new_stream(seed)
+    return [run_estimator_cell(method, integrand_from_config(cfg, d), reps, root,
+                               mc_n, fix_v, fix_v_values)
+            for method in methods for d in d_grid]
 
 
 def run_config(cfg: dict[str, str], seed: int):
@@ -168,22 +170,8 @@ def run_config(cfg: dict[str, str], seed: int):
     Returns (cell results in grid order, eps list); the CSV layer turns these
     into per-replication rows plus one summary row per (method, d, eps).
     """
-    methods = as_str_list(cfg, "methods", ("mc", "mlmc"))
-    if not methods:
-        raise ConfigError("config key 'methods': empty method list")
-    for method in methods:
-        if method not in METHODS:
-            raise ConfigError(f"config key 'methods': unknown method {method!r}")
-    d_grid = _d_grid(cfg)
-    eps_list = _tolerances(cfg)
-    reps = as_int(cfg, "reps", 1000)
-    mc_n = as_int(cfg, "mc_n", 1)
-    fix_v = as_choice(cfg, "fix_v", {"midpoint", "sample", "explicit"}, "midpoint")
-    fix_v_values = as_float_list(cfg, "fix_v_values", None)
-    root = new_stream(seed)
-    return [run_estimator_cell(method, integrand_from_config(cfg, d), reps, root,
-                               mc_n, fix_v, fix_v_values)
-            for method in methods for d in d_grid], eps_list
+    eps_list = tolerances_from_config(cfg)
+    return run_cells(cfg, seed), eps_list
 
 
 def compare_scaling(cfg: dict[str, str], seed: int) -> list[BenchRow]:
@@ -192,13 +180,12 @@ def compare_scaling(cfg: dict[str, str], seed: int) -> list[BenchRow]:
     MLMC rows also carry the analytic variance bound driven by the truncation
     dimension, the quantity the measured variance is expected to respect.
     """
-    eps_list = _tolerances(cfg)
+    eps_list = tolerances_from_config(cfg)
     if len(eps_list) != 1:
         raise ConfigError("config key 'eps': scaling comparison expects one tolerance")
-    eps = eps_list[0]
-    cells, _ = run_config({**cfg, "eps": str(eps)}, seed)
+    (eps,) = eps_list
     rows = []
-    for cell in cells:
+    for cell in run_cells(cfg, seed):
         integrand = integrand_from_config(cfg, cell.d)
         bound = variance_bound(integrand) if cell.method != "mc" else None
         rows.append(BenchRow(
@@ -233,7 +220,7 @@ def lemma1_diagnostic(cfg: dict[str, str], seed: int, d_grid=None,
     """
     d_grid = _d_grid(cfg, d_grid)
     if reps is None:
-        reps = as_int(cfg, "reps", 2000)
+        reps = as_int(cfg, "reps", 2000, least=2)
     root = new_stream(seed)
     rows = []
     for d in d_grid:

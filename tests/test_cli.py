@@ -256,17 +256,21 @@ HUGE = "1e300,1e300"
     pytest.param(["bench", "--eps", "1e308", "--d-grid", "4", "--reps", "4"], 2,
                  "'eps'", id="bench-eps-square-overflows"),
     pytest.param(["estimate", "--d", "2", "--coeffs", "1,nan", "--method", "mc",
-                  "--reps", "5"], 2, "'integrand.coeffs': coefficients must be finite",
+                  "--reps", "5"], 2, "'integrand.coeffs': expected a finite number",
                  id="estimate-coeffs-nan"),
     pytest.param(["anova", "--d", "2", "--coeffs", "1,inf"], 2,
-                 "'integrand.coeffs': coefficients must be finite", id="anova-coeffs-inf"),
+                 "'integrand.coeffs': expected a finite number", id="anova-coeffs-inf"),
     pytest.param(["lemma1", "--d", "4", "--decay-r", "nan", "--reps", "5"], 2,
-                 "'integrand.decay_r': coefficients must be finite",
+                 "'integrand.decay_r': expected a finite number",
                  id="lemma1-decay-r-nan"),
     # every c_i = 1e308 ** (i - 1) past the first two overflows to inf
     pytest.param(["bench", "--d-grid", "4", "--decay-r", "1e308", "--reps", "4"], 2,
                  "'integrand.decay_r': coefficients must be finite",
                  id="bench-decay-r-overflows"),
+    # a dimension from the grid names the grid
+    pytest.param(["bench", "--d-grid", "4,-2", "--reps", "4"], 2, "'d_grid'",
+                 id="bench-d-grid-negative"),
+    pytest.param(["lemma1", "--d-grid", "0"], 2, "'d_grid'", id="lemma1-d-grid-zero"),
 ])
 def test_cli_exit_codes_name_the_fault(argv, code, fragment, tmp_path,
                                        monkeypatch, capsys):
@@ -295,6 +299,26 @@ def test_seeds_outside_64_bits_are_config_errors(seed, tmp_path, monkeypatch, ca
     err = capsys.readouterr().err
     assert err == f"config error: seed {seed}: must lie in [0, 2**64)\n" * 2, err
     assert main(argv + ["--seed", str(2 ** 64 - 1)]) == 0
+
+
+@pytest.mark.parametrize("argv", [["estimate", "--method", "mc"],
+                                  ["estimate", "--method", "mlmc"],
+                                  ["estimate", "--method", "mlmc-fixed"],
+                                  ["estimate"]], ids=["mc", "mlmc", "mlmc-fixed", "grid"])
+@pytest.mark.parametrize("text, message", [
+    ("fix_v = bogus", "'fix_v': expected one of ['explicit', 'midpoint', 'sample'], "
+                      "got 'bogus'"),
+    ("fix_v_values = 1.5", "'fix_v_values': entries must lie in [0, 1]"),
+], ids=["fix-v", "fix-v-values"])
+def test_one_fixed_point_reader_for_every_method(argv, text, message, tmp_path,
+                                                 monkeypatch, capsys):
+    # apart from the exit-code table, which appends its own flags: one reader
+    # checks fix_v and fix_v_values, whether a cell uses them or not
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "fix.cfg"
+    config.write_text(f"integrand.d = 4\nreps = 4\nseed = 1\n{text}\n")
+    assert main(argv + ["--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"config error: config key {message}\n"
 
 
 def test_markov_schedule_keeps_a_replication_where_the_power_underflows(
@@ -464,14 +488,30 @@ def _ints(top):
     return st.integers(-1, top).map(str)
 
 
+def _config_keys(size):
+    """Config keys with the flags' bounds and fuzz values; the key ``fix_v``
+    may also hold a name no flag accepts."""
+    return {"reps": _ints(8), "mc_n": _ints(64), "pairs": _ints(64),
+            "eps": _float_list(2, "0.1", "0.01"), "d_grid": _int_list(16),
+            "fix_v": st.sampled_from(("midpoint", "sample", "explicit", "bogus")),
+            "fix_v_values": _float_list(size, "0.5", "0.1"), "decay.n": _ints(64),
+            "chain.preset": st.just("lindley"), "chain.d": _ints(16),
+            "chain.gamma": _floats("-2", "-1.5"), "chain.a": _floats("-1", "-0.5"),
+            "chain.b": _floats("1", "0.5"),
+            "chain.time_varying": st.sampled_from(("true", "false"))}
+
+
 @st.composite
 def bounded_argvs(draw):
-    """A CLI argv with d and the d grid at most 16, reps at most 8 and pairs,
-    mc_n and decay paths at most 64; every numeric flag may be out of range."""
+    """A CLI argv and a config text with d and the d grid at most 16, reps at
+    most 8 and pairs, mc_n and decay paths at most 64; every numeric flag or
+    key may be out of range."""
     command = draw(st.sampled_from(("anova", "estimate", "bench", "markov", "lemma1")))
     argv = [command]
     d = draw(st.integers(-1, 16))
     size = max(d, 1)
+    config = {key: draw(values) for key, values in _config_keys(size).items()
+              if draw(st.booleans())}
     flags = {"--d": st.just(str(d)),
              "--seed": st.one_of(st.sampled_from(("0", "12", str(2 ** 64 - 1))),
                                  st.sampled_from(FUZZ_SEEDS))}
@@ -503,27 +543,34 @@ def bounded_argvs(draw):
     if command == "bench":
         flags.update({"--eps": _floats("0.1", "0.01", "1e-150"),
                       "--methods": st.sampled_from(("mc", "mlmc,mlmc-fixed"))})
+    # a size is always given, by its flag or by the config, so that no run is large
+    sizes = {"--d": "chain.d" if command == "markov" else None, "--reps": "reps",
+             "--n": "decay.n"}
     for flag, values in flags.items():
-        # the size flags are always given, so that no run is large
-        if flag in ("--d", "--reps", "--n") or draw(st.booleans()):
+        if (flag in sizes and sizes[flag] not in config) or draw(st.booleans()):
             value = draw(values)
             argv.append(flag if value is None else f"{flag}={value}")
-    return argv
+    return argv, "".join(f"{key} = {value}\n" for key, value in config.items())
 
 
 @given(bounded_argvs())
 @settings(max_examples=300, deadline=None)
-def test_every_exit_code_is_truthful(argv):
+def test_every_exit_code_is_truthful(case):
     # 0, or a one-line config error (2) or numerical failure (3); argparse's
     # own usage errors exit 2 through SystemExit
+    argv, text = case
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        config = os.path.join(tmp, "fuzz.cfg")
+        with open(config, "w", encoding="utf-8") as handle:
+            handle.write(text)
         warnings.simplefilter("error", RuntimeWarning)  # a warning is a second line
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             try:
-                code = main(argv + ["--out", os.path.join(tmp, "out.csv")])
+                code = main(argv + ["--config", config,
+                                    "--out", os.path.join(tmp, "out.csv")])
             except SystemExit as exc:
                 code = exc.code
-    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert code in (0, 2, 3), (argv, text, code, err.getvalue())
     if code in (2, 3) and "usage:" not in err.getvalue():
-        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+        assert err.getvalue().count("\n") == 1, (argv, text, err.getvalue())
