@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrands import Integrand
-from .streams import CostLedger, UniformStream, draw_rows, part_stream, run_all
+from .streams import CostLedger, UniformStream, run_parts
 
 # Elements of A (and of B) per segment of the radial design.  Unlike the row
 # blocks of streams._BLOCK_ELEMENTS, the segments set the order of the
@@ -215,34 +215,30 @@ def _radial(integrand: Integrand, indices: list[int], n: int,
 
     A and B, each [n, d], are drawn row-major from ``stream`` at its counter,
     A first, and the counter advances by ``2 d n``.  The rows run in
-    segments of ``_SEGMENT_ELEMENTS // d`` rows, as tasks of a thread pool
+    segments of ``_SEGMENT_ELEMENTS // d`` rows on :func:`streams.run_parts`,
     with up to one thread per usable CPU, so the evaluator must be safe to
     call from several threads at once.  A segment draws its rows of A and B
     at their offsets in the stream and reduces its terms to per-i sums and
-    centred sums of squares on a ledger of its own, since a ledger is not
-    safe to share across threads; these are pooled in segment order, and the
-    ledgers' units are booked on the stream's.  The segments depend only on
-    (n, d), so neither the bits nor the units depend on the thread count.
+    centred sums of squares, which are pooled in segment order.  The
+    segments depend only on (n, d), so neither the bits nor the units
+    booked on the stream's ledger depend on the thread count.
     """
     d = integrand.dimension
+    base = stream.counter
 
-    def run_segment(task: tuple[list[UniformStream], int]):
-        parts, m = task
-        a, b = draw_rows(parts, m * d).reshape(2, m, d)
-        return _radial_sums(integrand, a, b, parts[0].ledger, indices)
+    def run_segment(part: UniformStream, segment: tuple[int, int]):
+        start, stop = segment
+        part.counter = base + start * d
+        a = part.draw_matrix(stop - start, d)
+        part.counter = base + (n + start) * d
+        b = part.draw_matrix(stop - start, d)
+        return _radial_sums(integrand, a, b, part.ledger, indices)
 
-    # the first part derives the stream's key, which all parts share
-    tasks = []
-    for start, stop in _segments(n, d):
-        ledger = CostLedger()
-        tasks.append(([part_stream(stream, offset * d, ledger)
-                       for offset in (start, n + start)], stop - start))
-    sums, m2 = (np.array(column) for column in zip(*run_all(run_segment, tasks)))
-    for parts, _ in tasks:
-        stream.ledger.add(parts[0].ledger)
-    stream.counter += 2 * d * n
+    segments = _segments(n, d)
+    sums, m2 = (np.array(column) for column in
+                zip(*run_parts(run_segment, stream, segments, 2 * d * n)))
     # pool the segments exactly: M2 = sum_s M2_s + sum_s m_s (mean_s - mean)^2
-    rows = np.array([m for _, m in tasks], dtype=float)[:, None]
+    rows = np.array([stop - start for start, stop in segments], dtype=float)[:, None]
     mean = sums.sum(axis=0) / n
     spread = sums / rows - mean
     m2 = m2.sum(axis=0) + (rows * spread * spread).sum(axis=0)

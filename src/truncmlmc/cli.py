@@ -22,11 +22,11 @@ from .anova import (DegenerateIntegrandError, NumericalFailure,
                     analytic_profile, mc_profile)
 from .config import (KNOWN_KEYS, ConfigError, as_int, as_seed,
                      chain_from_config, decay_from_config,
-                     integrand_from_config, load_config)
+                     integrand_from_config, load_config, tolerances_from_config)
 from .markov import measure_decay
 from .mlmc import total_budget, work_normalized_variance
 from .runner import (FORK_LABELS, CellResult, compare_scaling,
-                     lemma1_diagnostic, run_cells, run_config, run_markov_cell)
+                     lemma1_diagnostic, run_cells, run_markov_cell)
 from .streams import new_stream
 
 RUN_HEADER = ("rep", "value", "cost_units", "level", "level_sum", "level_count")
@@ -59,13 +59,18 @@ def _write_csv(path: str, header, lines) -> None:
 
     No cell is quoted: a string cell that held the delimiter, a quote or a
     line break would have changed the comma or line count, and is refused.
+    A path that cannot be opened for writing is a fault of the ``out`` key.
     """
     lines = [",".join(header), *lines]
     text = "\n".join(lines) + "\n"
     if ('"' in text or "\r" in text or text.count("\n") != len(lines)
             or text.count(",") != len(lines) * (len(header) - 1)):
         raise ValueError(f"{path}: a CSV cell holds a delimiter, a quote or a line break")
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    try:
+        handle = open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"config key 'out': cannot write {path}: {exc.strerror}") from exc
+    with handle:
         handle.write(text)
 
 
@@ -130,7 +135,8 @@ def cmd_estimate(args, cfg, seed):
         return ("runs.csv", RUN_HEADER, _run_lines(cell),
                 _cell_message(f"estimate {args.method}", cell))
     # no single method requested: run the configured (method, d, eps) grid
-    cells, eps_list = run_config(cfg, seed)
+    eps_list = tolerances_from_config(cfg)  # read before any cell runs
+    cells = run_cells(cfg, seed)
     lines = []
     for cell in cells:
         for eps in eps_list:

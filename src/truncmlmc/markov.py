@@ -12,6 +12,8 @@ before the end), which puts the influential inputs first.
 Increments are computed once for a whole block of time steps and paths,
 and the step then updates arrays of states in place, so whole batches of
 paths, and a level's fine and coarse restarts together, advance per call.
+The restart decay runs its blocks of paths on the package's one pool
+runner, :func:`streams.run_parts`.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .anova import NumericalFailure
 from .integrands import Integrand
 from .mlmc import (EstimateRecord, LevelSchedule, _telescope, dyadic_prefixes,
                    record_from_snapshot)
-from .streams import (CostLedger, UniformStream, chunk_streams, draw_rows,
-                      part_stream, pool_blocks, run_all)
+from .streams import (UniformStream, chunk_streams, draw_rows, pool_blocks,
+                      run_parts)
 
 LINDLEY_A = -0.6
 LINDLEY_B = 0.4
@@ -198,11 +200,10 @@ def measure_decay(model: ChainModel, i_values: Sequence[int], n: int,
     All restarts ride along one batch of full-chain paths, sharing the
     trailing increments; step t draws the stream's next n uniforms, and its
     increments are computed once for the full chain and every started
-    restart.  The paths run in blocks on the thread pool of
-    :func:`streams.run_all`: each block runs the whole time loop, drawing its
-    rows of every step at their offsets in the stream, and writes its squared
-    gaps into its slice of one [len(i_values), n] array, whose rows are then
-    reduced at full length.  So the estimates, the fits and the units booked
+    restart.  The paths run in blocks on :func:`streams.run_parts`: each
+    block runs the whole time loop, drawing its rows of every step at their
+    offsets in the stream, and writes its squared gaps into its slice of one
+    [len(i_values), n] array, whose rows are then reduced at full length.  So the estimates, the fits and the units booked
     on the stream's ledger are the same at any block size and thread count.
     Both decay fits are least squares on log(msd) over the i with positive
     estimates.  Raises NumericalFailure when a gap or its SE is not finite.
@@ -225,8 +226,8 @@ def measure_decay(model: ChainModel, i_values: Sequence[int], n: int,
     active = [1 + sum(i >= d - t for i in depths) for t in range(d)]
     times = np.arange(d)[:, None]
 
-    def run_block(block: tuple[UniformStream, int, int]) -> CostLedger:
-        part, start, stop = block
+    def run_block(part: UniformStream, block: tuple[int, int]) -> None:
+        start, stop = block
         m, ledger = stop - start, part.ledger
         # an array per chain: one [1 + len(i), m] array per block raised the
         # peak RSS of a d = 256, n = 100,000 decay on 2 threads by 0.8 MB
@@ -242,15 +243,8 @@ def measure_decay(model: ChainModel, i_values: Sequence[int], n: int,
         for k, r in enumerate(rows):
             gap = pays[0] - pays[r]
             sq[k, start:stop] = gap ** 2
-        return ledger
 
-    # a ledger per block, since a ledger is not safe to share across threads;
-    # the first part derives the stream's key, which all parts share
-    blocks = [(part_stream(stream, start, CostLedger()), start, stop)
-              for start, stop in pool_blocks(n)]
-    for ledger in run_all(run_block, blocks):
-        stream.ledger.add(ledger)
-    stream.counter = base + d * n
+    run_parts(run_block, stream, pool_blocks(n), d * n)
     msd = np.empty(len(i_vals))
     se = np.empty(len(i_vals))
     for k, row in enumerate(sq):

@@ -164,16 +164,6 @@ def run_cells(cfg: dict[str, str], seed: int, methods=None,
             for method in methods for d in d_grid]
 
 
-def run_config(cfg: dict[str, str], seed: int):
-    """Execute all requested (method, d, eps) cells of an integrand experiment.
-
-    Returns (cell results in grid order, eps list); the CSV layer turns these
-    into per-replication rows plus one summary row per (method, d, eps).
-    """
-    eps_list = tolerances_from_config(cfg)
-    return run_cells(cfg, seed), eps_list
-
-
 def compare_scaling(cfg: dict[str, str], seed: int) -> list[BenchRow]:
     """Total budgets across the d grid at one tolerance, per method.
 

@@ -21,10 +21,11 @@ counter.  So a fork builds no numpy object at all.
 The bulk oracles (the radial design of ``anova``, which serves
 ``mc_profile`` and the variance checks, and ``markov.measure_decay``) split
 their work into row blocks and run them on one thread pool through
-:func:`run_all`; every block draws its rows at their own offsets in the
-stream, so no value depends on the thread count.  The decay's values do not
-depend on the block size either; the radial design's blocks are segments of
-a size fixed by its inputs, since they set the order of its sums.
+:func:`run_parts`, which also books the blocks' units and advances the
+stream; every block draws its rows at their own offsets in the stream, so
+no value depends on the thread count.  The decay's values do not depend on
+the block size either; the radial design's blocks are segments of a size
+fixed by its inputs, since they set the order of its sums.
 """
 
 from __future__ import annotations
@@ -337,22 +338,6 @@ def new_stream(seed: int, ledger: CostLedger | None = None) -> UniformStream:
     return UniformStream(seed, (), ledger)
 
 
-def part_stream(stream: UniformStream, offset: int,
-                ledger: CostLedger | None = None) -> UniformStream:
-    """A stream that draws ``stream``'s sequence from ``offset`` past its
-    counter, on ``ledger`` (``stream``'s own by default).
-
-    The key is derived once, here, and shared with the part, so parts of one
-    stream cost no further key derivation.  ``stream`` is not advanced.
-    """
-    if stream.key is None:
-        stream.draw(0)
-    part = UniformStream(stream.seed, stream.path,
-                         stream.ledger if ledger is None else ledger)
-    part.counter, part.key = stream.counter + offset, stream.key
-    return part
-
-
 def _cpu_count() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -363,7 +348,7 @@ def _cpu_count() -> int:
 
 def pool_blocks(n: int) -> list[tuple[int, int]]:
     """Rows ``0..n`` of one element each, split into ``(start, stop)`` blocks
-    of nearly equal size for :func:`run_all`.
+    of nearly equal size for :func:`run_parts`.
 
     No block holds more than ``_BLOCK_ELEMENTS`` rows, and where ``n``
     permits, the block count is a multiple of the pool's thread count, so
@@ -379,22 +364,38 @@ def pool_blocks(n: int) -> list[tuple[int, int]]:
     return [(n * k // blocks, n * (k + 1) // blocks) for k in range(blocks)]
 
 
-def run_all(fn, items) -> list:
-    """``[fn(item) for item in items]`` on a thread pool with one thread per
-    usable CPU, at most one per item.
+def run_parts(fn, stream: UniformStream, blocks, drawn: int) -> list:
+    """``[fn(part, block) for block in blocks]`` on a thread pool, then
+    ``stream`` advanced by ``drawn`` uniforms.
 
-    Each call runs in a copy of the caller's context, so under its numpy
-    error state.  The first failure, in item order, is raised; calls not yet
-    started are then cancelled.
+    Each block's ``part`` draws ``stream``'s sequence on a ledger of its own,
+    since a ledger is not safe to share across threads; ``fn`` sets the
+    part's counter to the block's offsets.  ``stream``'s key is derived once,
+    before the pool starts, and shared with every part.  The pool has one
+    thread per usable CPU, at most one per block, and each call runs in a
+    copy of the caller's context, so under its numpy error state.  The first
+    failure, in block order, is raised, calls not yet started are cancelled,
+    and ``stream``'s counter and ledger stay as they were.  Otherwise the
+    parts' units are booked on ``stream``'s ledger and its counter advances
+    by ``drawn``.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    items = list(items)
-    with ThreadPoolExecutor(max(1, min(_cpu_count(), len(items)))) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, fn, item)
-                   for item in items]
+    if stream.key is None:
+        stream.draw(0)
+    blocks = list(blocks)
+    parts = [UniformStream(stream.seed, stream.path, CostLedger()) for _ in blocks]
+    for part in parts:
+        part.counter, part.key = stream.counter, stream.key
+    with ThreadPoolExecutor(max(1, min(_cpu_count(), len(blocks)))) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, fn, part, block)
+                   for part, block in zip(parts, blocks)]
         try:
-            return [future.result() for future in futures]
+            results = [future.result() for future in futures]
         finally:
             for future in futures:
                 future.cancel()
+    for part in parts:
+        stream.ledger.add(part.ledger)
+    stream.counter += drawn
+    return results

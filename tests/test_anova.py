@@ -175,7 +175,10 @@ ORACLE_INTEGRANDS = {
         dimension=8, evaluator=lambda p: p[:, 0] * p[:, 5] + (p[:, 1] - p[:, 7]) ** 2),
 }
 ORACLE_PAIRS = 2_501
-BLOCK_BUDGETS = {"one-row": 0, "default": streams._BLOCK_ELEMENTS, "unbounded": 2 ** 62}
+# elements per segment of the radial design: one-row segments, the default,
+# and one segment; the segments set the order of the sums, so the bits of
+# different sizes may differ
+SEGMENT_SIZES = {"one-row": 0, "default": anova._SEGMENT_ELEMENTS, "unbounded": 2 ** 62}
 PROFILE_FIELDS = ("D", "raw_D", "se", "var_f", "d_t")
 
 
@@ -195,19 +198,24 @@ def reference_profiles():
 
 @pytest.fixture(scope="module")
 def serial_profiles():
+    profiles = {}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(streams, "_cpu_count", lambda: 1)
-        return {name: _profile_and_units(mc_profile, make(), ORACLE_PAIRS, 41)
-                for name, make in ORACLE_INTEGRANDS.items()}
+        for (name, make), (size, elements) in itertools.product(
+                ORACLE_INTEGRANDS.items(), SEGMENT_SIZES.items()):
+            patch.setattr(anova, "_SEGMENT_ELEMENTS", elements)
+            profiles[name, size] = _profile_and_units(mc_profile, make(),
+                                                      ORACLE_PAIRS, 41)
+    return profiles
 
 
-@pytest.mark.parametrize("blocks", sorted(BLOCK_BUDGETS))
+@pytest.mark.parametrize("segments", sorted(SEGMENT_SIZES))
 @pytest.mark.parametrize("workers", [1, 2, 8])
 @pytest.mark.parametrize("name", sorted(ORACLE_INTEGRANDS))
-def test_mc_profile_matches_whole_matrix_reference(name, workers, blocks,
+def test_mc_profile_matches_whole_matrix_reference(name, workers, segments,
                                                    reference_profiles,
                                                    serial_profiles, monkeypatch):
-    monkeypatch.setattr(streams, "_BLOCK_ELEMENTS", BLOCK_BUDGETS[blocks])
+    monkeypatch.setattr(anova, "_SEGMENT_ELEMENTS", SEGMENT_SIZES[segments])
     monkeypatch.setattr(streams, "_cpu_count", lambda: workers)
     f, n = ORACLE_INTEGRANDS[name](), ORACLE_PAIRS
     interval = sys.getswitchinterval()
@@ -217,9 +225,9 @@ def test_mc_profile_matches_whole_matrix_reference(name, workers, blocks,
         got, units = _profile_and_units(mc_profile, f, n, 41)
     finally:
         sys.setswitchinterval(interval)
-    # the same bits on one thread; the segments sum in another order than
-    # the reference's math.fsum
-    serial, serial_units = serial_profiles[name]
+    # the same bits on one thread with the same segments; the segments sum
+    # in another order than the reference's math.fsum
+    serial, serial_units = serial_profiles[name, segments]
     expected, expected_units = reference_profiles[name]
     for field in PROFILE_FIELDS:
         assert np.array_equal(getattr(got, field), getattr(serial, field)), field
@@ -242,9 +250,9 @@ def test_mc_profile_allows_evaluators_that_return_a_view(column):
     assert got.raw_D[0] == pytest.approx(1 / 12, rel=0.05)
 
 
-@pytest.mark.parametrize("blocks", sorted(BLOCK_BUDGETS))
-def test_block_sampler_matches_whole_matrix_pairs(blocks, monkeypatch):
-    monkeypatch.setattr(streams, "_BLOCK_ELEMENTS", BLOCK_BUDGETS[blocks])
+@pytest.mark.parametrize("segments", sorted(SEGMENT_SIZES))
+def test_block_sampler_matches_whole_matrix_pairs(segments, monkeypatch):
+    monkeypatch.setattr(anova, "_SEGMENT_ELEMENTS", SEGMENT_SIZES[segments])
     f = chain_integrand(make_lindley(8))  # no family: the residual check samples
     profile = analytic_profile(make_additive(np.ones(8)))
     for i in (0, 3, 8):
@@ -271,16 +279,25 @@ def test_checks_do_not_depend_on_the_block_size(monkeypatch):
     f = make_product(geometric_coefficients(6, 0.8))
     black_box = Integrand(dimension=6, evaluator=f.evaluator)
     profile = analytic_profile(f)
-    reports = set()
-    for budget, workers in itertools.product(BLOCK_BUDGETS.values(), [1, 2, 8]):
-        monkeypatch.setattr(streams, "_BLOCK_ELEMENTS", budget)
+    reports = {size: set() for size in SEGMENT_SIZES}
+    for size, workers in itertools.product(SEGMENT_SIZES, [1, 2, 8]):
+        monkeypatch.setattr(anova, "_SEGMENT_ELEMENTS", SEGMENT_SIZES[size])
         monkeypatch.setattr(streams, "_cpu_count", lambda: workers)
         stream = new_stream(13)
         pair = check_pair_variance_bound(f, 2, profile, 3_001, stream.fork(0))
         residual = check_residual_lower_bound(
             black_box, lambda p: p[:, 0] - 0.5, 2, 3_001, stream.fork(1))
-        reports.add((pair, residual, stream.ledger.snapshot()))
-    assert len(reports) == 1, reports
+        reports[size].add((pair, residual, stream.ledger.snapshot()))
+    # the same bits on any thread count; other segments sum in another order
+    assert all(len(found) == 1 for found in reports.values()), reports
+    ((pair, residual, units),) = reports["default"]
+    for ((got_pair, got_residual, got_units),) in reports.values():
+        assert got_units == units
+        for got, expected in ((got_pair, pair), (got_residual, residual)):
+            np.testing.assert_allclose([got.lhs, got.rhs, got.se],
+                                       [expected.lhs, expected.rhs, expected.se],
+                                       rtol=1e-12, atol=0)
+            assert got.passed == expected.passed
 
 
 def test_sampler_derives_each_stream_key_once(monkeypatch):

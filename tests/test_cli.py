@@ -15,7 +15,7 @@ from truncmlmc.cli import main
 from truncmlmc.config import (ConfigError, as_bool, as_float_list, as_int,
                               chain_from_config, integrand_from_config,
                               parse_config_text)
-from truncmlmc.runner import (NumericalFailure, lemma1_diagnostic, run_config,
+from truncmlmc.runner import (NumericalFailure, lemma1_diagnostic, run_cells,
                               run_estimator_cell)
 
 
@@ -77,7 +77,7 @@ def test_chain_from_config():
 
 def test_run_config_rejects_empty_methods():
     with pytest.raises(ConfigError):
-        run_config({"methods": ",", "integrand.d": "4"}, seed=1)
+        run_cells({"methods": ",", "integrand.d": "4"}, seed=1)
 
 
 # --- CLI surface -------------------------------------------------------------
@@ -271,6 +271,11 @@ HUGE = "1e300,1e300"
     pytest.param(["bench", "--d-grid", "4,-2", "--reps", "4"], 2, "'d_grid'",
                  id="bench-d-grid-negative"),
     pytest.param(["lemma1", "--d-grid", "0"], 2, "'d_grid'", id="lemma1-d-grid-zero"),
+    # an output path that cannot be opened names the out key
+    pytest.param(["anova", "--d", "2", "--out", "nodir/x.csv"], 2,
+                 "'out': cannot write nodir/x.csv", id="out-missing-directory"),
+    pytest.param(["anova", "--d", "2", "--out", "."], 2, "'out': cannot write .",
+                 id="out-is-a-directory"),
 ])
 def test_cli_exit_codes_name_the_fault(argv, code, fragment, tmp_path,
                                        monkeypatch, capsys):
@@ -505,7 +510,7 @@ def _config_keys(size):
 def bounded_argvs(draw):
     """A CLI argv and a config text with d and the d grid at most 16, reps at
     most 8 and pairs, mc_n and decay paths at most 64; every numeric flag or
-    key may be out of range."""
+    key may be out of range, and the ``--out`` path may not be writable."""
     command = draw(st.sampled_from(("anova", "estimate", "bench", "markov", "lemma1")))
     argv = [command]
     d = draw(st.integers(-1, 16))
@@ -550,6 +555,10 @@ def bounded_argvs(draw):
         if (flag in sizes and sizes[flag] not in config) or draw(st.booleans()):
             value = draw(values)
             argv.append(flag if value is None else f"{flag}={value}")
+    # always an output path under the run's directory {tmp}, which may name a
+    # missing directory or the directory itself
+    out = draw(st.sampled_from(("out.csv", os.path.join("missing", "out.csv"), "")))
+    argv.append("--out=" + os.path.join("{tmp}", out))
     return argv, "".join(f"{key} = {value}\n" for key, value in config.items())
 
 
@@ -567,8 +576,8 @@ def test_every_exit_code_is_truthful(case):
         warnings.simplefilter("error", RuntimeWarning)  # a warning is a second line
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             try:
-                code = main(argv + ["--config", config,
-                                    "--out", os.path.join(tmp, "out.csv")])
+                code = main([arg.replace("{tmp}", tmp) for arg in argv]
+                            + ["--config", config])
             except SystemExit as exc:
                 code = exc.code
     assert code in (0, 2, 3), (argv, text, code, err.getvalue())

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from truncmlmc import CostLedger, new_stream
+from truncmlmc import CostLedger, new_stream, streams
 from truncmlmc.streams import (UniformStream, draw_rows, philox_keys, pool_blocks,
-                               run_all)
+                               run_parts)
 
 DEFAULT_SEEDS = (0, 1, 42, 12345)
 
@@ -267,9 +268,64 @@ def test_threads_draw_the_same_bits_as_serial_runs():
 
 def test_no_rows_make_no_blocks_and_no_calls():
     assert pool_blocks(0) == []
-    assert run_all(lambda item: 1 / 0, []) == []
+    stream = new_stream(1)
+    assert run_parts(lambda part, block: 1 / 0, stream, pool_blocks(0), 0) == []
+    assert stream.counter == 0 and stream.ledger.snapshot() == (0, 0, 0)
     with pytest.raises(ValueError, match="nonnegative"):
         pool_blocks(-1)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+@pytest.mark.parametrize("offset", [0, 5], ids=["fresh", "off-block"])
+def test_run_parts_draws_at_block_offsets_and_books_once(offset, workers, monkeypatch):
+    serial = new_stream(9).fork(3)
+    serial.draw(offset)
+    expected = serial.draw(1_000)
+    derived = []
+    keys = streams.philox_keys
+
+    def counting(seeds, paths):
+        derived.append(len(paths))
+        return keys(seeds, paths)
+
+    monkeypatch.setattr(streams, "philox_keys", counting)
+    monkeypatch.setattr(streams, "_cpu_count", lambda: workers)
+    stream = new_stream(9).fork(3)
+    if offset:  # 5 moves the counter off a Philox block boundary
+        stream.draw(offset)
+    base, before = stream.counter, stream.ledger.snapshot()
+
+    def draw_block(part, block):
+        start, stop = block
+        part.counter = base + start
+        return part.draw(stop - start)
+
+    blocks = [(0, 7), (7, 300), (300, 301), (301, 1_000)]
+    got = run_parts(draw_block, stream, blocks, 1_000)
+    assert np.array_equal(np.concatenate(got), expected)
+    # the stream's key is derived once and every part shares it
+    assert derived == [1]
+    assert stream.counter == base + 1_000
+    assert tuple(b - a for a, b in zip(before, stream.ledger.snapshot())) == (1_000, 0, 0)
+
+
+def test_run_parts_raises_the_first_failure_and_books_nothing(monkeypatch):
+    monkeypatch.setattr(streams, "_cpu_count", lambda: 8)
+    stream = new_stream(4)
+    stream.draw(5)
+    before = stream.counter, stream.ledger.snapshot()
+
+    def fail_late(part, block):
+        part.draw(10)
+        if block == 2:  # fails after block 4 has failed
+            time.sleep(0.05)
+        if block in (2, 4):
+            raise ValueError(f"block {block}")
+        return block
+
+    with pytest.raises(ValueError, match="block 2"):
+        run_parts(fail_late, stream, range(6), 60)
+    assert (stream.counter, stream.ledger.snapshot()) == before
 
 
 def test_cli_import_leaves_numpy_random_unloaded():
