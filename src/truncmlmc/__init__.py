@@ -18,13 +18,12 @@ from .markov import (ChainModel, DecayReport, chain_integrand, chain_width,
                      markov_schedule, measure_decay,
                      modulated_uniform_increments, standard_mc_chain,
                      uniform_increments)
-from .mlmc import (EstimateRecord, LevelBudgetReport, LevelSchedule,
-                   check_level_budget_bound, cube_width, dyadic_prefixes,
-                   estimate_mlmc, estimate_mlmc_fixed, level_budget_rhs_se,
-                   level_variance_estimates, optimal_allocation,
-                   predicted_variance, replicate, samples_needed, standard_mc,
-                   summarize, total_budget, truncation_schedule,
-                   work_normalized_variance)
+from .mlmc import (EstimateRecord, LevelSchedule, check_level_budget_bound,
+                   cube_width, dyadic_prefixes, estimate_mlmc,
+                   estimate_mlmc_fixed, level_variance_estimates,
+                   optimal_allocation, predicted_variance, replicate,
+                   samples_needed, standard_mc, summarize, total_budget,
+                   truncation_schedule, work_normalized_variance)
 from .streams import CostLedger, UniformStream, new_stream
 
 __version__ = "0.1.0"

@@ -31,9 +31,9 @@ import numpy as np
 from .integrands import Integrand
 from .streams import CostLedger, UniformStream, run_parts
 
-# Elements of A (and of B) per segment of the radial design.  Unlike the row
-# blocks of streams._BLOCK_ELEMENTS, the segments set the order of the
-# design's sums, so this constant is part of the output bytes.
+# Elements of A (and of B) per segment of the radial design.  Unlike the
+# decay's row blocks, sized by mlmc._CHUNK_ELEMENTS, the segments set the
+# order of the design's sums, so this constant is part of the output bytes.
 _SEGMENT_ELEMENTS = 2 ** 14
 
 
@@ -87,13 +87,17 @@ class VarianceProfile:
 
 @dataclass(frozen=True)
 class InequalityReport:
-    """Outcome of a sampled inequality check: pass iff lhs <= rhs within slack."""
+    """Outcome of a sampled inequality check lhs <= rhs, where ``se`` is the
+    standard error of lhs - rhs."""
 
     lhs: float
     rhs: float
     se: float
-    slack: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        """The one pass rule of every check: lhs <= rhs + 4 se."""
+        return self.lhs <= self.rhs + 4.0 * self.se
 
 
 def truncation_dimension(profile: VarianceProfile) -> float:
@@ -293,8 +297,7 @@ def _check_arguments(integrand: Integrand, i: int, n: int) -> None:
 
 
 def check_pair_variance_bound(integrand: Integrand, i: int, profile: VarianceProfile,
-                              n: int, stream: UniformStream,
-                              slack: float = 0.0) -> InequalityReport:
+                              n: int, stream: UniformStream) -> InequalityReport:
     """Check var(f(V) - f(V')) <= 4 D(i) on n shared-prefix pairs.
 
     The bound holds because the difference only involves interaction terms
@@ -309,15 +312,12 @@ def check_pair_variance_bound(integrand: Integrand, i: int, profile: VariancePro
     # V and V' are exchangeable, so E[f(V) - f(V')] = 0 and the mean square of
     # the differences is an unbiased estimate of their variance
     mean, se = _radial(integrand, [i], n, stream)
-    lhs, se = float(mean[0]), float(se[0])
-    rhs = 4.0 * float(profile.D[i])
-    passed = lhs <= rhs * (1.0 + slack) + 4.0 * se
-    return InequalityReport(lhs=lhs, rhs=rhs, se=se, slack=slack, passed=passed)
+    return InequalityReport(lhs=float(mean[0]), rhs=4.0 * float(profile.D[i]),
+                            se=float(se[0]))
 
 
 def check_residual_lower_bound(integrand: Integrand, g, i: int, n: int,
-                               stream: UniformStream,
-                               slack: float = 0.0) -> InequalityReport:
+                               stream: UniformStream) -> InequalityReport:
     """Check D(i) <= var(f(U) - g(U_1..U_i)) for a batched g on the first i coordinates.
 
     No function of the first i coordinates can explain more variance than the
@@ -337,6 +337,4 @@ def check_residual_lower_bound(integrand: Integrand, g, i: int, n: int,
     residual = integrand.eval_batch(points, ledger) - np.asarray(
         g(points[:, :i]), dtype=float)
     rhs, rhs_se = _var_and_se(residual)
-    se = float(np.hypot(lhs_se, rhs_se))
-    passed = lhs <= rhs * (1.0 + slack) + 4.0 * se
-    return InequalityReport(lhs=lhs, rhs=rhs, se=se, slack=slack, passed=passed)
+    return InequalityReport(lhs=lhs, rhs=rhs, se=float(np.hypot(lhs_se, rhs_se)))

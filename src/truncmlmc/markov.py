@@ -108,9 +108,10 @@ def chain_width(schedule: LevelSchedule) -> int:
 
 
 def estimate_chain_mlmc(model: ChainModel, gamma: float,
-                        streams: UniformStream | Sequence[UniformStream],
-                        schedule: LevelSchedule | None = None) -> EstimateRecord:
-    """Replications of the restart-coupled multilevel estimator, one per stream.
+                        streams: UniformStream | Sequence[UniformStream]
+                        ) -> EstimateRecord:
+    """Replications of the restart-coupled multilevel estimator on
+    ``markov_schedule(horizon, gamma)``, one per stream.
 
     Level l of a replication runs on its stream's fork l, so levels are
     mutually independent; within a level the n_l coupled increments are iid,
@@ -125,10 +126,7 @@ def estimate_chain_mlmc(model: ChainModel, gamma: float,
     steps all their paths together.
     """
     d = model.horizon
-    if schedule is None:
-        schedule = markov_schedule(d, gamma)
-    if schedule.dimension != d:
-        raise ValueError("schedule dimension must match the chain horizon")
+    schedule = markov_schedule(d, gamma)
     streams, ledger = chunk_streams(streams)
     x0 = float(model.initial_state)
     times = np.arange(d)[:, None]
@@ -244,7 +242,7 @@ def measure_decay(model: ChainModel, i_values: Sequence[int], n: int,
             gap = pays[0] - pays[r]
             sq[k, start:stop] = gap ** 2
 
-    run_parts(run_block, stream, pool_blocks(n), d * n)
+    run_parts(run_block, stream, pool_blocks(n, mlmc._CHUNK_ELEMENTS), d * n)
     msd = np.empty(len(i_vals))
     se = np.empty(len(i_vals))
     for k, row in enumerate(sq):
@@ -292,11 +290,10 @@ def uniform_increments(a: float = LINDLEY_A, b: float = LINDLEY_B):
     return zeta
 
 
-def modulated_uniform_increments(d: int, a: float = LINDLEY_A, b: float = LINDLEY_B,
-                                 amplitude: float = 0.1):
-    """Genuinely time-varying increments: the support widens and narrows
-    sinusoidally around a fixed center, so the mean drift is constant while
-    the per-step drift integral stays below 1 for every time index."""
+def modulated_uniform_increments(d: int, a: float = LINDLEY_A, b: float = LINDLEY_B):
+    """Genuinely time-varying increments: each end of the support swings by
+    0.1 sin(2 pi t / d) around a fixed center, so the mean drift is constant
+    while the per-step drift integral stays below 1 for every time index."""
     if not b > a:
         raise ValueError("need b > a")
 
@@ -304,7 +301,7 @@ def modulated_uniform_increments(d: int, a: float = LINDLEY_A, b: float = LINDLE
         # the support of each time index in Python floats, math.sin once per t
         lo, width = [], []
         for i in np.ravel(t).tolist():
-            s = amplitude * math.sin(2.0 * math.pi * i / d)
+            s = 0.1 * math.sin(2.0 * math.pi * i / d)
             lo.append(a - s)
             width.append((b + s) - (a - s))
         z = np.multiply(y, np.reshape(width, np.shape(t)))
@@ -335,18 +332,16 @@ def make_lindley(d: int, zeta=None) -> ChainModel:
                       payoff=payoff)
 
 
-def drift_integral(zeta_at_y, theta: float, resolution: int = 256) -> float:
-    """Gauss-Legendre value of the exponential drift integral of one increment
-    function: the integral over y in [0,1] of exp(theta * zeta(y)).
+def drift_integral(zeta_at_y, theta: float) -> float:
+    """256-node Gauss-Legendre value of the exponential drift integral of one
+    increment function: the integral over y in [0,1] of exp(theta * zeta(y)).
 
     Values below 1 certify geometric forgetting of the initial state for the
     waiting-time recursion.
     """
     if theta <= 0.0:
         raise ValueError("tilt theta must be positive")
-    if resolution < 1:
-        raise ValueError("resolution must be at least 1")
-    nodes, weights = np.polynomial.legendre.leggauss(resolution)
+    nodes, weights = np.polynomial.legendre.leggauss(256)
     y = 0.5 * (nodes + 1.0)
     values = np.exp(theta * np.asarray(zeta_at_y(y), dtype=float))
     if not np.all(np.isfinite(values)):

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .anova import DegenerateIntegrandError, NumericalFailure
+from .anova import DegenerateIntegrandError, InequalityReport, NumericalFailure
 from .integrands import Integrand
 from .streams import CostLedger, UniformStream, chunk_streams, draw_rows
 
@@ -401,49 +401,34 @@ def optimal_allocation(V, t, target_variance: float) -> np.ndarray:
     return np.maximum(np.ceil(lam * np.sqrt(V / t)).astype(int), 1)
 
 
-@dataclass(frozen=True)
-class LevelBudgetReport:
-    """Outcome of the level-budget inequality sum(nu) <= (sum sqrt(m_l V_l))^2."""
-
-    lhs: float
-    rhs: float
-    slack: float
-    passed: bool
-
-
-def check_level_budget_bound(m, V, nu, slack: float = 0.0) -> LevelBudgetReport:
-    """Check sum_i nu_i <= (sum_l sqrt(m_l V_l))^2 + slack.
+def check_level_budget_bound(m, V, nu, V_se) -> InequalityReport:
+    """Check sum_i nu_i <= (sum_l sqrt(m_l V_l))^2, given the standard errors
+    ``V_se`` of the level variances ``V``.
 
     ``nu`` must be nonincreasing with nu_d = 0 and, index-by-index at the
     prefix lengths, lower-bound the variance unexplained by each level.  The
     right-hand side is the cost-variance product of an optimally allocated
-    level scheme whose level costs are the prefix lengths.
+    level scheme whose level costs are the prefix lengths; the report's
+    ``se`` is its delta-method standard error.
     """
     m = np.asarray(m, dtype=int)
-    V = np.asarray(V, dtype=float)
+    V = np.maximum(np.asarray(V, dtype=float), 0.0)
+    V_se = np.asarray(V_se, dtype=float)
     nu = np.asarray(nu, dtype=float)
     if m[0] != 0 or np.any(np.diff(m) <= 0):
         raise ValueError("prefix lengths must be strictly increasing from 0")
-    if V.size != m.size - 1:
-        raise ValueError("need one variance per level")
+    if V.shape != (m.size - 1,) or V_se.shape != V.shape:
+        raise ValueError("need one variance and one standard error per level")
     if nu.size != m[-1] + 1:
         raise ValueError("nu must have one entry per index 0..d")
     if np.any(np.diff(nu) > 1e-12 * max(abs(nu[0]), 1.0)):
         raise ValueError("nu must be nonincreasing")
     if nu[-1] != 0.0:
         raise ValueError("nu must end at 0")
-    lhs = float(nu.sum())
-    rhs = float(np.sum(np.sqrt(m[1:] * np.maximum(V, 0.0))) ** 2)
-    return LevelBudgetReport(lhs=lhs, rhs=rhs, slack=slack, passed=lhs <= rhs + slack)
-
-
-def level_budget_rhs_se(m, V, V_se) -> float:
-    """Delta-method standard error of (sum_l sqrt(m_l V_l))^2 from V_l standard errors."""
-    m = np.asarray(m, dtype=float)[1:]
-    V = np.asarray(V, dtype=float)
-    V_se = np.asarray(V_se, dtype=float)
-    root_sum = float(np.sum(np.sqrt(m * V)))
+    root_sum = np.sum(np.sqrt(m[1:] * V))
+    # d rhs / d V_l = root_sum sqrt(m_l / V_l), and 0 where V_l = 0
     positive = V > 0.0
     grad = np.zeros_like(V)
-    grad[positive] = root_sum * np.sqrt(m[positive] / V[positive])
-    return float(np.sqrt(np.sum((grad * V_se) ** 2)))
+    grad[positive] = root_sum * np.sqrt(m[1:][positive] / V[positive])
+    return InequalityReport(lhs=float(nu.sum()), rhs=float(root_sum ** 2),
+                            se=float(np.sqrt(np.sum((grad * V_se) ** 2))))

@@ -21,8 +21,7 @@ from .integrands import Integrand
 from .markov import chain_width, estimate_chain_mlmc, markov_schedule
 from .mlmc import (EstimateRecord, LevelSchedule, NumericalFailure,
                    check_level_budget_bound, cube_width, estimate_mlmc,
-                   estimate_mlmc_fixed, level_budget_rhs_se,
-                   level_variance_estimates, replicate, standard_mc,
+                   estimate_mlmc_fixed, level_variance_estimates, replicate, standard_mc,
                    total_budget, truncation_schedule, work_normalized_variance)
 from .streams import UniformStream, new_stream
 
@@ -128,10 +127,8 @@ def run_estimator_cell(method: str, integrand: Integrand, reps: int,
 def run_markov_cell(cfg: dict[str, str], d: int, reps: int,
                     root: UniformStream) -> CellResult:
     model, gamma = chain_from_config(cfg, d)
-    schedule = markov_schedule(d, gamma)
-    estimator = partial(estimate_chain_mlmc, model, gamma, schedule=schedule)
-    summary = _replicate_cell("markov", d, estimator, reps, root,
-                              chain_width(schedule))
+    summary = _replicate_cell("markov", d, partial(estimate_chain_mlmc, model, gamma),
+                              reps, root, chain_width(markov_schedule(d, gamma)))
     return CellResult("markov", d, summary)
 
 
@@ -206,7 +203,8 @@ def lemma1_diagnostic(cfg: dict[str, str], seed: int, d_grid=None,
 
     Level variances come from the fixed-base-point estimator (independent
     levels, so the inequality's hypotheses hold for its levels), the residual
-    sequence from the analytic profile.  Pass requires lhs <= rhs + 4 SE(rhs).
+    sequence from the analytic profile.  Pass requires lhs <= rhs + 4 SE(rhs),
+    the rule of :class:`anova.InequalityReport`.
     """
     d_grid = _d_grid(cfg, d_grid)
     if reps is None:
@@ -226,9 +224,8 @@ def lemma1_diagnostic(cfg: dict[str, str], seed: int, d_grid=None,
         counts = summary.replications * np.array(summary.level_count)
         V_se = V * np.sqrt(2.0 / np.maximum(counts - 1.0, 1.0))
         nu = analytic_profile(integrand).D
-        rhs_se = level_budget_rhs_se(schedule.m, V, V_se)
-        report = check_level_budget_bound(schedule.m, V, nu, slack=4.0 * rhs_se)
+        report = check_level_budget_bound(schedule.m, V, nu, V_se)
         rows.append(LevelBudgetRow(family=integrand.family, d=d, lhs=report.lhs,
-                                   rhs=report.rhs, rhs_se=rhs_se,
+                                   rhs=report.rhs, rhs_se=report.se,
                                    passed=report.passed))
     return rows

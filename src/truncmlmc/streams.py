@@ -43,10 +43,6 @@ import numpy as np
 
 _MASK32 = 0xFFFFFFFF
 
-# Paths per row block of the restart decay, as in mlmc's chunks; no sampled
-# value depends on it.
-_BLOCK_ELEMENTS = 2 ** 14
-
 # The hash constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
@@ -346,11 +342,11 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def pool_blocks(n: int) -> list[tuple[int, int]]:
+def pool_blocks(n: int, budget: int) -> list[tuple[int, int]]:
     """Rows ``0..n`` of one element each, split into ``(start, stop)`` blocks
     of nearly equal size for :func:`run_parts`.
 
-    No block holds more than ``_BLOCK_ELEMENTS`` rows, and where ``n``
+    No block holds more than ``budget`` rows, at least one, and where ``n``
     permits, the block count is a multiple of the pool's thread count, so
     every thread gets the same share of rows.  No rows make no blocks.
     """
@@ -358,7 +354,7 @@ def pool_blocks(n: int) -> list[tuple[int, int]]:
         raise ValueError("row count must be nonnegative")
     if n == 0:
         return []
-    blocks = -(-n // max(1, _BLOCK_ELEMENTS))
+    blocks = -(-n // max(1, budget))
     threads = min(_cpu_count(), blocks)
     blocks = min(n, -(-blocks // threads) * threads)
     return [(n * k // blocks, n * (k + 1) // blocks) for k in range(blocks)]

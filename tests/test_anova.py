@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalar_oracles import reference_mc_profile, reference_radial_index
-from truncmlmc import (DegenerateIntegrandError, Integrand,
+from truncmlmc import (DegenerateIntegrandError, InequalityReport, Integrand,
                        UnsupportedIntegrandError, VarianceProfile,
                        analytic_profile, anova, chain_integrand,
                        check_pair_variance_bound, check_residual_lower_bound,
@@ -477,6 +477,19 @@ def test_residual_lower_bound_examples():
     assert rep.passed
 
 
+def test_residual_lower_bound_draws_its_points_from_fork_1():
+    # fork 0 holds the radial design of a black-box lhs; the residual's points
+    # must come from an independent fork
+    f = make_product(geometric_coefficients(3))
+    black_box = Integrand(dimension=3, evaluator=f.evaluator)
+    g = lambda prefix: prefix[:, 0] - 0.5
+    for integrand in (f, black_box):
+        report = check_residual_lower_bound(integrand, g, 1, 500, new_stream(12))
+        points = new_stream(12).fork(1).draw_matrix(500, 3)
+        rhs, _ = anova._var_and_se(f.evaluator(points) - g(points[:, :1]))
+        assert report.rhs == rhs
+
+
 def test_residual_lower_bound_black_box_path():
     f = Integrand(dimension=2,
                   evaluator=lambda pts: (pts[:, 0] - 0.5) + (pts[:, 1] - 0.5))
@@ -484,3 +497,53 @@ def test_residual_lower_bound_black_box_path():
                                      new_stream(31))
     assert rep.lhs == pytest.approx(1 / 12, abs=4 * rep.se + 1e-3)
     assert rep.passed
+
+
+def test_report_passes_up_to_four_standard_errors():
+    # 1 + 4 * 0.25 is exact, so the margin's edge is tested without rounding
+    assert InequalityReport(lhs=2.0, rhs=1.0, se=0.25).passed
+    assert not InequalityReport(lhs=np.nextafter(2.0, 3.0), rhs=1.0, se=0.25).passed
+    assert InequalityReport(lhs=1.0, rhs=1.0, se=0.0).passed
+    assert not InequalityReport(lhs=np.nextafter(1.0, 2.0), rhs=1.0, se=0.0).passed
+
+
+def test_var_and_se_hand_values():
+    # centred [-1, -1, -1, 3]: var 12 / 3 = 4, fourth moment 84 / 4 = 21, so
+    # SE = sqrt((21 - 4^2) / 4)
+    var, se = anova._var_and_se(np.array([0.0, 0.0, 0.0, 4.0]))
+    assert var == 4.0
+    assert se == pytest.approx(np.sqrt(1.25), rel=1e-15)
+
+
+@pytest.mark.parametrize("family", [make_additive, make_product])
+@pytest.mark.parametrize("i", [1, 3])
+def test_pair_variance_bound_fails_for_an_understated_profile(family, i):
+    # a negative control: D and var_f scaled by 1/10 put 4 D(i) some 30-40
+    # SEs below the measured variance of the pair differences
+    f = family(geometric_coefficients(8))
+    profile = analytic_profile(f)
+    low = dataclasses.replace(profile, D=profile.D / 10, var_f=profile.var_f / 10)
+    valid = check_pair_variance_bound(f, i, profile, 4000, new_stream(5).fork(i))
+    scaled = check_pair_variance_bound(f, i, low, 4000, new_stream(5).fork(i))
+    assert valid.passed
+    assert valid.lhs == scaled.lhs and valid.se == scaled.se
+    assert scaled.lhs > scaled.rhs + 20.0 * scaled.se
+    assert not scaled.passed
+
+
+@pytest.mark.parametrize("i", [1, 3])
+def test_residual_lower_bound_fails_for_overstated_coefficients(i):
+    # a negative control: coefficients twice the evaluator's make the analytic
+    # D(i) four times the true one, which the best g on the first i
+    # coordinates leaves as its residual variance
+    c = geometric_coefficients(8)
+    honest = make_additive(c)
+    overstated = dataclasses.replace(honest, coefficients=2.0 * c)
+    best = lambda prefix: (prefix - 0.5) @ c[:i]
+    valid = check_residual_lower_bound(honest, best, i, 4000, new_stream(6).fork(i))
+    report = check_residual_lower_bound(overstated, best, i, 4000,
+                                        new_stream(6).fork(i))
+    assert valid.passed
+    assert report.lhs == pytest.approx(4.0 * valid.lhs, rel=1e-12)
+    assert report.lhs > report.rhs + 100.0 * report.se
+    assert not report.passed

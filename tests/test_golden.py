@@ -113,10 +113,10 @@ def test_output_matches_pinned_hash(name, tmp_path):
 @pytest.mark.parametrize("budget,workers", [(0, 8), (4 * 256, 2), (2 ** 62, 1)],
                          ids=["one-per-chunk", "sub-batches", "unbounded"])
 def test_hashes_do_not_depend_on_chunk_size(budget, workers, tmp_path, monkeypatch):
-    # replication chunks, the decay's row blocks and the pool's thread count;
-    # the radial design's segments set its sums' order, so they stay as they are
+    # replication chunks and the decay's row blocks, which share one budget,
+    # and the pool's thread count; the radial design's segments set its sums'
+    # order, so they stay as they are
     monkeypatch.setattr(mlmc, "_CHUNK_ELEMENTS", budget)
-    monkeypatch.setattr(streams, "_BLOCK_ELEMENTS", budget)
     monkeypatch.setattr(streams, "_cpu_count", lambda: workers)
     pinned = json.loads(HASHES.read_text(encoding="utf-8"))
     for name in sorted(INVOCATIONS):

@@ -13,7 +13,7 @@ import pytest
 from scalar_oracles import (coupled_level_pair, prefix_redraw_payoff,
                             reference_measure_decay, simulate_chain,
                             simulate_restart)
-from truncmlmc import markov, streams
+from truncmlmc import markov, mlmc, streams
 from truncmlmc.anova import NumericalFailure
 from truncmlmc import (ChainModel, CostLedger, chain_integrand, chain_width,
                        drift_integral,
@@ -256,7 +256,7 @@ def _bench_workloads():
 DECAY_DEPTHS = (0, 3, 8, 31, 32)
 # block budget and path count: one-path blocks, then several default blocks
 # per thread count, then one block
-DECAY_BLOCKS = {"one-path": (0, 301), "default": (streams._BLOCK_ELEMENTS, 40_001),
+DECAY_BLOCKS = {"one-path": (0, 301), "default": (mlmc._CHUNK_ELEMENTS, 40_001),
                 "unbounded": (2 ** 62, 40_001)}
 
 
@@ -295,7 +295,7 @@ def test_time_varying_decay_matches_serial_reference(workers, blocks, reference_
 def _check_decay_matches_serial_reference(increments, workers, blocks,
                                           reference_decay, monkeypatch):
     budget, n = DECAY_BLOCKS[blocks]
-    monkeypatch.setattr(streams, "_BLOCK_ELEMENTS", budget)
+    monkeypatch.setattr(mlmc, "_CHUNK_ELEMENTS", budget)
     monkeypatch.setattr(streams, "_cpu_count", lambda: workers)
     interval = sys.getswitchinterval()
     if workers == 8:  # more threads than cores, switching often
@@ -323,7 +323,7 @@ class _StepFault(RuntimeError):
 @pytest.mark.parametrize("workers", [1, 8])
 def test_measure_decay_raises_the_step_error(workers, monkeypatch):
     # several blocks per thread; the fault strikes partway through one of them
-    monkeypatch.setattr(streams, "_BLOCK_ELEMENTS", 100)
+    monkeypatch.setattr(mlmc, "_CHUNK_ELEMENTS", 100)
     monkeypatch.setattr(streams, "_cpu_count", lambda: workers)
     calls = itertools.count()
     lindley = make_lindley(16)
@@ -339,7 +339,7 @@ def test_measure_decay_raises_the_step_error(workers, monkeypatch):
 
 
 def test_measure_decay_pool_threads_keep_the_error_state(monkeypatch):
-    monkeypatch.setattr(streams, "_BLOCK_ELEMENTS", 100)
+    monkeypatch.setattr(mlmc, "_CHUNK_ELEMENTS", 100)
     monkeypatch.setattr(streams, "_cpu_count", lambda: 8)
 
     def step(t, x, z):
@@ -377,8 +377,8 @@ def test_measure_decay_memory_is_the_gap_array_and_blocks_per_worker(workers,
     finally:
         tracemalloc.stop()
     gaps = len(depths) * n * 8
-    blocks = len(streams.pool_blocks(n))
-    budget = 8 * streams._BLOCK_ELEMENTS
+    blocks = len(streams.pool_blocks(n, mlmc._CHUNK_ELEMENTS))
+    budget = 8 * mlmc._CHUNK_ELEMENTS
     assert peak < gaps + min(workers, blocks) * DECAY_BLOCK_BUDGETS * budget, (peak, gaps)
 
 
@@ -438,15 +438,15 @@ def test_increment_block_matches_each_time_row(time_varying, a, b):
     # the block form keeps the bits of (a - s) + ((b + s) - (a - s))·y with
     # s = 0 or the time-varying shift in Python floats, applied one time
     # index and one row at a time
-    d, amplitude = 24, 0.1
-    zeta = (modulated_uniform_increments(d, a, b, amplitude) if time_varying
+    d = 24
+    zeta = (modulated_uniform_increments(d, a, b) if time_varying
             else uniform_increments(a, b))
     times = np.arange(d)[:, None]
     y = new_stream(20).draw_matrix(d, 50)
     block = zeta(times, y)
     assert block.shape == y.shape
     for t in range(d):
-        s = amplitude * math.sin(2.0 * math.pi * t / d) if time_varying else 0.0
+        s = 0.1 * math.sin(2.0 * math.pi * t / d) if time_varying else 0.0
         expected = (a - s) + ((b + s) - (a - s)) * y[t]
         assert np.array_equal(block[t], expected), t
         assert np.array_equal(block[t], zeta(times[t:t + 1], y[t:t + 1])[0]), t

@@ -471,26 +471,59 @@ def test_optimal_allocation_meets_target(V, data):
 
 
 def test_level_budget_bound_single_level_equality():
-    rep = check_level_budget_bound(m=[0, 1], V=[0.4], nu=[0.4, 0.0])
+    rep = check_level_budget_bound(m=[0, 1], V=[0.4], nu=[0.4, 0.0], V_se=[0.0])
     assert rep.lhs == pytest.approx(rep.rhs)
     assert rep.passed
 
 
 def test_level_budget_bound_zero_nu_always_passes():
-    rep = check_level_budget_bound(m=[0, 1, 4], V=[0.3, 0.1], nu=[0.0] * 5)
+    rep = check_level_budget_bound(m=[0, 1, 4], V=[0.3, 0.1], nu=[0.0] * 5,
+                                   V_se=[0.0, 0.0])
     assert rep.passed
 
 
 def test_level_budget_bound_validation():
-    with pytest.raises(ValueError):
-        check_level_budget_bound(m=[0, 2], V=[1.0], nu=[0.1, 0.2, 0.0])
-    with pytest.raises(ValueError):
-        check_level_budget_bound(m=[0, 2], V=[1.0], nu=[0.2, 0.1, 0.3])
-    with pytest.raises(ValueError):
-        check_level_budget_bound(m=[1, 2], V=[1.0], nu=[0.2, 0.1])
+    with pytest.raises(ValueError, match="nonincreasing"):
+        check_level_budget_bound(m=[0, 2], V=[1.0], nu=[0.1, 0.2, 0.0], V_se=[0.0])
+    with pytest.raises(ValueError, match="nonincreasing"):
+        check_level_budget_bound(m=[0, 2], V=[1.0], nu=[0.2, 0.1, 0.3], V_se=[0.0])
+    with pytest.raises(ValueError, match="end at 0"):
+        check_level_budget_bound(m=[0, 2], V=[1.0], nu=[0.2, 0.1, 0.05], V_se=[0.0])
+    with pytest.raises(ValueError, match="one entry per index"):
+        check_level_budget_bound(m=[0, 2], V=[1.0], nu=[0.1, 0.0], V_se=[0.0])
+    for m in ([1, 2], [0, 1, 1]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            check_level_budget_bound(m=m, V=[1.0] * (len(m) - 1), nu=[0.0] * (m[-1] + 1),
+                                     V_se=[0.0] * (len(m) - 1))
+    for V, V_se in (([1.0], [0.0, 0.0]), ([1.0, 1.0, 1.0], [0.0] * 3)):
+        with pytest.raises(ValueError, match="one variance and one standard error"):
+            check_level_budget_bound(m=[0, 1, 2], V=V, nu=[0.0] * 3, V_se=V_se)
 
 
-def test_level_budget_bound_holds_with_measured_variances():
+def test_level_budget_bound_tolerates_rounding_relative_to_nu_0():
+    # increases of nu up to 1e-12 max(|nu_0|, 1) are rounding, not a violation
+    check_level_budget_bound(m=[0, 1, 2], V=[1.0, 1.0], nu=[0.0, 1e-12, 0.0],
+                             V_se=[0.0, 0.0])
+    check_level_budget_bound(m=[0, 1, 3], V=[1.0, 1.0], nu=[100.0, 1.0, 1.0 + 5e-11, 0.0],
+                             V_se=[0.0, 0.0])
+
+
+def test_level_budget_bound_se_is_the_delta_method():
+    # root sum 1 + sqrt(4 * 4) = 5, so rhs = 25 and both gradients are 5
+    rep = check_level_budget_bound(m=[0, 1, 4], V=[1.0, 4.0], nu=[0.0] * 5,
+                                   V_se=[0.1, 0.2])
+    assert rep.rhs == 25.0
+    assert rep.se == pytest.approx(math.sqrt(0.5 ** 2 + 1.0 ** 2), rel=1e-15)
+    # a level with V_l = 0 adds nothing to the root sum and has no gradient
+    rep = check_level_budget_bound(m=[0, 1, 4], V=[1.0, 0.0], nu=[0.0] * 5,
+                                   V_se=[0.1, 0.2])
+    assert (rep.rhs, rep.se) == (1.0, 0.1)
+
+
+def _measured_level_budget(nu_scale, with_se):
+    """The level-budget check at d = 8 with the fixed-base-point estimator's
+    level variances, the analytic profile times ``nu_scale`` as nu, and the
+    variances' SEs as the lemma1 diagnostic computes them, or zeros."""
     d = 8
     f = make_additive(geometric_coefficients(d))
     schedule = truncation_schedule(d)
@@ -498,6 +531,20 @@ def test_level_budget_bound_holds_with_measured_variances():
         lambda s: estimate_mlmc_fixed(f, np.full(d, 0.5), schedule, s), 4000,
         new_stream(67), cube_width(schedule))
     V = level_variance_estimates(summary)
-    nu = analytic_profile(f).D
-    rep = check_level_budget_bound(schedule.m, V, nu)
+    counts = summary.replications * np.array(summary.level_count)
+    V_se = V * np.sqrt(2.0 / (counts - 1.0)) if with_se else np.zeros_like(V)
+    return check_level_budget_bound(schedule.m, V, nu_scale * analytic_profile(f).D,
+                                    V_se)
+
+
+def test_level_budget_bound_holds_with_measured_variances():
+    rep = _measured_level_budget(1.0, with_se=False)
+    assert rep.se == 0.0
     assert rep.passed
+
+
+def test_level_budget_bound_fails_for_an_inflated_nu():
+    # a negative control: nu = 100 D breaks the bound by thousands of SEs
+    rep = _measured_level_budget(100.0, with_se=True)
+    assert rep.lhs > rep.rhs + 1000.0 * rep.se > rep.rhs
+    assert not rep.passed

@@ -267,12 +267,12 @@ def test_threads_draw_the_same_bits_as_serial_runs():
 
 
 def test_no_rows_make_no_blocks_and_no_calls():
-    assert pool_blocks(0) == []
+    assert pool_blocks(0, 1) == []
     stream = new_stream(1)
-    assert run_parts(lambda part, block: 1 / 0, stream, pool_blocks(0), 0) == []
+    assert run_parts(lambda part, block: 1 / 0, stream, pool_blocks(0, 1), 0) == []
     assert stream.counter == 0 and stream.ledger.snapshot() == (0, 0, 0)
     with pytest.raises(ValueError, match="nonnegative"):
-        pool_blocks(-1)
+        pool_blocks(-1, 1)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 8])
