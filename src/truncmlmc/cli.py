@@ -185,9 +185,9 @@ def cmd_markov(args, cfg, seed):
 def cmd_lemma1(args, cfg, seed):
     rows = lemma1_diagnostic(cfg, seed)
     return ("lemma1.csv", LEMMA_HEADER,
-            [LEMMA_ROW % (r.family, r.d, r.lhs, r.rhs, r.rhs_se,
-                          "true" if r.passed else "false") for r in rows],
-            f"lemma1: {sum(r.passed for r in rows)}/{len(rows)} passed")
+            [LEMMA_ROW % (r.family, r.d, r.report.lhs, r.report.rhs, r.report.se,
+                          "true" if r.report.passed else "false") for r in rows],
+            f"lemma1: {sum(r.report.passed for r in rows)}/{len(rows)} passed")
 
 
 def _add_integrand_flags(parser) -> None:

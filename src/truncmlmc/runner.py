@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from .anova import analytic_profile
+from .anova import InequalityReport, analytic_profile
 from .config import (METHODS, ConfigError, as_choice_list, as_int, as_int_list,
                      chain_from_config, fixed_point_from_config,
                      integrand_from_config, tolerances_from_config)
@@ -191,10 +191,7 @@ class LevelBudgetRow:
 
     family: str
     d: int
-    lhs: float
-    rhs: float
-    rhs_se: float
-    passed: bool
+    report: InequalityReport
 
 
 def lemma1_diagnostic(cfg: dict[str, str], seed: int, d_grid=None,
@@ -224,8 +221,6 @@ def lemma1_diagnostic(cfg: dict[str, str], seed: int, d_grid=None,
         counts = summary.replications * np.array(summary.level_count)
         V_se = V * np.sqrt(2.0 / np.maximum(counts - 1.0, 1.0))
         nu = analytic_profile(integrand).D
-        report = check_level_budget_bound(schedule.m, V, nu, V_se)
-        rows.append(LevelBudgetRow(family=integrand.family, d=d, lhs=report.lhs,
-                                   rhs=report.rhs, rhs_se=report.se,
-                                   passed=report.passed))
+        rows.append(LevelBudgetRow(integrand.family, d,
+                                   check_level_budget_bound(schedule.m, V, nu, V_se)))
     return rows

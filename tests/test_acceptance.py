@@ -242,7 +242,7 @@ def test_criterion_10_level_budget():
             if base.get("integrand.family") == "product":
                 base["integrand.coeffs"] = ",".join(["0.5"] * d)
             rows = lemma1_diagnostic(base, seed=100_2024, d_grid=(d,), reps=4000)
-            assert rows[0].passed, (base, d, rows[0])
+            assert rows[0].report.passed, (base, d, rows[0])
 
 
 @criterion(11, "total budget favors the multilevel estimator at d=256 and the "

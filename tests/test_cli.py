@@ -438,10 +438,10 @@ def test_lemma1_degenerate_single_coordinate():
     rows = lemma1_diagnostic({"integrand.family": "additive", "integrand.d": "4",
                               "integrand.coeffs": "1,0,0,0"}, seed=11,
                              d_grid=(4,), reps=3000)
-    row = rows[0]
-    assert row.passed
-    assert row.lhs == pytest.approx(1 / 12)
-    assert row.rhs == pytest.approx(row.lhs, rel=0.1)
+    report = rows[0].report
+    assert report.passed
+    assert report.lhs == pytest.approx(1 / 12)
+    assert report.rhs == pytest.approx(report.lhs, rel=0.1)
 
 
 def test_lemma1_rejects_an_empty_grid():

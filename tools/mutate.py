@@ -4,7 +4,7 @@
 Usage, from the root of a checkout::
 
     python3 tools/mutate.py anova:InequalityReport anova:_var_and_se \\
-        mlmc:check_level_budget_bound [--list]
+        mlmc:check_level_budget_bound
 
 A target is ``module:name``: a module of ``src/truncmlmc`` and a function or
 class defined at its top level (a class's methods are mutated with it).
@@ -27,7 +27,6 @@ line per mutant is printed, in the format of ``MUTANTS.md``: the place, the
 edit, and ``killed by`` the first failing test (or by the timeout of
 ``TIMEOUT`` seconds, for a mutant that loops), or ``open`` if the suite
 passed.  Whether an open mutant is equivalent is for a reader to decide.
-``--list`` prints the mutants without running them.
 """
 
 from __future__ import annotations
@@ -166,14 +165,12 @@ def _run(copy_root: Path) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("targets", nargs="+", metavar="module:name")
-    parser.add_argument("--list", action="store_true",
-                        help="print the mutants without running the tests")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="mutate-") as scratch:
         copy_root = Path(scratch) / "checkout"
         shutil.copytree(ROOT, copy_root, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_work"))
-        if not args.list and (baseline := _run(copy_root)) != "open":
+        if (baseline := _run(copy_root)) != "open":
             raise SystemExit(f"error: the unmutated suite fails ({baseline})")
         for spec in args.targets:
             module, _, name = spec.partition(":")
@@ -186,9 +183,6 @@ def main(argv=None) -> int:
                 tree, line, before, after = mutate(target, site)
                 entry = (f"- {module}.py:{line} `{name}`: `{_short(before)}` → "
                          f"`{_short(after)}`")
-                if args.list:
-                    print(entry, flush=True)
-                    continue
                 mutant = "".join(lines[:first - 1]) + ast.unparse(tree) + "\n" + \
                     "".join(lines[target.end_lineno:])
                 path.write_text(mutant, encoding="utf-8")
