@@ -13,17 +13,16 @@ from .anova import (DegenerateIntegrandError, InequalityReport,
                     mc_profile, truncation_dimension)
 from .integrands import (Integrand, geometric_coefficients, make_additive,
                          make_product)
-from .markov import (ChainModel, DecayReport, chain_integrand, chain_width,
-                     drift_integral, estimate_chain_mlmc, make_lindley,
-                     markov_schedule, measure_decay,
-                     modulated_uniform_increments, standard_mc_chain,
-                     uniform_increments)
+from .markov import (ChainModel, DecayReport, chain_integrand, drift_integral,
+                     estimate_chain_mlmc, make_lindley, markov_schedule,
+                     measure_decay, modulated_uniform_increments,
+                     standard_mc_chain, uniform_increments)
 from .mlmc import (EstimateRecord, LevelSchedule, check_level_budget_bound,
-                   cube_width, dyadic_prefixes, estimate_mlmc,
-                   estimate_mlmc_fixed, level_variance_estimates,
-                   optimal_allocation, predicted_variance, replicate,
-                   samples_needed, standard_mc, summarize, total_budget,
-                   truncation_schedule, work_normalized_variance)
+                   dyadic_prefixes, estimate_mlmc, estimate_mlmc_fixed,
+                   level_variance_estimates, optimal_allocation,
+                   predicted_variance, replicate, samples_needed, standard_mc,
+                   summarize, total_budget, truncation_schedule,
+                   work_normalized_variance)
 from .streams import CostLedger, UniformStream, new_stream
 
 __version__ = "0.1.0"

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,10 +28,9 @@ import numpy as np
 from . import mlmc
 from .anova import NumericalFailure
 from .integrands import Integrand
-from .mlmc import (EstimateRecord, LevelSchedule, _telescope, dyadic_prefixes,
-                   record_from_snapshot)
-from .streams import (UniformStream, chunk_streams, draw_rows, pool_blocks,
-                      run_parts)
+from .mlmc import (EstimateRecord, LevelSchedule, _chunked, _telescope,
+                   dyadic_prefixes)
+from .streams import UniformStream, draw_rows, pool_blocks, run_parts
 
 LINDLEY_A = -0.6
 LINDLEY_B = 0.4
@@ -100,13 +100,6 @@ def markov_schedule(d: int, gamma: float) -> LevelSchedule:
     return LevelSchedule(m=m, n=n)
 
 
-def chain_width(schedule: LevelSchedule) -> int:
-    """Innovations of one chain replication that size its chunks: its
-    narrowest level's n_l·m_l.  Wider levels run in batches of the chunk's
-    replications (see :func:`estimate_chain_mlmc`)."""
-    return min(n_l * m_l for n_l, m_l in zip(schedule.n, schedule.m[1:]))
-
-
 def estimate_chain_mlmc(model: ChainModel, gamma: float,
                         streams: UniformStream | Sequence[UniformStream]
                         ) -> EstimateRecord:
@@ -118,16 +111,15 @@ def estimate_chain_mlmc(model: ChainModel, gamma: float,
     so the estimator variance is exactly sum_l V_l / n_l.  Unbiased for the
     expected terminal payoff.
 
-    Chunks are sized by :func:`chain_width`, the narrowest level's n_l·m_l.
-    Level l then runs over consecutive replications in batches of
-    ``_CHUNK_ELEMENTS // (n_l·m_l)``, at least one, so a batch's innovations
-    hold at most the budget or one replication's level.  Each batch forks its
-    replications' streams, draws and computes their increments once, and
-    steps all their paths together.
+    Chunks are sized by the narrowest level's n_l·m_l.  Level l then runs
+    over consecutive replications in batches of ``_CHUNK_ELEMENTS //
+    (n_l·m_l)``, at least one, so a batch's innovations hold at most the
+    budget or one replication's level.  Each batch forks its replications'
+    streams, draws and computes their increments once, and steps all their
+    paths together.
     """
     d = model.horizon
     schedule = markov_schedule(d, gamma)
-    streams, ledger = chunk_streams(streams)
     x0 = float(model.initial_state)
     times = np.arange(d)[:, None]
 
@@ -135,10 +127,11 @@ def estimate_chain_mlmc(model: ChainModel, gamma: float,
         # read at call time, so a patched budget reaches the batches too
         return max(1, mlmc._CHUNK_ELEMENTS // (n_l * m_hi))
 
-    def sample(level: int, n_l: int, m_lo: int, m_hi: int, rows: slice) -> np.ndarray:
+    def sample(chunk: list[UniformStream], level: int, n_l: int, m_lo: int,
+               m_hi: int, rows: slice) -> np.ndarray:
         # one row of innovations per path, a replication's n_l paths adjacent;
         # transposed so that row k holds every path's increment of step k
-        ys = draw_rows([s.fork(level) for s in streams[rows]], n_l * m_hi)
+        ys = draw_rows([s.fork(level) for s in chunk[rows]], n_l * m_hi)
         ys = np.ascontiguousarray(ys.reshape(-1, m_hi).T)
         z = model.increment(times[d - m_hi:], ys)
         del ys  # only the increments stay alive while the states step
@@ -151,34 +144,39 @@ def estimate_chain_mlmc(model: ChainModel, gamma: float,
             model.step(d - m_hi + k, fine, z[k])
         for k in range(m_hi - m_lo, m_hi):
             model.step(d - m_hi + k, states, z[k])
+        ledger = chunk[0].ledger
         ledger.step_applications += paths * (m_hi + m_lo)
         ledger.payoff_evals += states.size
         pays = np.asarray(model.payoff(states), dtype=float).reshape(len(states), -1, n_l)
         return pays[0] - pays[1] if m_lo else pays[0]
 
-    return _telescope(schedule, sample, batch, len(streams), ledger,
-                      ledger.snapshot())
+    narrowest = min(n_l * m_l for n_l, m_l in zip(schedule.n, schedule.m[1:]))
+    return _chunked(lambda chunk: _telescope(schedule, partial(sample, chunk), batch,
+                                             len(chunk)), streams, narrowest, schedule.n)
 
 
 def standard_mc_chain(model: ChainModel, n: int,
                       streams: UniformStream | Sequence[UniformStream]
                       ) -> EstimateRecord:
     """Average terminal payoffs over n full-horizon paths advanced in lockstep,
-    one average per stream; chunks of them are sized by n."""
+    one average per stream, in chunks sized by n."""
     if n < 1:
         raise ValueError("path count must be positive")
-    streams, ledger = chunk_streams(streams)
-    before = ledger.snapshot()
     times = np.arange(model.horizon)[:, None]
-    states = np.full(len(streams) * n, float(model.initial_state))
-    for t in range(model.horizon):
-        # each stream draws its n innovations of step t when the step runs
-        y = draw_rows(streams, n).reshape(1, -1)
-        model.step(t, states, model.increment(times[t:t + 1], y)[0])
-        ledger.step_applications += states.size
-    values = np.asarray(model.payoff(states), dtype=float).reshape(len(streams), n)
-    ledger.payoff_evals += states.size
-    return record_from_snapshot(values.mean(axis=1), before, ledger)
+
+    def run_chunk(chunk: list[UniformStream]) -> tuple[np.ndarray]:
+        ledger = chunk[0].ledger
+        states = np.full(len(chunk) * n, float(model.initial_state))
+        for t in range(model.horizon):
+            # each stream draws its n innovations of step t when the step runs
+            y = draw_rows(chunk, n).reshape(1, -1)
+            model.step(t, states, model.increment(times[t:t + 1], y)[0])
+            ledger.step_applications += states.size
+        values = np.asarray(model.payoff(states), dtype=float).reshape(len(chunk), n)
+        ledger.payoff_evals += states.size
+        return (values.mean(axis=1),)
+
+    return _chunked(run_chunk, streams, n)
 
 
 def _loglinear_fit(x: np.ndarray, log_y: np.ndarray) -> tuple[float, float, float]:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .anova import DegenerateIntegrandError, InequalityReport, NumericalFailure
 from .integrands import Integrand
-from .streams import CostLedger, UniformStream, chunk_streams, draw_rows
+from .streams import UniformStream, draw_rows
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ _CHUNK_ELEMENTS = 2 ** 14
 
 @dataclass(frozen=True)
 class EstimateRecord:
-    """R replications in columns: a chunk of a cell, or a whole cell.
+    """R replications in columns, one per stream of an estimator call.
 
     ``values`` is [R].  ``costs`` [3] holds the draw, step and eval units of
     one replication: every replication of an estimator does the same work.
@@ -117,46 +117,76 @@ def truncation_schedule(d: int) -> LevelSchedule:
     return LevelSchedule(m=m, n=n)
 
 
-def cube_width(schedule: LevelSchedule) -> int:
-    """Elements of one replication of a cube estimator that size its chunks:
-    the narrowest level's n_l·d points' coordinates.  Wider levels run in
-    sub-batches of the chunk's replications."""
-    return min(schedule.n) * schedule.dimension
+def _chunked(run_chunk: Callable[[list[UniformStream]], tuple[np.ndarray, ...]],
+             streams: UniformStream | Sequence[UniformStream], width: int,
+             level_count: tuple[int, ...] | None = None) -> EstimateRecord:
+    """The record of one replication per stream, run over consecutive streams
+    in chunks; a bare stream is one replication.
 
-
-def record_from_snapshot(values: np.ndarray, before: tuple[int, int, int],
-                         ledger: CostLedger, level_sum=None, level_sq=None,
-                         level_count=None) -> EstimateRecord:
-    """Close out a chunk of replications against the ledger state captured at
-    its start.  Every replication of a chunk does the same work, so the record
-    holds one equal share of the chunk's units."""
-    reps = values.size
-    delta = np.subtract(ledger.snapshot(), before)
-    if np.any(delta % reps):
-        raise RuntimeError(f"cost units {delta.tolist()} do not split evenly "
-                           f"over {reps} replications")
-    return EstimateRecord(values=values, costs=delta // reps,
-                          level_sum=level_sum, level_sq=level_sq,
-                          level_count=level_count)
+    ``width`` counts the elements of one replication that size the chunks:
+    every chunk but the last holds ``_CHUNK_ELEMENTS // width`` replications,
+    at least one.  ``run_chunk(chunk)`` books the chunk's units on its
+    streams' ledger and returns its columns: ``values`` [R] and, for the
+    telescopes, ``level_sum`` and ``level_sq`` [R, L], one row per stream.
+    The columns are allocated once from the first chunk, and each chunk's
+    rows are copied in before the next chunk runs.  Every stream must share
+    the first one's ledger.  A chunk's units must split evenly over its
+    replications (RuntimeError), and the first chunk's share stands for every
+    replication: a later chunk whose share differs raises ValueError.
+    """
+    if isinstance(streams, UniformStream):
+        streams = [streams]
+    reps = len(streams)
+    if not reps:
+        raise ValueError("a chunk needs at least one stream")
+    size = max(1, _CHUNK_ELEMENTS // width)
+    columns = None
+    for start in range(0, reps, size):
+        chunk = list(streams[start:start + size])
+        if columns is None:
+            ledger = chunk[0].ledger
+        if any(stream.ledger is not ledger for stream in chunk):
+            raise ValueError("the streams of a chunk must share one cost ledger")
+        before = ledger.snapshot()
+        result = run_chunk(chunk)
+        delta = np.subtract(ledger.snapshot(), before)
+        if np.any(delta % len(chunk)):
+            raise RuntimeError(f"cost units {delta.tolist()} do not split evenly "
+                               f"over {len(chunk)} replications")
+        if any(len(column) != len(chunk) for column in result):
+            raise ValueError(f"a chunk of {len(chunk)} streams returned columns of "
+                             f"{[len(column) for column in result]} rows")
+        if columns is None:
+            columns = [np.empty((reps,) + column.shape[1:], column.dtype)
+                       for column in result]
+            costs = delta // len(chunk)
+        elif not np.array_equal(delta // len(chunk), costs):
+            raise ValueError(f"a chunk's replications cost {(delta // len(chunk)).tolist()} "
+                             f"units, the first chunk's {costs.tolist()}")
+        for k, column in enumerate(columns):
+            column[start:start + len(chunk)] = result[k]
+        del result
+    values, *levels = columns
+    return EstimateRecord(values, costs, *levels, level_count=level_count)
 
 
 def _telescope(schedule: LevelSchedule,
                sample: Callable[[int, int, int, int, slice], np.ndarray],
-               batch: Callable[[int, int], int], reps: int,
-               ledger: CostLedger, before: tuple[int, int, int]) -> EstimateRecord:
-    """A chunk of ``reps`` replications of the telescoping sum of level means
-    over ``schedule``.
+               batch: Callable[[int, int], int], reps: int
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``values``, ``level_sum`` and ``level_sq`` columns of ``reps``
+    replications of the telescoping sum of level means over ``schedule``.
 
     Level l runs over consecutive replications in batches of ``batch(n_l,
     m_l)``.  ``sample(level, n_l, m_lo, m_hi, rows)`` returns the batch's
     [len(rows), n_l] increments: row j holds replication ``rows.start + j``'s
     n_l coupled increments, the payoff at prefix length m_hi minus the payoff
     at m_lo, with no coarse term when m_lo = 0 (the level-0 term is
-    identically zero).  Each batch is reduced into the chunk's columns before
-    the next is sampled, so no level's increments are held for the whole
-    chunk.  Each row is reduced as one replication's vector would be, and
-    its level means are added to 0.0 in level order, so its bits depend on
-    neither the chunk nor the batch.
+    identically zero).  Each batch is reduced into the columns before the
+    next is sampled, so no level's increments are held for every
+    replication.  Each row is reduced as one replication's vector would be,
+    and its level means are added to 0.0 in level order, so its bits depend
+    on neither the chunk nor the batch.
     """
     values = np.zeros(reps)
     level_sum = np.empty((reps, schedule.levels))
@@ -170,33 +200,32 @@ def _telescope(schedule: LevelSchedule,
             level_sum[rows, k] = diffs.sum(axis=1)
             level_sq[rows, k] = np.vecdot(diffs, diffs)
             values[rows] += diffs.mean(axis=1)
-    return record_from_snapshot(values, before, ledger, level_sum, level_sq,
-                                schedule.n)
+    return values, level_sum, level_sq
 
 
-def _cube_telescope(integrand: Integrand, base: np.ndarray | None,
-                    schedule: LevelSchedule, streams: list[UniformStream],
-                    ledger: CostLedger, before: tuple[int, int, int]) -> EstimateRecord:
-    """The telescope with fresh prefixes from each stream spliced onto its row
-    of ``base`` [R, d], or onto a random base point when ``base`` is None.
+def _cube_telescope(integrand: Integrand, v: np.ndarray | None,
+                    schedule: LevelSchedule, streams: list[UniformStream]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The telescope's columns for a chunk, with fresh prefixes from each
+    stream spliced onto the base point ``v``, or onto a random base point
+    per stream when ``v`` is None; units are booked on the streams' ledger.
 
     Each replication's uniforms come from one draw: the random base point
     first, if any, then every level's prefixes in level order.  Chunks are
-    sized by :func:`cube_width`, the narrowest level's n_l·d, so under the
-    truncation schedule (at most 9d draws per replication) a chunk draws at
-    most 9 budgets of uniforms.  Level l then runs over consecutive
-    replications in sub-batches of ``_CHUNK_ELEMENTS // (n_l·d)``, at least one, so its
+    sized by the narrowest level's n_l·d, so under the truncation schedule
+    (at most 9d draws per replication) a chunk draws at most 9 budgets of
+    uniforms.  Level l then runs over consecutive replications in
+    sub-batches of ``_CHUNK_ELEMENTS // (n_l·d)``, at least one, so its
     points hold at most the budget or one replication's level.
     """
     if schedule.dimension != integrand.dimension:
         raise ValueError("schedule dimension must match the integrand")
     d = integrand.dimension
-    reps = len(streams)
+    reps, ledger = len(streams), streams[0].ledger
     offsets = list(accumulate((n_l * m_l for n_l, m_l in zip(schedule.n, schedule.m[1:])),
-                              initial=0 if base is not None else d))
+                              initial=0 if v is not None else d))
     drawn = draw_rows(streams, offsets[-1])
-    if base is None:
-        base = drawn[:, :d]
+    base = drawn[:, :d] if v is None else np.broadcast_to(v, (reps, d))
 
     def sample(level: int, n_l: int, m_lo: int, m_hi: int, rows: slice) -> np.ndarray:
         # every level is one batch of the whole chunk, since its points run
@@ -217,30 +246,34 @@ def _cube_telescope(integrand: Integrand, base: np.ndarray | None,
                 diffs[part] -= integrand.eval_batch(rows, ledger).reshape(-1, n_l)
         return diffs
 
-    return _telescope(schedule, sample, lambda n_l, m_hi: reps, reps, ledger, before)
+    return _telescope(schedule, sample, lambda n_l, m_hi: reps, reps)
 
 
 def estimate_mlmc(integrand: Integrand, schedule: LevelSchedule,
                   streams: UniformStream | Sequence[UniformStream]) -> EstimateRecord:
     """Replications of the truncation-coupled estimator with a random base
-    point, one per stream.
+    point, one per stream, in chunks sized by the narrowest level's n_l·d.
 
     Each draws its base point once (d draws; the cost model charges one payoff
     evaluation there), then runs the level telescope with all levels sharing
     that base point.  Unbiased for the integral for any level schedule.
     """
-    streams, ledger = chunk_streams(streams)
-    before = ledger.snapshot()
-    # no level needs the value f(u'), so its payoff is charged, not evaluated
-    ledger.payoff_evals += len(streams)
-    ledger.step_applications += integrand.steps_per_eval * len(streams)
-    return _cube_telescope(integrand, None, schedule, streams, ledger, before)
+    def run_chunk(chunk: list[UniformStream]) -> tuple[np.ndarray, ...]:
+        ledger = chunk[0].ledger
+        # no level needs the value f(u'), so its payoff is charged, not evaluated
+        ledger.payoff_evals += len(chunk)
+        ledger.step_applications += integrand.steps_per_eval * len(chunk)
+        return _cube_telescope(integrand, None, schedule, chunk)
+
+    return _chunked(run_chunk, streams, min(schedule.n) * integrand.dimension,
+                    schedule.n)
 
 
 def estimate_mlmc_fixed(integrand: Integrand, v, schedule: LevelSchedule,
                         streams: UniformStream | Sequence[UniformStream]
                         ) -> EstimateRecord:
-    """Replications with the base point fixed to v (no base-point cost), one per stream.
+    """Replications with the base point fixed to v (no base-point cost), one
+    per stream, in chunks sized by the narrowest level's n_l·d.
 
     Unbiased for the integral for every fixed v; since nothing random is
     shared across levels, its variance is exactly the sum of per-level
@@ -251,24 +284,24 @@ def estimate_mlmc_fixed(integrand: Integrand, v, schedule: LevelSchedule,
         raise ValueError(f"fixed suffix must have length {integrand.dimension}")
     if np.any((v < 0.0) | (v > 1.0)):
         raise ValueError("fixed suffix must lie in the unit cube")
-    streams, ledger = chunk_streams(streams)
-    base = np.broadcast_to(v, (len(streams), v.size))
-    return _cube_telescope(integrand, base, schedule, streams, ledger,
-                           ledger.snapshot())
+    return _chunked(lambda chunk: _cube_telescope(integrand, v, schedule, chunk),
+                    streams, min(schedule.n) * integrand.dimension, schedule.n)
 
 
 def standard_mc(integrand: Integrand, n: int,
                 streams: UniformStream | Sequence[UniformStream]) -> EstimateRecord:
     """Plain averages of f over n uniform points (n*d draws, n payoff
-    evaluations), one per stream; chunks of them are sized by n·d."""
+    evaluations), one per stream, in chunks sized by n·d."""
     if n < 1:
         raise ValueError("sample count must be positive")
     d = integrand.dimension
-    streams, ledger = chunk_streams(streams)
-    before = ledger.snapshot()
-    points = draw_rows(streams, n * d).reshape(len(streams) * n, d)
-    values = integrand.eval_batch(points, ledger).reshape(len(streams), n)
-    return record_from_snapshot(values.mean(axis=1), before, ledger)
+
+    def run_chunk(chunk: list[UniformStream]) -> tuple[np.ndarray]:
+        points = draw_rows(chunk, n * d).reshape(len(chunk) * n, d)
+        values = integrand.eval_batch(points, chunk[0].ledger).reshape(len(chunk), n)
+        return (values.mean(axis=1),)
+
+    return _chunked(run_chunk, streams, n * d)
 
 
 def summarize(record: EstimateRecord) -> EstimateRecord:
@@ -285,51 +318,41 @@ def summarize(record: EstimateRecord) -> EstimateRecord:
     return record
 
 
+class _Forks:
+    """The sequence of ``stream.fork(j)`` for j < reps, each made afresh when
+    read, so that the streams of a cell are held a chunk at a time."""
+
+    def __init__(self, stream: UniformStream, reps: int):
+        self.stream, self.reps = stream, reps
+
+    def __len__(self) -> int:
+        return self.reps
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self.stream.fork(j) for j in range(self.reps)[index]]
+        return self.stream.fork(range(self.reps)[index])
+
+
 def replicate(estimator: Callable[[Sequence[UniformStream]], EstimateRecord],
-              reps: int, stream: UniformStream, width: int) -> EstimateRecord:
+              reps: int, stream: UniformStream) -> EstimateRecord:
     """Run ``reps`` independent replications, replication j on ``stream.fork(j)``,
     and summarize them in one record.
 
-    The estimator runs a chunk of consecutive replications per call.
-    ``width`` counts the elements of one replication that size the chunks,
-    a function of the estimator's schedule alone: :func:`cube_width` for the
-    cube telescopes, ``markov.chain_width`` for chains, n·d for
-    :func:`standard_mc` and n for ``markov.standard_mc_chain``.  Both
-    multilevel widths are the narrowest level's, and the wider levels run
-    in batches of the chunk's replications.  Every chunk but the last holds
-    ``_CHUNK_ELEMENTS // width`` replications, at least one.  The first
-    chunk sizes the cell's ``values``, ``level_sum`` and ``level_sq``
-    columns, which each chunk fills in place; a chunk's record is dropped
-    before the next chunk runs.  The first chunk's cost row and
-    ``level_count`` stand for every replication: a later chunk that costs
-    other units per replication raises ValueError.  Row j depends on its own
-    stream only, so the columns do not depend on the chunk or batch sizes.
+    The estimator runs once, on a sequence that makes each fork when it is
+    read.  The package's estimators read it a chunk at a time, in chunks they
+    size themselves, so a cell holds its columns plus one chunk's arrays.
+    Row j depends on its own stream only, so the columns do not depend on the
+    chunk or batch sizes.
     """
     if reps < 2:
         raise ValueError("need at least 2 replications")
-    if width < 1:
-        raise ValueError("replication width must be positive")
-    size = max(1, _CHUNK_ELEMENTS // width)
-    columns = None
     with np.errstate(over="ignore", invalid="ignore"):  # summarize checks
-        for start in range(0, reps, size):
-            stop = min(reps, start + size)
-            record = estimator([stream.fork(j) for j in range(start, stop)])
-            if record.values.size != stop - start:
-                raise ValueError(f"estimator returned {record.values.size} "
-                                 f"replications for {stop - start} streams")
-            if columns is None:
-                columns = {name: np.empty((reps,) + column.shape[1:], column.dtype)
-                           for name in ("values", "level_sum", "level_sq")
-                           if (column := getattr(record, name)) is not None}
-                costs, level_count = record.costs, record.level_count
-            elif not np.array_equal(record.costs, costs):
-                raise ValueError(f"a chunk's replications cost {record.costs.tolist()} "
-                                 f"units, the first chunk's {costs.tolist()}")
-            for name, column in columns.items():
-                column[start:stop] = getattr(record, name)
-            del record
-    return summarize(EstimateRecord(costs=costs, level_count=level_count, **columns))
+        record = estimator(_Forks(stream, reps))
+    if record.values.size != reps:
+        raise ValueError(f"estimator returned {record.values.size} "
+                         f"replications for {reps} streams")
+    return summarize(record)
 
 
 def level_variance_estimates(summary: EstimateRecord) -> np.ndarray:
@@ -374,8 +397,6 @@ def work_normalized_variance(summary: EstimateRecord) -> float:
 
 def total_budget(summary: EstimateRecord, eps: float) -> float:
     """Expected cost to reach variance eps^2 by independent replication."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
     budget = samples_needed(summary.sample_variance, eps) * summary.mean_cost
     if not math.isfinite(budget):
         raise NumericalFailure(f"total budget at eps={eps!r} is not finite")

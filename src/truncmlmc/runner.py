@@ -18,10 +18,10 @@ from .config import (METHODS, ConfigError, as_choice_list, as_int, as_int_list,
                      chain_from_config, fixed_point_from_config,
                      integrand_from_config, tolerances_from_config)
 from .integrands import Integrand
-from .markov import chain_width, estimate_chain_mlmc, markov_schedule
+from .markov import estimate_chain_mlmc
 from .mlmc import (EstimateRecord, LevelSchedule, NumericalFailure,
-                   check_level_budget_bound, cube_width, estimate_mlmc,
-                   estimate_mlmc_fixed, level_variance_estimates, replicate, standard_mc,
+                   check_level_budget_bound, estimate_mlmc, estimate_mlmc_fixed,
+                   level_variance_estimates, replicate, standard_mc,
                    total_budget, truncation_schedule, work_normalized_variance)
 from .streams import UniformStream, new_stream
 
@@ -94,11 +94,11 @@ def _multilevel_schedule(method: str, d: int) -> LevelSchedule:
 
 
 def _replicate_cell(method: str, d: int, estimator, reps: int,
-                    root: UniformStream, width: int) -> EstimateRecord:
-    """Replicate ``estimator``, whose replications are ``width`` elements wide,
-    on the cell's labelled stream; failures name the cell."""
+                    root: UniformStream) -> EstimateRecord:
+    """Replicate ``estimator`` on the cell's labelled stream; failures name
+    the cell."""
     try:
-        return replicate(estimator, reps, root.fork(FORK_LABELS[method]).fork(d), width)
+        return replicate(estimator, reps, root.fork(FORK_LABELS[method]).fork(d))
     except NumericalFailure as exc:
         raise NumericalFailure(f"cell method={method} d={d}: {exc}") from exc
 
@@ -111,24 +111,21 @@ def run_estimator_cell(method: str, integrand: Integrand, reps: int,
         raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
     d = integrand.dimension
     if method == "mc":
-        estimator, width = partial(standard_mc, integrand, mc_n), mc_n * d
+        estimator = partial(standard_mc, integrand, mc_n)
     elif method == "mlmc":
-        schedule = _multilevel_schedule(method, d)
-        estimator, width = partial(estimate_mlmc, integrand, schedule), cube_width(schedule)
+        estimator = partial(estimate_mlmc, integrand, _multilevel_schedule(method, d))
     else:
         v = resolve_fixed_point(fix_v, d, root, fix_v_values)
-        schedule = _multilevel_schedule(method, d)
-        estimator = partial(estimate_mlmc_fixed, integrand, v, schedule)
-        width = cube_width(schedule)
-    return CellResult(method, d, _replicate_cell(method, d, estimator, reps, root,
-                                                 width))
+        estimator = partial(estimate_mlmc_fixed, integrand, v,
+                            _multilevel_schedule(method, d))
+    return CellResult(method, d, _replicate_cell(method, d, estimator, reps, root))
 
 
 def run_markov_cell(cfg: dict[str, str], d: int, reps: int,
                     root: UniformStream) -> CellResult:
     model, gamma = chain_from_config(cfg, d)
     summary = _replicate_cell("markov", d, partial(estimate_chain_mlmc, model, gamma),
-                              reps, root, chain_width(markov_schedule(d, gamma)))
+                              reps, root)
     return CellResult("markov", d, summary)
 
 
@@ -194,18 +191,17 @@ class LevelBudgetRow:
     report: InequalityReport
 
 
-def lemma1_diagnostic(cfg: dict[str, str], seed: int, d_grid=None,
-                      reps: int | None = None) -> list[LevelBudgetRow]:
-    """Check the level-budget inequality with measured level variances.
+def lemma1_diagnostic(cfg: dict[str, str], seed: int) -> list[LevelBudgetRow]:
+    """Check the level-budget inequality with measured level variances, on
+    the config's ``d_grid`` (else ``integrand.d``) with its ``reps``.
 
     Level variances come from the fixed-base-point estimator (independent
     levels, so the inequality's hypotheses hold for its levels), the residual
     sequence from the analytic profile.  Pass requires lhs <= rhs + 4 SE(rhs),
     the rule of :class:`anova.InequalityReport`.
     """
-    d_grid = _d_grid(cfg, d_grid)
-    if reps is None:
-        reps = as_int(cfg, "reps", 2000, least=2)
+    d_grid = _d_grid(cfg)
+    reps = as_int(cfg, "reps", 2000, least=2)
     root = new_stream(seed)
     rows = []
     for d in d_grid:
@@ -215,8 +211,7 @@ def lemma1_diagnostic(cfg: dict[str, str], seed: int, d_grid=None,
         schedule = _multilevel_schedule("lemma1", d)
         v = np.full(d, 0.5)
         summary = _replicate_cell(
-            "lemma1", d, partial(estimate_mlmc_fixed, integrand, v, schedule), reps,
-            root, cube_width(schedule))
+            "lemma1", d, partial(estimate_mlmc_fixed, integrand, v, schedule), reps, root)
         V = level_variance_estimates(summary)
         counts = summary.replications * np.array(summary.level_count)
         V_se = V * np.sqrt(2.0 / np.maximum(counts - 1.0, 1.0))

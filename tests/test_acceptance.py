@@ -11,8 +11,8 @@ import time
 
 import numpy as np
 
-from truncmlmc import (analytic_profile, chain_width, check_pair_variance_bound,
-                       check_residual_lower_bound, cube_width, estimate_chain_mlmc,
+from truncmlmc import (analytic_profile, check_pair_variance_bound,
+                       check_residual_lower_bound, estimate_chain_mlmc,
                        estimate_mlmc, estimate_mlmc_fixed, drift_integral,
                        geometric_coefficients, make_additive, make_lindley,
                        make_product, markov_schedule, mc_profile, measure_decay,
@@ -107,7 +107,7 @@ def _mlmc_cells(reps=10_000, d_grid=(4, 16, 64, 256)):
             schedule = truncation_schedule(d)
             stream = root.fork(fork_label).fork(d)
             summary = replicate(lambda s: estimate_mlmc(integrand, schedule, s),
-                                reps, stream, cube_width(schedule))
+                                reps, stream)
             yield name, d, integrand, summary, summary.costs[0]
 
 
@@ -140,7 +140,7 @@ def test_criterion_05_cost_bound():
 def _lindley_reference(d, paths_total=1_000_000, chunk=2000, seed=600):
     model = make_lindley(d)
     return replicate(lambda s: standard_mc_chain(model, chunk, s),
-                     paths_total // chunk, new_stream(seed + d), chunk)
+                     paths_total // chunk, new_stream(seed + d))
 
 
 @criterion(6, "unbiasedness: random-suffix, fixed-suffix (5 points), and chain "
@@ -160,8 +160,7 @@ def test_criterion_06_unbiasedness():
             v = root.fork(8).fork(k).draw(d)
             stream = root.fork(fork_label).fork(k)
             summary = replicate(
-                lambda s: estimate_mlmc_fixed(integrand, v, schedule, s), reps, stream,
-                cube_width(schedule))
+                lambda s: estimate_mlmc_fixed(integrand, v, schedule, s), reps, stream)
             se = math.sqrt(summary.sample_variance / reps)
             assert abs(summary.mean - integrand.known_mean) < 4 * se, (name, k)
 
@@ -169,7 +168,7 @@ def test_criterion_06_unbiasedness():
         model = make_lindley(d)
         reference = _lindley_reference(d)
         summary = replicate(lambda s: estimate_chain_mlmc(model, -2.0, s), reps,
-                            root.fork(9).fork(d), chain_width(markov_schedule(d, -2.0)))
+                            root.fork(9).fork(d))
         se = math.sqrt(summary.sample_variance / reps
                        + reference.sample_variance / reference.replications)
         assert abs(summary.mean - reference.mean) < 4 * se, d
@@ -185,14 +184,14 @@ def test_criterion_07_variance_identity():
     schedule = truncation_schedule(d)
     summary = replicate(
         lambda s: estimate_mlmc_fixed(integrand, np.full(d, 0.5), schedule, s),
-        reps, root.fork(0), cube_width(schedule))
+        reps, root.fork(0))
     se = summary.sample_variance * math.sqrt(2.0 / (reps - 1))
     assert abs(summary.sample_variance - predicted_variance(summary, schedule)) < 4 * se
 
     model = make_lindley(64)
     chain_schedule = markov_schedule(64, -2.0)
     summary = replicate(lambda s: estimate_chain_mlmc(model, -2.0, s), reps,
-                        root.fork(1), chain_width(chain_schedule))
+                        root.fork(1))
     se = summary.sample_variance * math.sqrt(2.0 / (reps - 1))
     assert abs(summary.sample_variance
                - predicted_variance(summary, chain_schedule)) < 4 * se
@@ -224,7 +223,7 @@ def test_criterion_09_chain_scaling():
     for d in (64, 256, 1024):
         model = make_lindley(d)
         summary = replicate(lambda s: estimate_chain_mlmc(model, -2.0, s), reps,
-                            root.fork(d), chain_width(markov_schedule(d, -2.0)))
+                            root.fork(d))
         scaled_variances[d] = d * summary.sample_variance
         cost_rates[d] = summary.mean_cost / d
     ratio = max(scaled_variances.values()) / min(scaled_variances.values())
@@ -241,7 +240,8 @@ def test_criterion_10_level_budget():
         for d in (8, 16):
             if base.get("integrand.family") == "product":
                 base["integrand.coeffs"] = ",".join(["0.5"] * d)
-            rows = lemma1_diagnostic(base, seed=100_2024, d_grid=(d,), reps=4000)
+            rows = lemma1_diagnostic({**base, "d_grid": str(d), "reps": "4000"},
+                                     seed=100_2024)
             assert rows[0].report.passed, (base, d, rows[0])
 
 

@@ -436,8 +436,8 @@ def test_lemma1_cli_and_diagnostic(tmp_path, monkeypatch):
 def test_lemma1_degenerate_single_coordinate():
     # one effective coordinate: the bound reduces to (near) equality
     rows = lemma1_diagnostic({"integrand.family": "additive", "integrand.d": "4",
-                              "integrand.coeffs": "1,0,0,0"}, seed=11,
-                             d_grid=(4,), reps=3000)
+                              "integrand.coeffs": "1,0,0,0", "d_grid": "4",
+                              "reps": "3000"}, seed=11)
     report = rows[0].report
     assert report.passed
     assert report.lhs == pytest.approx(1 / 12)
@@ -445,9 +445,10 @@ def test_lemma1_degenerate_single_coordinate():
 
 
 def test_lemma1_rejects_an_empty_grid():
-    cfg = {"integrand.family": "additive", "integrand.d": "4"}
+    cfg = {"integrand.family": "additive", "integrand.d": "4", "d_grid": ",",
+           "reps": "5"}
     with pytest.raises(ConfigError, match="empty grid"):
-        lemma1_diagnostic(cfg, seed=11, d_grid=(), reps=5)
+        lemma1_diagnostic(cfg, seed=11)
 
 
 def test_estimate_fix_v_modes_differ(tmp_path, monkeypatch):

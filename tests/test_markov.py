@@ -15,8 +15,7 @@ from scalar_oracles import (coupled_level_pair, prefix_redraw_payoff,
                             simulate_restart)
 from truncmlmc import markov, mlmc, streams
 from truncmlmc.anova import NumericalFailure
-from truncmlmc import (ChainModel, CostLedger, chain_integrand, chain_width,
-                       drift_integral,
+from truncmlmc import (ChainModel, CostLedger, chain_integrand, drift_integral,
                        estimate_chain_mlmc, make_lindley, markov_schedule,
                        mc_profile, measure_decay, modulated_uniform_increments,
                        new_stream, replicate, standard_mc_chain,
@@ -177,8 +176,7 @@ def test_chain_mlmc_level_zero_is_constant_zero():
     # nonzero initial payoff must not leak into the telescope
     d = 8
     m = memoryless_chain(d, x0=0.7)
-    summary = replicate(lambda s: estimate_chain_mlmc(m, -2.0, s), 4000, new_stream(8),
-                        chain_width(markov_schedule(d, -2.0)))
+    summary = replicate(lambda s: estimate_chain_mlmc(m, -2.0, s), 4000, new_stream(8))
     se = math.sqrt(summary.sample_variance / summary.replications)
     assert abs(summary.mean - 0.5) < 4 * se
 
@@ -188,9 +186,9 @@ def test_chain_mlmc_unbiased_against_reference():
     model = make_lindley(d)
     # reference mean from 200k independent paths, SE from the chunk means
     reference = replicate(lambda s: standard_mc_chain(model, 2000, s), 100,
-                          new_stream(900), 2000)
+                          new_stream(900))
     summary = replicate(lambda s: estimate_chain_mlmc(model, -2.0, s), 4000,
-                        new_stream(901), chain_width(markov_schedule(d, -2.0)))
+                        new_stream(901))
     se = math.sqrt(summary.sample_variance / summary.replications
                    + reference.sample_variance / reference.replications)
     assert abs(summary.mean - reference.mean) < 4 * se
@@ -201,7 +199,7 @@ def test_chain_mlmc_variance_identity():
     model = make_lindley(d)
     schedule = markov_schedule(d, -2.0)
     summary = replicate(lambda s: estimate_chain_mlmc(model, -2.0, s), 5000,
-                        new_stream(903), chain_width(schedule))
+                        new_stream(903))
     from truncmlmc import predicted_variance
     predicted = predicted_variance(summary, schedule)
     se = summary.sample_variance * math.sqrt(2 / (summary.replications - 1))

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from truncmlmc import mlmc
 from truncmlmc import (CostLedger, EstimateRecord, Integrand, LevelSchedule,
-                       analytic_profile, check_level_budget_bound, cube_width,
-                       estimate_mlmc,
-                       estimate_mlmc_fixed, geometric_coefficients,
+                       analytic_profile, check_level_budget_bound,
+                       estimate_mlmc, estimate_mlmc_fixed, geometric_coefficients,
                        level_variance_estimates, make_additive, make_product,
                        new_stream, optimal_allocation, predicted_variance,
                        replicate, samples_needed, standard_mc, summarize,
@@ -157,8 +156,7 @@ def test_cube_estimators_allow_evaluators_that_return_a_view(column):
 def test_mlmc_mean_unbiased_quick():
     f = make_additive([1.0, 1.0])
     schedule = truncation_schedule(2)
-    summary = replicate(lambda s: estimate_mlmc(f, schedule, s), 4000, new_stream(23),
-                        cube_width(schedule))
+    summary = replicate(lambda s: estimate_mlmc(f, schedule, s), 4000, new_stream(23))
     se = math.sqrt(summary.sample_variance / summary.replications)
     assert abs(summary.mean - 0.0) < 4 * se
 
@@ -167,8 +165,7 @@ def test_mlmc_fixed_mean_unbiased_for_corner_base_point():
     f = make_product([1.0, 1.0])
     schedule = truncation_schedule(2)
     summary = replicate(
-        lambda s: estimate_mlmc_fixed(f, [0.0, 0.0], schedule, s), 4000, new_stream(29),
-        cube_width(schedule))
+        lambda s: estimate_mlmc_fixed(f, [0.0, 0.0], schedule, s), 4000, new_stream(29))
     se = math.sqrt(summary.sample_variance / summary.replications)
     assert abs(summary.mean - 1.0) < 4 * se
 
@@ -182,7 +179,7 @@ def test_midpoint_base_point_zeroes_additive_suffix():
     # centered prefix averages, so a few thousand replications center on 0
     summary = replicate(
         lambda s: estimate_mlmc_fixed(f, np.full(d, 0.5), schedule, s), 3000,
-        new_stream(37), cube_width(schedule))
+        new_stream(37))
     se = math.sqrt(summary.sample_variance / summary.replications)
     assert abs(summary.mean) < 4 * se
     assert rec.level_sum is not None
@@ -202,15 +199,30 @@ def test_standard_mc_mean_and_variance():
     f = make_additive([1.0, 1.0])  # variance 1/6
     rec = standard_mc(f, 10_000, [new_stream(43)])
     assert abs(rec.values[0]) < 4 * math.sqrt((1 / 6) / 10_000)
-    summary = replicate(lambda s: standard_mc(f, 1, s), 4000, new_stream(47), 2)
+    summary = replicate(lambda s: standard_mc(f, 1, s), 4000, new_stream(47))
     se = (1 / 6) * math.sqrt(2 / (summary.replications - 1))
     assert abs(summary.sample_variance - 1 / 6) < 4 * se
 
 
+def chunk_of(values, draw_units):
+    """A chunk runner that returns ``values`` and books ``draw_units``
+    uniforms, whatever its streams."""
+    def run_chunk(chunk):
+        chunk[0].ledger.coordinate_draws += draw_units
+        return (np.array(values, dtype=float),)
+    return run_chunk
+
+
+def forks(reps, seed=1):
+    root = new_stream(seed)
+    return [root.fork(j) for j in range(reps)]
+
+
 def test_replicate_constant_closure():
-    rec = record([3.0], 5)
-    # one replication per chunk, as the closure returns
-    summary = replicate(lambda s: rec, 2, new_stream(1), mlmc._CHUNK_ELEMENTS)
+    # a width of the whole budget runs one replication per chunk, as the
+    # closure returns
+    summary = summarize(mlmc._chunked(chunk_of([3.0], 5), forks(2),
+                                      mlmc._CHUNK_ELEMENTS))
     assert summary.mean == 3.0
     assert summary.sample_variance == 0.0
     assert summary.mean_cost == 5.0
@@ -234,25 +246,44 @@ def test_replicate_runs_full_chunks_from_the_first(monkeypatch):
     for reps in (2, 6, 7, 40):
         chunks = []
 
-        def estimator(streams):
-            chunks.append(len(streams))
-            return standard_mc(f, 1, streams)
+        def run_chunk(chunk):
+            chunks.append(len(chunk))
+            return (standard_mc(f, 1, chunk).values,)
 
-        replicate(estimator, reps, new_stream(3), 2)
+        mlmc._chunked(run_chunk, forks(reps, 3), 2)
         assert len(chunks) == math.ceil(reps / 6), (reps, chunks)
         assert chunks == [min(6, reps - start) for start in range(0, reps, 6)]
 
 
 def test_replicate_requires_two():
-    with pytest.raises(ValueError):
-        replicate(lambda s: record([1.0], 1), 1, new_stream(1), 1)
+    for reps in (1, 0):
+        with pytest.raises(ValueError, match="^need at least 2 replications$"):
+            replicate(lambda s: record([1.0], 1), reps, new_stream(1))
+
+
+def test_replicate_passes_the_forks_in_order():
+    # an estimator may index or iterate its streams as well as slice them
+    root = new_stream(81)
+
+    def estimator(streams):
+        assert [s.path for s in streams] == [(0,), (1,), (2,)]
+        assert streams[-1].path == streams[2:][0].path == (2,)
+        return record([1.0, 2.0, 3.0], 1)
+
+    assert replicate(estimator, 3, root).mean == 2.0
+
+
+def test_replicate_rejects_a_record_of_another_length():
+    with pytest.raises(ValueError, match="returned 3 replications for 2 streams"):
+        replicate(lambda s: record([1.0, 2.0, 3.0], 1), 2, new_stream(1))
 
 
 def test_replicate_rejects_chunks_of_unequal_cost():
     # the first chunk's cost row stands for every replication of the cell
-    chunks = iter([record([1.0], 5), record([2.0], 6)])
+    chunks = iter([chunk_of([1.0], 5), chunk_of([2.0], 6)])
     with pytest.raises(ValueError, match="cost"):
-        replicate(lambda s: next(chunks), 2, new_stream(1), mlmc._CHUNK_ELEMENTS)
+        mlmc._chunked(lambda chunk: next(chunks)(chunk), forks(2),
+                      mlmc._CHUNK_ELEMENTS)
 
 
 def test_fixed_base_levels_satisfy_variance_identity():
@@ -262,7 +293,7 @@ def test_fixed_base_levels_satisfy_variance_identity():
     schedule = truncation_schedule(d)
     summary = replicate(
         lambda s: estimate_mlmc_fixed(f, np.full(d, 0.5), schedule, s), 6000,
-        new_stream(59), cube_width(schedule))
+        new_stream(59))
     predicted = predicted_variance(summary, schedule)
     se = summary.sample_variance * math.sqrt(2 / (summary.replications - 1))
     assert abs(summary.sample_variance - predicted) < 4 * se
@@ -368,10 +399,13 @@ ESTIMATORS = {
 
 
 @pytest.mark.parametrize("name", sorted(ESTIMATORS))
-def test_chunk_streams_must_share_one_ledger(name):
-    # two root streams each carry their own ledger, which the chunk never reads
-    with pytest.raises(ValueError, match="share one cost ledger"):
-        ESTIMATORS[name]([new_stream(1), new_stream(2)])
+def test_chunk_streams_must_share_one_ledger(name, monkeypatch):
+    # two root streams each carry their own ledger, which the chunk never
+    # reads, whether they share a chunk or a budget of 0 puts them in two
+    for budget in (mlmc._CHUNK_ELEMENTS, 0):
+        monkeypatch.setattr(mlmc, "_CHUNK_ELEMENTS", budget)
+        with pytest.raises(ValueError, match="share one cost ledger"):
+            ESTIMATORS[name]([new_stream(1), new_stream(2)])
     with pytest.raises(ValueError, match="at least one stream"):
         ESTIMATORS[name]([])
 
@@ -389,10 +423,10 @@ def test_bare_stream_is_a_chunk_of_one(name):
 def test_chain_mc_memory_is_bounded_by_the_chunk_budget():
     model = make_lindley(256)
     estimator = partial(standard_mc_chain, model, 2000)  # one path batch: 2000
-    replicate(estimator, 2, new_stream(75), 2000)  # first-call allocations
+    replicate(estimator, 2, new_stream(75))  # first-call allocations
     tracemalloc.start()
     try:
-        replicate(estimator, 16, new_stream(76), 2000)
+        replicate(estimator, 16, new_stream(76))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -402,9 +436,42 @@ def test_chain_mc_memory_is_bounded_by_the_chunk_budget():
 
 
 def test_chunk_costs_must_split_evenly():
-    ledger = CostLedger(coordinate_draws=5)
     with pytest.raises(RuntimeError, match="split evenly"):
-        mlmc.record_from_snapshot(np.zeros(2), (0, 0, 0), ledger)
+        mlmc._chunked(chunk_of([0.0, 0.0], 5), forks(2), 1)
+
+
+def test_chunks_must_return_one_row_per_stream():
+    # numpy would broadcast one row into every stream's row of the columns
+    for columns in ([np.zeros(1)], [np.zeros(2), np.zeros((1, 3)), np.zeros((2, 3))]):
+        with pytest.raises(ValueError, match="2 streams returned columns"):
+            mlmc._chunked(lambda chunk: columns, forks(2), 1)
+
+
+class CountingLedger(CostLedger):
+    """A ledger that counts its snapshots, two per chunk."""
+
+    snapshots = 0
+
+    def snapshot(self):
+        self.snapshots += 1
+        return super().snapshot()
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_direct_calls_do_not_depend_on_chunk_size(name, monkeypatch):
+    # 40 streams run in one chunk of the default budget, and in 2 to 20
+    # chunks of a budget of 64
+    records, chunks = [], []
+    for budget in (mlmc._CHUNK_ELEMENTS, 64):
+        monkeypatch.setattr(mlmc, "_CHUNK_ELEMENTS", budget)
+        ledger = CountingLedger()
+        root = new_stream(79, ledger)
+        records.append(ESTIMATORS[name]([root.fork(j) for j in range(40)]))
+        chunks.append(ledger.snapshots // 2)
+    assert chunks[0] == 1 and chunks[1] > 1, chunks
+    for column in ("values", "level_sum", "level_sq", "costs"):
+        a, b = (getattr(record, column) for record in records)
+        assert np.array_equal(a, b) if a is not None else b is None, column
 
 
 def test_samples_needed_cases():
@@ -427,12 +494,14 @@ def test_work_normalized_variance_and_budget():
     assert total_budget(summary, 0.1) == pytest.approx(500.0)
     # huge eps: a single replication suffices
     assert total_budget(summary, 100.0) == pytest.approx(10.0)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        total_budget(summary, 0.0)
 
 
 def test_work_normalized_variance_invariant_to_averaging():
     f = make_additive([1.0, 1.0])
-    one = replicate(lambda s: standard_mc(f, 1, s), 4000, new_stream(61), 2)
-    two = replicate(lambda s: standard_mc(f, 2, s), 4000, new_stream(61), 4)
+    one = replicate(lambda s: standard_mc(f, 1, s), 4000, new_stream(61))
+    two = replicate(lambda s: standard_mc(f, 2, s), 4000, new_stream(61))
     a, b = work_normalized_variance(one), work_normalized_variance(two)
     assert abs(a - b) / a < 0.2
 
@@ -529,7 +598,7 @@ def _measured_level_budget(nu_scale, with_se):
     schedule = truncation_schedule(d)
     summary = replicate(
         lambda s: estimate_mlmc_fixed(f, np.full(d, 0.5), schedule, s), 4000,
-        new_stream(67), cube_width(schedule))
+        new_stream(67))
     V = level_variance_estimates(summary)
     counts = summary.replications * np.array(summary.level_count)
     V_se = V * np.sqrt(2.0 / (counts - 1.0)) if with_se else np.zeros_like(V)
