@@ -88,11 +88,16 @@ class VarianceProfile:
 @dataclass(frozen=True)
 class InequalityReport:
     """Outcome of a sampled inequality check lhs <= rhs, where ``se`` is the
-    standard error of lhs - rhs."""
+    standard error of lhs - rhs; a non-finite field raises NumericalFailure."""
 
     lhs: float
     rhs: float
     se: float
+
+    def __post_init__(self):
+        if not np.isfinite((self.lhs, self.rhs, self.se)).all():
+            raise NumericalFailure(f"non-finite inequality check: lhs={self.lhs!r}, "
+                                   f"rhs={self.rhs!r}, se={self.se!r}")
 
     @property
     def passed(self) -> bool:

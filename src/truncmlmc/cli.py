@@ -8,7 +8,8 @@ Each flag's argparse dest is its config key.  ``main`` merges the config
 files and the given flags into one config and reads its seed; a subcommand's
 handler returns its default file name, CSV header, rows and message, and
 ``main`` writes the CSV and prints the message.  The ``config`` readers check
-every value.
+every value.  The handler and the CSV write run under the one numpy error
+state of the run, set in ``main``.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .config import (KNOWN_KEYS, ConfigError, as_int, as_seed,
                      chain_from_config, decay_from_config,
                      integrand_from_config, load_config, tolerances_from_config)
 from .markov import measure_decay
-from .mlmc import total_budget, work_normalized_variance
-from .runner import (FORK_LABELS, CellResult, compare_scaling,
-                     lemma1_diagnostic, run_cells, run_markov_cell)
+from .mlmc import EstimateRecord, total_budget, work_normalized_variance
+from .runner import (FORK_LABELS, CellResult, lemma1_diagnostic, run_cells,
+                     run_markov_cell, variance_bound)
 from .streams import new_stream
 
 RUN_HEADER = ("rep", "value", "cost_units", "level", "level_sum", "level_count")
@@ -104,16 +105,13 @@ def _run_lines(cell: CellResult):
 
 def cmd_anova(args, cfg, seed):
     integrand = integrand_from_config(cfg)
-    # a non-finite profile raises NumericalFailure when it is built
     if args.method == "analytic":
-        with np.errstate(over="ignore", invalid="ignore"):
-            profile = analytic_profile(integrand)
+        profile = analytic_profile(integrand)
         se = np.zeros(integrand.dimension + 1)
     else:
         pairs = as_int(cfg, "pairs", 100_000, least=2)
         stream = new_stream(seed).fork(FORK_LABELS["anova"]).fork(integrand.dimension)
-        with np.errstate(over="ignore", invalid="ignore"):
-            profile = mc_profile(integrand, pairs, stream)
+        profile = mc_profile(integrand, pairs, stream)
         se = profile.se
     return ("profile.csv", ANOVA_HEADER,
             [ANOVA_ROW % (i, D, se_i, profile.d_t, profile.var_f)
@@ -128,6 +126,13 @@ def _cell_message(name: str, cell: CellResult) -> str:
             f"mean_cost={summary.mean_cost:.17g}")
 
 
+def _statistics(summary: EstimateRecord, eps: float) -> tuple[float, ...]:
+    """mean, sample_variance, mean_cost, wnv and total_budget at ``eps``: the
+    statistics of a bench row and of a grid summary row."""
+    return (summary.mean, summary.sample_variance, summary.mean_cost,
+            work_normalized_variance(summary), total_budget(summary, eps))
+
+
 def cmd_estimate(args, cfg, seed):
     if args.method is not None:
         (cell,) = run_cells(cfg, seed, (args.method,),
@@ -139,12 +144,9 @@ def cmd_estimate(args, cfg, seed):
     cells = run_cells(cfg, seed)
     lines = []
     for cell in cells:
-        for eps in eps_list:
-            summary = cell.summary
-            lines.append(GRID_SUMMARY_ROW % (
-                cell.method, cell.d, eps, summary.mean, summary.sample_variance,
-                summary.mean_cost, work_normalized_variance(summary),
-                total_budget(summary, eps)))
+        lines.extend(GRID_SUMMARY_ROW % (cell.method, cell.d, eps,
+                                         *_statistics(cell.summary, eps))
+                     for eps in eps_list)
     for cell in cells:
         lines.extend(GRID_REP_ROW % (cell.method, cell.d, line)
                      for line in _run_lines(cell))
@@ -152,13 +154,18 @@ def cmd_estimate(args, cfg, seed):
 
 
 def cmd_bench(args, cfg, seed):
-    rows = compare_scaling(cfg, seed)
-    return ("bench.csv", BENCH_HEADER,
-            [BENCH_ROW % (r.method, r.d, r.mean, r.sample_variance, r.mean_cost,
-                          r.wnv, r.total_budget,
-                          "" if r.theoretical_bound is None
-                          else _G % r.theoretical_bound) for r in rows],
-            f"bench: {len(rows)} rows")
+    eps_list = tolerances_from_config(cfg)  # read before any cell runs
+    if len(eps_list) != 1:
+        raise ConfigError("config key 'eps': scaling comparison expects one tolerance")
+    (eps,) = eps_list
+    lines = []
+    for cell in run_cells(cfg, seed):
+        # multilevel rows carry the analytic variance bound driven by d_t
+        bound = ("" if cell.method == "mc"
+                 else _G % variance_bound(integrand_from_config(cfg, cell.d)))
+        lines.append(BENCH_ROW % (cell.method, cell.d,
+                                  *_statistics(cell.summary, eps), bound))
+    return "bench.csv", BENCH_HEADER, lines, f"bench: {len(lines)} rows"
 
 
 def cmd_markov(args, cfg, seed):
@@ -167,9 +174,7 @@ def cmd_markov(args, cfg, seed):
         model, _ = chain_from_config(cfg)
         i_values, n = decay_from_config(cfg, model.horizon)
         stream = root.fork(FORK_LABELS["decay"]).fork(model.horizon)
-        # a non-finite gap raises NumericalFailure once the gaps are reduced
-        with np.errstate(over="ignore", invalid="ignore"):
-            report = measure_decay(model, i_values, n, stream)
+        report = measure_decay(model, i_values, n, stream)
         return ("decay.csv", DECAY_HEADER,
                 [DECAY_ROW % (i, report.msd[k], report.se[k], report.fitted_gamma,
                               report.fitted_c_prime, report.power_r2,
@@ -277,9 +282,14 @@ def main(argv=None) -> int:
     try:
         cfg = _merged_config(args)
         seed = as_seed(cfg)
-        default, header, lines, message = args.handler(args, cfg, seed)
-        out = cfg.get("out") or default
-        _write_csv(out, header, lines)
+        # Every number a subcommand writes is checked where it is made, and a
+        # non-finite one raises NumericalFailure, so numpy's overflow and
+        # invalid warnings before that check are noise.  Pool threads run in
+        # a copy of this context, under the same state.
+        with np.errstate(over="ignore", invalid="ignore"):
+            default, header, lines, message = args.handler(args, cfg, seed)
+            out = cfg.get("out") or default
+            _write_csv(out, header, lines)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -392,7 +392,10 @@ def samples_needed(variance: float, eps: float) -> int:
 
 def work_normalized_variance(summary: EstimateRecord) -> float:
     """Mean cost times sample variance; invariant under trivial averaging."""
-    return summary.mean_cost * summary.sample_variance
+    wnv = summary.mean_cost * summary.sample_variance
+    if not math.isfinite(wnv):
+        raise NumericalFailure("work-normalized variance is not finite")
+    return wnv
 
 
 def total_budget(summary: EstimateRecord, eps: float) -> float:

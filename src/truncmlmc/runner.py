@@ -1,4 +1,4 @@
-"""Config-driven experiment execution: estimator cells, scaling tables, diagnostics.
+"""Config-driven experiment execution: estimator cells and the level-budget diagnostic.
 
 Every cell of the (method, d) grid derives its randomness from the root seed
 through fixed fork labels, so adding methods or grid points never perturbs the
@@ -16,13 +16,13 @@ import numpy as np
 from .anova import InequalityReport, analytic_profile
 from .config import (METHODS, ConfigError, as_choice_list, as_int, as_int_list,
                      chain_from_config, fixed_point_from_config,
-                     integrand_from_config, tolerances_from_config)
+                     integrand_from_config)
 from .integrands import Integrand
 from .markov import estimate_chain_mlmc
 from .mlmc import (EstimateRecord, LevelSchedule, NumericalFailure,
                    check_level_budget_bound, estimate_mlmc, estimate_mlmc_fixed,
                    level_variance_estimates, replicate, standard_mc,
-                   total_budget, truncation_schedule, work_normalized_variance)
+                   truncation_schedule)
 from .streams import UniformStream, new_stream
 
 # Fork labels under the root seed, one per randomness consumer.  Fixed for
@@ -37,20 +37,6 @@ FORK_LABELS = {
     "markov": 6,
     "lemma1": 7,
 }
-
-
-@dataclass(frozen=True)
-class BenchRow:
-    """One (method, d) cell of a scaling comparison."""
-
-    method: str
-    d: int
-    mean: float
-    sample_variance: float
-    mean_cost: float
-    wnv: float
-    total_budget: float
-    theoretical_bound: float | None
 
 
 @dataclass(frozen=True)
@@ -77,13 +63,15 @@ def resolve_fixed_point(mode: str, d: int, root: UniformStream,
     raise ValueError(f"unknown fixed-point mode {mode!r}")
 
 
-def variance_bound(integrand: Integrand) -> float | None:
-    """16 ceil(log2 d)/d * d_t * var_f when the analytic profile exists."""
-    if integrand.family is None:
-        return None
+def variance_bound(integrand: Integrand) -> float:
+    """16 ceil(log2 d)/d * d_t * var_f from the analytic profile, or
+    NumericalFailure when it overflows."""
     profile = analytic_profile(integrand)
     d = integrand.dimension
-    return 16.0 * math.ceil(math.log2(d)) / d * profile.d_t * profile.var_f
+    bound = 16.0 * math.ceil(math.log2(d)) / d * profile.d_t * profile.var_f
+    if not math.isfinite(bound):
+        raise NumericalFailure(f"variance bound at d={d} is not finite")
+    return bound
 
 
 def _multilevel_schedule(method: str, d: int) -> LevelSchedule:
@@ -156,30 +144,6 @@ def run_cells(cfg: dict[str, str], seed: int, methods=None,
     return [run_estimator_cell(method, integrand_from_config(cfg, d), reps, root,
                                mc_n, fix_v, fix_v_values)
             for method in methods for d in d_grid]
-
-
-def compare_scaling(cfg: dict[str, str], seed: int) -> list[BenchRow]:
-    """Total budgets across the d grid at one tolerance, per method.
-
-    MLMC rows also carry the analytic variance bound driven by the truncation
-    dimension, the quantity the measured variance is expected to respect.
-    """
-    eps_list = tolerances_from_config(cfg)
-    if len(eps_list) != 1:
-        raise ConfigError("config key 'eps': scaling comparison expects one tolerance")
-    (eps,) = eps_list
-    rows = []
-    for cell in run_cells(cfg, seed):
-        integrand = integrand_from_config(cfg, cell.d)
-        bound = variance_bound(integrand) if cell.method != "mc" else None
-        rows.append(BenchRow(
-            method=cell.method, d=cell.d, mean=cell.summary.mean,
-            sample_variance=cell.summary.sample_variance,
-            mean_cost=cell.summary.mean_cost,
-            wnv=work_normalized_variance(cell.summary),
-            total_budget=total_budget(cell.summary, eps),
-            theoretical_bound=bound))
-    return rows
 
 
 @dataclass(frozen=True)

@@ -137,43 +137,38 @@ def philox_keys(seeds: Sequence[int], paths: Sequence[tuple[int, ...]]) -> np.nd
 
     Row j equals ``SeedSequence(seeds[j], spawn_key=paths[j])
     .generate_state(2, np.uint64)``: the seed's pool, then each spawn-key
-    word hashed into every pool word, then the state hash.  When all seeds
-    are equal, the pool after the paths' longest common prefix comes from
-    :func:`_prefix_pool`; for mixed seeds that prefix is empty.  The words
-    after it go through numpy for all streams together, one word position
-    at a time, so a chunk of sibling forks mixes one label per stream.
+    word hashed into every pool word, then the state hash.  A chunk with one
+    seed and paths of one length whose varying labels are below 2**32, as
+    every chunk the package draws is, takes the pool after the paths'
+    longest common prefix from :func:`_prefix_pool`; the labels after it go
+    through numpy for all streams together, one position at a time, so a
+    chunk of sibling forks mixes one label per stream.  Any other chunk
+    takes each stream's whole pool from :func:`_prefix_pool`.
     """
     rows = len(paths)
     if not rows:
         return np.empty((0, 2), dtype=np.uint64)
     seeds = list(seeds)
-    columns = list(zip(*paths))  # as long as the shortest path
-    start = 0
-    if seeds.count(seeds[0]) == rows:
+    words = None
+    if seeds.count(seeds[0]) == rows and len(set(map(len, paths))) == 1:
+        columns = list(zip(*paths))
+        start = 0
         while start < len(columns) and columns[start].count(columns[start][0]) == rows:
             start += 1
-        pool, first = _prefix_pool(seeds[0], tuple(paths[0][:start]))
-        pool = np.array([pool], dtype=np.uint32)
-    else:
-        first = 0
-        pool = np.array([_prefix_pool(seed, ())[0] for seed in seeds], dtype=np.uint32)
-    words = lengths = None
-    if len(set(map(len, paths))) == 1:
         try:  # labels below 2**32 are one word each
             words = np.array(columns[start:], dtype=np.uint32).reshape(-1, rows)
         except OverflowError:
             pass
     if words is None:
-        suffixes = [_label_words(path[start:]) for path in paths]
-        lengths = np.array([len(w) for w in suffixes])
-        width = lengths.max()
-        words = np.array([w + [0] * (width - len(w)) for w in suffixes],
-                         dtype=np.uint32).reshape(rows, width).T
-    xor, mult = _word_constants(first, len(words))
-    for w, word in enumerate(words):
-        hashed = _xorshift((word[:, None] ^ xor[w]) * mult[w])
-        mixed = _xorshift(pool * _MIX_MULT_L - hashed * _MIX_MULT_R)
-        pool = mixed if lengths is None else np.where((lengths > w)[:, None], mixed, pool)
+        pool = np.array([_prefix_pool(seed, tuple(path))[0]
+                         for seed, path in zip(seeds, paths)], dtype=np.uint32)
+    else:
+        pool, first = _prefix_pool(seeds[0], tuple(paths[0][:start]))
+        pool = np.array([pool], dtype=np.uint32)
+        xor, mult = _word_constants(first, len(words))
+        for w, word in enumerate(words):
+            hashed = _xorshift((word[:, None] ^ xor[w]) * mult[w])
+            pool = _xorshift(pool * _MIX_MULT_L - hashed * _MIX_MULT_R)
     pool = np.broadcast_to(pool, (rows, _POOL_SIZE))
     state = _xorshift((pool ^ _STATE_XOR) * _STATE_MULT)
     return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)

@@ -507,6 +507,14 @@ def test_report_passes_up_to_four_standard_errors():
     assert not InequalityReport(lhs=np.nextafter(1.0, 2.0), rhs=1.0, se=0.0).passed
 
 
+@pytest.mark.parametrize("field", ["lhs", "rhs", "se"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_report_rejects_a_non_finite_field(field, value):
+    fields = {"lhs": 1.0, "rhs": 2.0, "se": 0.5, field: value}
+    with pytest.raises(anova.NumericalFailure, match="non-finite inequality check"):
+        InequalityReport(**fields)
+
+
 def test_var_and_se_hand_values():
     # centred [-1, -1, -1, 3]: var 12 / 3 = 4, fourth moment 84 / 4 = 21, so
     # SE = sqrt((21 - 4^2) / 4)

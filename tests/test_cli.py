@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from truncmlmc import Integrand, cli, new_stream, streams
+from truncmlmc import Integrand, cli, make_additive, new_stream, streams
 from truncmlmc.cli import main
 from truncmlmc.config import (ConfigError, as_bool, as_float_list, as_int,
                               chain_from_config, integrand_from_config,
                               parse_config_text)
 from truncmlmc.runner import (NumericalFailure, lemma1_diagnostic, run_cells,
-                              run_estimator_cell)
+                              run_estimator_cell, variance_bound)
 
 
 def read_csv(path):
@@ -173,6 +173,45 @@ def test_grid_rejects_non_finite_tolerances(eps, tmp_path, monkeypatch, capsys):
     assert err.startswith("config error:") and "'eps'" in err, err
 
 
+def test_grid_summary_rejects_an_overflowing_wnv(tmp_path, monkeypatch, capsys):
+    # the grid's summary rows and bench's rows share their statistics
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("integrand.family = additive\nintegrand.d = 256\n"
+                   f"integrand.coeffs = {','.join(['8e153'] + ['0.5'] * 255)}\n"
+                   "methods = mlmc\nreps = 10\neps = 1e150\nseed = 1\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["estimate", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: work-normalized variance is not finite\n")
+    assert not (tmp_path / "runs.csv").exists()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
+
+
+def test_bench_reads_its_one_tolerance_before_any_cell(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "eps.cfg"
+    cfg.write_text("eps = 0.1,0.2\n")
+
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a cell ran before the tolerance was read")
+
+    monkeypatch.setattr(cli, "run_cells", no_cells)
+    assert main(["bench", "--d-grid", "4", "--reps", "4", "--seed", "1",
+                 "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: config key 'eps': scaling comparison expects one tolerance\n")
+    assert not (tmp_path / "bench.csv").exists()
+
+
+def test_variance_bound_is_finite_or_fails():
+    bound = variance_bound(make_additive([1.0] * 4))
+    assert type(bound) is float and bound > 0.0
+    with pytest.raises(NumericalFailure, match="variance bound at d=4"):
+        variance_bound(make_additive([6e153] * 4))
+
+
 def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code = main(["estimate", "--family", "additive", "--d", "2", "--coeffs",
@@ -255,6 +294,18 @@ HUGE = "1e300,1e300"
                  "total budget", id="bench-eps-budget-overflows"),
     pytest.param(["bench", "--eps", "1e308", "--d-grid", "4", "--reps", "4"], 2,
                  "'eps'", id="bench-eps-square-overflows"),
+    # a finite run whose written statistics overflow: the level budget's SE,
+    # the variance bound, the work-normalized variance
+    pytest.param(["lemma1", "--family", "additive", "--d", "4", "--coeffs",
+                  ",".join(["1e150"] * 4), "--reps", "20"], 3,
+                 "non-finite inequality check", id="lemma1-se-overflows"),
+    pytest.param(["bench", "--family", "additive", "--d-grid", "4", "--coeffs",
+                  ",".join(["6e153"] * 4), "--methods", "mlmc", "--reps", "10",
+                  "--eps", "1e150"], 3, "variance bound", id="bench-bound-overflows"),
+    pytest.param(["bench", "--family", "additive", "--d-grid", "256", "--coeffs",
+                  ",".join(["8e153"] + ["0.5"] * 255), "--methods", "mlmc",
+                  "--reps", "10", "--eps", "1e150"], 3,
+                 "work-normalized variance", id="bench-wnv-overflows"),
     pytest.param(["estimate", "--d", "2", "--coeffs", "1,nan", "--method", "mc",
                   "--reps", "5"], 2, "'integrand.coeffs': expected a finite number",
                  id="estimate-coeffs-nan"),

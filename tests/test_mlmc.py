@@ -498,6 +498,14 @@ def test_work_normalized_variance_and_budget():
         total_budget(summary, 0.0)
 
 
+def test_work_normalized_variance_must_be_finite():
+    # a finite variance of 5e307 times a cost of 10 overflows
+    summary = summarize(record([0.0, 1e154], 10))
+    with np.errstate(over="ignore"), pytest.raises(
+            mlmc.NumericalFailure, match="work-normalized variance is not finite"):
+        work_normalized_variance(summary)
+
+
 def test_work_normalized_variance_invariant_to_averaging():
     f = make_additive([1.0, 1.0])
     one = replicate(lambda s: standard_mc(f, 1, s), 4000, new_stream(61))

@@ -203,6 +203,22 @@ def test_keys_of_a_mixed_chunk():
         assert np.array_equal(key, expected), (seed, path)
 
 
+def test_a_sibling_chunk_mixes_its_prefix_once():
+    # every chunk the package draws takes the numpy path: one cached prefix
+    # pool, then one label per stream
+    streams._prefix_pool.cache_clear()
+    keys = philox_keys([5] * 64, [(9, j) for j in range(64)])
+    info = streams._prefix_pool.cache_info()
+    assert info.hits + info.misses == 1
+    expected = np.random.SeedSequence(5, spawn_key=(9, 63)).generate_state(2, np.uint64)
+    assert np.array_equal(keys[63], expected)
+
+
+def test_keys_of_an_empty_chunk():
+    keys = philox_keys([], [])
+    assert keys.shape == (0, 2) and keys.dtype == np.uint64
+
+
 @given(SEEDS, PATHS)
 @settings(max_examples=25, deadline=None)
 def test_draws_continue_numpy_sequence(seed, path):
