@@ -26,8 +26,8 @@ from .config import (KNOWN_KEYS, ConfigError, as_int, as_seed,
                      integrand_from_config, load_config, tolerances_from_config)
 from .markov import measure_decay
 from .mlmc import EstimateRecord, total_budget, work_normalized_variance
-from .runner import (FORK_LABELS, CellResult, lemma1_diagnostic, run_cells,
-                     run_markov_cell, variance_bound)
+from .runner import (FORK_LABELS, CellResult, lemma1_diagnostic, named_cell,
+                     run_cells, run_markov_cell, variance_bound)
 from .streams import new_stream
 
 RUN_HEADER = ("rep", "value", "cost_units", "level", "level_sum", "level_count")
@@ -135,8 +135,9 @@ def _statistics(summary: EstimateRecord, eps: float) -> tuple[float, ...]:
 
 def cmd_estimate(args, cfg, seed):
     if args.method is not None:
-        (cell,) = run_cells(cfg, seed, (args.method,),
-                            (as_int(cfg, "integrand.d", least=1),))
+        # one cell: the method asked for, at integrand.d
+        cell_cfg = {key: value for key, value in cfg.items() if key != "d_grid"}
+        (cell,) = run_cells(cell_cfg | {"methods": args.method}, seed)
         return ("runs.csv", RUN_HEADER, _run_lines(cell),
                 _cell_message(f"estimate {args.method}", cell))
     # no single method requested: run the configured (method, d, eps) grid
@@ -144,9 +145,10 @@ def cmd_estimate(args, cfg, seed):
     cells = run_cells(cfg, seed)
     lines = []
     for cell in cells:
-        lines.extend(GRID_SUMMARY_ROW % (cell.method, cell.d, eps,
-                                         *_statistics(cell.summary, eps))
-                     for eps in eps_list)
+        with named_cell(cell.method, cell.d):
+            lines.extend(GRID_SUMMARY_ROW % (cell.method, cell.d, eps,
+                                             *_statistics(cell.summary, eps))
+                         for eps in eps_list)
     for cell in cells:
         lines.extend(GRID_REP_ROW % (cell.method, cell.d, line)
                      for line in _run_lines(cell))
@@ -160,11 +162,12 @@ def cmd_bench(args, cfg, seed):
     (eps,) = eps_list
     lines = []
     for cell in run_cells(cfg, seed):
-        # multilevel rows carry the analytic variance bound driven by d_t
-        bound = ("" if cell.method == "mc"
-                 else _G % variance_bound(integrand_from_config(cfg, cell.d)))
-        lines.append(BENCH_ROW % (cell.method, cell.d,
-                                  *_statistics(cell.summary, eps), bound))
+        with named_cell(cell.method, cell.d):
+            # multilevel rows carry the analytic variance bound driven by d_t
+            bound = ("" if cell.method == "mc"
+                     else _G % variance_bound(integrand_from_config(cfg, cell.d)))
+            lines.append(BENCH_ROW % (cell.method, cell.d,
+                                      *_statistics(cell.summary, eps), bound))
     return "bench.csv", BENCH_HEADER, lines, f"bench: {len(lines)} rows"
 
 

@@ -111,21 +111,15 @@ def estimate_chain_mlmc(model: ChainModel, gamma: float,
     so the estimator variance is exactly sum_l V_l / n_l.  Unbiased for the
     expected terminal payoff.
 
-    Chunks are sized by the narrowest level's n_l·m_l.  Level l then runs
-    over consecutive replications in batches of ``_CHUNK_ELEMENTS //
-    (n_l·m_l)``, at least one, so a batch's innovations hold at most the
-    budget or one replication's level.  Each batch forks its replications'
-    streams, draws and computes their increments once, and steps all their
-    paths together.
+    Level l of a replication holds n_l·m_l innovations, the width by which
+    :func:`mlmc._telescope` sizes its chunks and level batches.  Each batch
+    forks its replications' streams, draws and computes their increments
+    once, and steps all their paths together.
     """
     d = model.horizon
     schedule = markov_schedule(d, gamma)
     x0 = float(model.initial_state)
     times = np.arange(d)[:, None]
-
-    def batch(n_l: int, m_hi: int) -> int:
-        # read at call time, so a patched budget reaches the batches too
-        return max(1, mlmc._CHUNK_ELEMENTS // (n_l * m_hi))
 
     def sample(chunk: list[UniformStream], level: int, n_l: int, m_lo: int,
                m_hi: int, rows: slice) -> np.ndarray:
@@ -150,9 +144,8 @@ def estimate_chain_mlmc(model: ChainModel, gamma: float,
         pays = np.asarray(model.payoff(states), dtype=float).reshape(len(states), -1, n_l)
         return pays[0] - pays[1] if m_lo else pays[0]
 
-    narrowest = min(n_l * m_l for n_l, m_l in zip(schedule.n, schedule.m[1:]))
-    return _chunked(lambda chunk: _telescope(schedule, partial(sample, chunk), batch,
-                                             len(chunk)), streams, narrowest, schedule.n)
+    return _telescope(schedule, lambda m: m, lambda chunk: partial(sample, chunk),
+                      streams)
 
 
 def standard_mc_chain(model: ChainModel, n: int,

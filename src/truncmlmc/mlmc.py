@@ -55,9 +55,9 @@ class LevelSchedule:
         return self.m[-1]
 
 
-# Elements (points times coordinates, or chain innovations) that one level of
-# a chunk of replications, or of a cube level's sub-batch, may hold; fixed, so
-# memory stays bounded in reps.
+# Elements (points times coordinates, or chain innovations) that a chunk of
+# replications may hold in its narrowest level, and a batch of them in any
+# level; fixed, so memory stays bounded in reps.
 _CHUNK_ELEMENTS = 2 ** 14
 
 
@@ -170,110 +170,108 @@ def _chunked(run_chunk: Callable[[list[UniformStream]], tuple[np.ndarray, ...]],
     return EstimateRecord(values, costs, *levels, level_count=level_count)
 
 
-def _telescope(schedule: LevelSchedule,
-               sample: Callable[[int, int, int, int, slice], np.ndarray],
-               batch: Callable[[int, int], int], reps: int
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``values``, ``level_sum`` and ``level_sq`` columns of ``reps``
-    replications of the telescoping sum of level means over ``schedule``.
+def _telescope(schedule: LevelSchedule, width: Callable[[int], int],
+               prepare: Callable[[list[UniformStream]], Callable[..., np.ndarray]],
+               streams: UniformStream | Sequence[UniformStream]) -> EstimateRecord:
+    """The record of the telescoping sum of level means over ``schedule``,
+    one replication per stream: the one level engine.
 
-    Level l runs over consecutive replications in batches of ``batch(n_l,
-    m_l)``.  ``sample(level, n_l, m_lo, m_hi, rows)`` returns the batch's
-    [len(rows), n_l] increments: row j holds replication ``rows.start + j``'s
-    n_l coupled increments, the payoff at prefix length m_hi minus the payoff
-    at m_lo, with no coarse term when m_lo = 0 (the level-0 term is
-    identically zero).  Each batch is reduced into the columns before the
-    next is sampled, so no level's increments are held for every
-    replication.  Each row is reduced as one replication's vector would be,
-    and its level means are added to 0.0 in level order, so its bits depend
-    on neither the chunk nor the batch.
+    Level l of a replication holds n_l·``width(m_l)`` elements.  Chunks are
+    sized by the narrowest level; in each, ``sample = prepare(chunk)`` books
+    the chunk's units outside its levels, and level l runs in batches of
+    ``_CHUNK_ELEMENTS // (n_l·width(m_l))`` replications, at least one.
+    ``sample(level, n_l, m_lo, m_hi, rows)`` returns the [len(rows), n_l]
+    increments of the chunk's ``rows``: the payoff at prefix length m_hi
+    minus the payoff at m_lo, with no coarse term when m_lo = 0.  Each batch
+    is reduced into the columns before the next is sampled, and a level's
+    means (its sums over n_l, the bits of ``mean``) are added to 0.0 in
+    level order, so a row's bits depend on neither the chunk nor the batch.
     """
-    values = np.zeros(reps)
-    level_sum = np.empty((reps, schedule.levels))
-    level_sq = np.empty((reps, schedule.levels))
-    for k in range(schedule.levels):
-        n_l, m_lo, m_hi = schedule.n[k], schedule.m[k], schedule.m[k + 1]
-        size = batch(n_l, m_hi)
-        for start in range(0, reps, size):
-            rows = slice(start, min(reps, start + size))
-            diffs = sample(k + 1, n_l, m_lo, m_hi, rows)
-            level_sum[rows, k] = diffs.sum(axis=1)
-            level_sq[rows, k] = np.vecdot(diffs, diffs)
-            values[rows] += diffs.mean(axis=1)
-    return values, level_sum, level_sq
+    def run_chunk(chunk: list[UniformStream]) -> tuple[np.ndarray, ...]:
+        sample = prepare(chunk)
+        reps = len(chunk)
+        values = np.zeros(reps)
+        level_sum = np.empty((reps, schedule.levels))
+        level_sq = np.empty((reps, schedule.levels))
+        for k, n_l in enumerate(schedule.n):
+            m_lo, m_hi = schedule.m[k], schedule.m[k + 1]
+            size = max(1, _CHUNK_ELEMENTS // (n_l * width(m_hi)))
+            for start in range(0, reps, size):
+                rows = slice(start, min(reps, start + size))
+                diffs = sample(k + 1, n_l, m_lo, m_hi, rows)
+                level_sum[rows, k] = diffs.sum(axis=1)
+                level_sq[rows, k] = np.vecdot(diffs, diffs)
+            values += level_sum[:, k] / n_l
+        return values, level_sum, level_sq
+
+    narrowest = min(n_l * width(m_l) for n_l, m_l in zip(schedule.n, schedule.m[1:]))
+    return _chunked(run_chunk, streams, narrowest, schedule.n)
 
 
 def _cube_telescope(integrand: Integrand, v: np.ndarray | None,
-                    schedule: LevelSchedule, streams: list[UniformStream]
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The telescope's columns for a chunk, with fresh prefixes from each
-    stream spliced onto the base point ``v``, or onto a random base point
-    per stream when ``v`` is None; units are booked on the streams' ledger.
+                    schedule: LevelSchedule,
+                    streams: UniformStream | Sequence[UniformStream]) -> EstimateRecord:
+    """The telescope of fresh prefixes spliced onto the base point ``v``, or
+    onto a random base point per stream when ``v`` is None, whose payoff is
+    charged but not evaluated.
 
-    Each replication's uniforms come from one draw: the random base point
-    first, if any, then every level's prefixes in level order.  Chunks are
-    sized by the narrowest level's n_l·d, so under the truncation schedule
-    (at most 9d draws per replication) a chunk draws at most 9 budgets of
-    uniforms.  Level l then runs over consecutive replications in
-    sub-batches of ``_CHUNK_ELEMENTS // (n_l·d)``, at least one, so its
-    points hold at most the budget or one replication's level.
+    A level's points hold d coordinates each.  Each replication's uniforms
+    come from one draw: the random base point first, if any, then every
+    level's prefixes in level order, so under the truncation schedule (at
+    most 9d draws per replication) a chunk draws at most 9 budgets.
     """
     if schedule.dimension != integrand.dimension:
         raise ValueError("schedule dimension must match the integrand")
     d = integrand.dimension
-    reps, ledger = len(streams), streams[0].ledger
     offsets = list(accumulate((n_l * m_l for n_l, m_l in zip(schedule.n, schedule.m[1:])),
                               initial=0 if v is not None else d))
-    drawn = draw_rows(streams, offsets[-1])
-    base = drawn[:, :d] if v is None else np.broadcast_to(v, (reps, d))
 
-    def sample(level: int, n_l: int, m_lo: int, m_hi: int, rows: slice) -> np.ndarray:
-        # every level is one batch of the whole chunk, since its points run
-        # in sub-batches here
-        prefixes = drawn[:, offsets[level - 1]:offsets[level]].reshape(reps, n_l, m_hi)
-        diffs = np.empty((reps, n_l))
-        batch = max(1, _CHUNK_ELEMENTS // (n_l * d))
-        for start in range(0, reps, batch):
-            part = slice(start, start + batch)
-            points = np.repeat(base[part, None, :], n_l, axis=1)
-            points[:, :, :m_hi] = prefixes[part]
-            rows = points.reshape(-1, d)
-            # copied out before the coarse splice rewrites rows, of which the
-            # evaluator may return a view
-            diffs[part] = integrand.eval_batch(rows, ledger).reshape(-1, n_l)
+    def prepare(chunk: list[UniformStream]):
+        reps, ledger = len(chunk), chunk[0].ledger
+        drawn = draw_rows(chunk, offsets[-1])
+        if v is None:
+            base = drawn[:, :d]
+            # no level needs the value f(u'), so its payoff is charged, not evaluated
+            ledger.payoff_evals += reps
+            ledger.step_applications += integrand.steps_per_eval * reps
+        else:
+            base = np.broadcast_to(v, (reps, d))
+
+        def sample(level: int, n_l: int, m_lo: int, m_hi: int, rows: slice) -> np.ndarray:
+            points = np.repeat(base[rows, None, :], n_l, axis=1)
+            points[:, :, :m_hi] = drawn[rows, offsets[level - 1]:offsets[level]].reshape(
+                -1, n_l, m_hi)
+            flat = points.reshape(-1, d)
+            # copied out before the coarse splice rewrites the points, of
+            # which the evaluator may return a view
+            diffs = integrand.eval_batch(flat, ledger).reshape(-1, n_l).copy()
             if m_lo:
-                points[:, :, m_lo:m_hi] = base[part, None, m_lo:m_hi]
-                diffs[part] -= integrand.eval_batch(rows, ledger).reshape(-1, n_l)
-        return diffs
+                points[:, :, m_lo:m_hi] = base[rows, None, m_lo:m_hi]
+                diffs -= integrand.eval_batch(flat, ledger).reshape(-1, n_l)
+            return diffs
 
-    return _telescope(schedule, sample, lambda n_l, m_hi: reps, reps)
+        return sample
+
+    return _telescope(schedule, lambda m: d, prepare, streams)
 
 
 def estimate_mlmc(integrand: Integrand, schedule: LevelSchedule,
                   streams: UniformStream | Sequence[UniformStream]) -> EstimateRecord:
     """Replications of the truncation-coupled estimator with a random base
-    point, one per stream, in chunks sized by the narrowest level's n_l·d.
+    point, one per stream.
 
     Each draws its base point once (d draws; the cost model charges one payoff
     evaluation there), then runs the level telescope with all levels sharing
     that base point.  Unbiased for the integral for any level schedule.
     """
-    def run_chunk(chunk: list[UniformStream]) -> tuple[np.ndarray, ...]:
-        ledger = chunk[0].ledger
-        # no level needs the value f(u'), so its payoff is charged, not evaluated
-        ledger.payoff_evals += len(chunk)
-        ledger.step_applications += integrand.steps_per_eval * len(chunk)
-        return _cube_telescope(integrand, None, schedule, chunk)
-
-    return _chunked(run_chunk, streams, min(schedule.n) * integrand.dimension,
-                    schedule.n)
+    return _cube_telescope(integrand, None, schedule, streams)
 
 
 def estimate_mlmc_fixed(integrand: Integrand, v, schedule: LevelSchedule,
                         streams: UniformStream | Sequence[UniformStream]
                         ) -> EstimateRecord:
     """Replications with the base point fixed to v (no base-point cost), one
-    per stream, in chunks sized by the narrowest level's n_l·d.
+    per stream.
 
     Unbiased for the integral for every fixed v; since nothing random is
     shared across levels, its variance is exactly the sum of per-level
@@ -284,8 +282,7 @@ def estimate_mlmc_fixed(integrand: Integrand, v, schedule: LevelSchedule,
         raise ValueError(f"fixed suffix must have length {integrand.dimension}")
     if np.any((v < 0.0) | (v > 1.0)):
         raise ValueError("fixed suffix must lie in the unit cube")
-    return _chunked(lambda chunk: _cube_telescope(integrand, v, schedule, chunk),
-                    streams, min(schedule.n) * integrand.dimension, schedule.n)
+    return _cube_telescope(integrand, v, schedule, streams)
 
 
 def standard_mc(integrand: Integrand, n: int,

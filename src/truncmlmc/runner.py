@@ -8,6 +8,7 @@ draws of existing cells.  Cells run one after another in grid order.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
@@ -81,14 +82,21 @@ def _multilevel_schedule(method: str, d: int) -> LevelSchedule:
     return truncation_schedule(d)
 
 
+@contextmanager
+def named_cell(method: str, d: int):
+    """Re-raise a NumericalFailure of the block with the cell's method and d."""
+    try:
+        yield
+    except NumericalFailure as exc:
+        raise NumericalFailure(f"cell method={method} d={d}: {exc}") from exc
+
+
 def _replicate_cell(method: str, d: int, estimator, reps: int,
                     root: UniformStream) -> EstimateRecord:
     """Replicate ``estimator`` on the cell's labelled stream; failures name
     the cell."""
-    try:
+    with named_cell(method, d):
         return replicate(estimator, reps, root.fork(FORK_LABELS[method]).fork(d))
-    except NumericalFailure as exc:
-        raise NumericalFailure(f"cell method={method} d={d}: {exc}") from exc
 
 
 def run_estimator_cell(method: str, integrand: Integrand, reps: int,
@@ -117,11 +125,10 @@ def run_markov_cell(cfg: dict[str, str], d: int, reps: int,
     return CellResult("markov", d, summary)
 
 
-def _d_grid(cfg: dict[str, str], d_grid=None) -> tuple[int, ...]:
-    """The dimensions to run: ``d_grid`` if given, else the config's
-    ``d_grid``, else ``integrand.d`` alone; an empty grid is a ConfigError."""
-    if d_grid is None:
-        d_grid = as_int_list(cfg, "d_grid", None, least=1)
+def _d_grid(cfg: dict[str, str]) -> tuple[int, ...]:
+    """The dimensions to run: the config's ``d_grid``, else ``integrand.d``
+    alone; an empty grid is a ConfigError."""
+    d_grid = as_int_list(cfg, "d_grid", None, least=1)
     if d_grid is None:
         d_grid = (as_int(cfg, "integrand.d", least=1),)
     if not d_grid:
@@ -129,14 +136,11 @@ def _d_grid(cfg: dict[str, str], d_grid=None) -> tuple[int, ...]:
     return tuple(d_grid)
 
 
-def run_cells(cfg: dict[str, str], seed: int, methods=None,
-              d_grid=None) -> list[CellResult]:
-    """Run the (method, d) cells in grid order: ``methods`` and ``d_grid`` if
-    given, else the config's; ``reps``, ``mc_n`` and the fixed point are the
-    config's, each read and checked once."""
-    if methods is None:
-        methods = as_choice_list(cfg, "methods", METHODS, ("mc", "mlmc"))
-    d_grid = _d_grid(cfg, d_grid)
+def run_cells(cfg: dict[str, str], seed: int) -> list[CellResult]:
+    """Run the config's (method, d) cells in grid order; ``reps``, ``mc_n``
+    and the fixed point are the config's, each read and checked once."""
+    methods = as_choice_list(cfg, "methods", METHODS, ("mc", "mlmc"))
+    d_grid = _d_grid(cfg)
     reps = as_int(cfg, "reps", 1000, least=2)
     mc_n = as_int(cfg, "mc_n", 1, least=1)
     fix_v, fix_v_values = fixed_point_from_config(cfg)
@@ -180,6 +184,7 @@ def lemma1_diagnostic(cfg: dict[str, str], seed: int) -> list[LevelBudgetRow]:
         counts = summary.replications * np.array(summary.level_count)
         V_se = V * np.sqrt(2.0 / np.maximum(counts - 1.0, 1.0))
         nu = analytic_profile(integrand).D
-        rows.append(LevelBudgetRow(integrand.family, d,
-                                   check_level_budget_bound(schedule.m, V, nu, V_se)))
+        with named_cell("lemma1", d):
+            report = check_level_budget_bound(schedule.m, V, nu, V_se)
+        rows.append(LevelBudgetRow(integrand.family, d, report))
     return rows

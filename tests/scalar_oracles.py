@@ -2,6 +2,7 @@
 
 The package runs many replications per numpy call; these helpers do the same
 work the slow, obvious way, so tests can check the batched code against them.
+:func:`record_level_rows` gives those tests the level engine's rows.
 """
 
 from __future__ import annotations
@@ -139,6 +140,33 @@ def coupled_level_pair(model: ChainModel, m_hi: int, m_lo: int,
     if m_lo == 0:
         return hi
     return hi - simulate_restart(model, m_lo, ys[m_hi - m_lo:], ledger)
+
+
+def record_level_rows(module, monkeypatch):
+    """Patch ``module._telescope`` to keep every level batch's increments.
+
+    Returns ``rows``, filled as the telescope runs with ``rows[level, j]``,
+    the increments of the replication whose stream's last fork label is j,
+    and ``sizes``, with ``sizes[level]`` the rows of each batch in turn.
+    """
+    rows, sizes = {}, {}
+    telescope = module._telescope
+
+    def recording(schedule, width, prepare, streams):
+        def recorded_prepare(chunk):
+            sample = prepare(chunk)
+
+            def recorded(level, n_l, m_lo, m_hi, part):
+                diffs = sample(level, n_l, m_lo, m_hi, part)
+                sizes.setdefault(level, []).append(len(diffs))
+                for stream, row in zip(chunk[part], diffs):
+                    rows[level, stream.path[-1]] = row
+                return diffs
+            return recorded
+        return telescope(schedule, width, recorded_prepare, streams)
+
+    monkeypatch.setattr(module, "_telescope", recording)
+    return rows, sizes
 
 
 def prefix_redraw_payoff(model: ChainModel, path: ChainPath, i: int,

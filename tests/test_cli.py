@@ -174,7 +174,8 @@ def test_grid_rejects_non_finite_tolerances(eps, tmp_path, monkeypatch, capsys):
 
 
 def test_grid_summary_rejects_an_overflowing_wnv(tmp_path, monkeypatch, capsys):
-    # the grid's summary rows and bench's rows share their statistics
+    # the grid's summary rows and bench's rows share their statistics, and
+    # a failure names the cell
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "grid.cfg"
     cfg.write_text("integrand.family = additive\nintegrand.d = 256\n"
@@ -184,7 +185,8 @@ def test_grid_summary_rejects_an_overflowing_wnv(tmp_path, monkeypatch, capsys):
         warnings.simplefilter("always")
         assert main(["estimate", "--config", str(cfg)]) == 3
     assert capsys.readouterr().err == (
-        "numerical failure: work-normalized variance is not finite\n")
+        "numerical failure: cell method=mlmc d=256: "
+        "work-normalized variance is not finite\n")
     assert not (tmp_path / "runs.csv").exists()
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
 
@@ -289,23 +291,28 @@ HUGE = "1e300,1e300"
     pytest.param(["bench", "--eps", "1e-200", "--d-grid", "4", "--reps", "4"], 2,
                  "'eps'", id="bench-eps-square-underflows"),
     pytest.param(["bench", "--eps", "1e-160", "--d-grid", "4", "--reps", "4"], 3,
-                 "sample count", id="bench-eps-count-overflows"),
+                 "cell method=mc d=4: no finite sample count",
+                 id="bench-eps-count-overflows"),
     pytest.param(["bench", "--eps", "5e-155", "--d-grid", "4", "--reps", "4"], 3,
-                 "total budget", id="bench-eps-budget-overflows"),
+                 "cell method=mlmc d=4: total budget", id="bench-eps-budget-overflows"),
     pytest.param(["bench", "--eps", "1e308", "--d-grid", "4", "--reps", "4"], 2,
                  "'eps'", id="bench-eps-square-overflows"),
-    # a finite run whose written statistics overflow: the level budget's SE,
-    # the variance bound, the work-normalized variance
+    # a finite run whose written statistics overflow, each named by its cell:
+    # the level budget's SE, the variance bound, the work-normalized variance
     pytest.param(["lemma1", "--family", "additive", "--d", "4", "--coeffs",
                   ",".join(["1e150"] * 4), "--reps", "20"], 3,
-                 "non-finite inequality check", id="lemma1-se-overflows"),
+                 "numerical failure: cell method=lemma1 d=4: non-finite inequality check",
+                 id="lemma1-se-overflows"),
     pytest.param(["bench", "--family", "additive", "--d-grid", "4", "--coeffs",
                   ",".join(["6e153"] * 4), "--methods", "mlmc", "--reps", "10",
-                  "--eps", "1e150"], 3, "variance bound", id="bench-bound-overflows"),
+                  "--eps", "1e150"], 3,
+                 "numerical failure: cell method=mlmc d=4: variance bound at d=4",
+                 id="bench-bound-overflows"),
     pytest.param(["bench", "--family", "additive", "--d-grid", "256", "--coeffs",
                   ",".join(["8e153"] + ["0.5"] * 255), "--methods", "mlmc",
                   "--reps", "10", "--eps", "1e150"], 3,
-                 "work-normalized variance", id="bench-wnv-overflows"),
+                 "numerical failure: cell method=mlmc d=256: work-normalized variance",
+                 id="bench-wnv-overflows"),
     pytest.param(["estimate", "--d", "2", "--coeffs", "1,nan", "--method", "mc",
                   "--reps", "5"], 2, "'integrand.coeffs': expected a finite number",
                  id="estimate-coeffs-nan"),

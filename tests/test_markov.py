@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from scalar_oracles import (coupled_level_pair, prefix_redraw_payoff,
-                            reference_measure_decay, simulate_chain,
-                            simulate_restart)
+                            record_level_rows, reference_measure_decay,
+                            simulate_chain, simulate_restart)
 from truncmlmc import markov, mlmc, streams
 from truncmlmc.anova import NumericalFailure
 from truncmlmc import (ChainModel, CostLedger, chain_integrand, drift_integral,
@@ -107,39 +107,44 @@ LINDLEY_MODELS = {"uniform": make_lindley,
 
 
 def test_chain_levels_match_scalar_coupled_pairs(monkeypatch):
-    _check_levels_match_scalar_coupled_pairs("uniform", monkeypatch)
+    _check_levels_match_scalar_coupled_pairs(make_lindley(16), monkeypatch)
 
 
 def test_time_varying_chain_levels_match_scalar_coupled_pairs(monkeypatch):
-    _check_levels_match_scalar_coupled_pairs("time-varying", monkeypatch)
+    _check_levels_match_scalar_coupled_pairs(LINDLEY_MODELS["time-varying"](16),
+                                             monkeypatch)
 
 
-def _check_levels_match_scalar_coupled_pairs(increments, monkeypatch):
+def test_time_indexed_step_levels_match_scalar_coupled_pairs(monkeypatch):
+    # both package models' steps ignore t; this one weights each increment by
+    # its time index and never forgets it, so a restart stepped at the wrong
+    # time indices pays other bits
+    def step(t, x, z):
+        x += (t + 1.0) * z
+
+    model = dataclasses.replace(make_lindley(16), step=step)
+    _check_levels_match_scalar_coupled_pairs(model, monkeypatch)
+
+
+def _check_levels_match_scalar_coupled_pairs(model, monkeypatch):
     # row j of level k holds n_k coupled increments drawn in turn from
-    # stream j's fork k
-    model = LINDLEY_MODELS[increments](16)
+    # stream j's fork k; a budget of 20 runs the 5 streams in chunks of 3
+    # and 2 and levels 3 and 4 in batches of 2 and of 1, and each row is
+    # gathered by its stream from whichever batch sampled it
     schedule = markov_schedule(16, -2.0)
-    levels = []
-    telescope = markov._telescope
-
-    def recording(schedule, sample, *args):
-        def recorded(level, *sizes):
-            diffs = sample(level, *sizes)
-            levels.append(diffs)
-            return diffs
-        return telescope(schedule, recorded, *args)
-
-    monkeypatch.setattr(markov, "_telescope", recording)
+    rows, sizes = record_level_rows(markov, monkeypatch)
+    monkeypatch.setattr(mlmc, "_CHUNK_ELEMENTS", 20)
     root = new_stream(19)
     rec = estimate_chain_mlmc(model, -2.0, [root.fork(j) for j in range(5)])
+    assert sizes == {1: [3, 2], 2: [3, 2], 3: [2, 1, 2], 4: [1] * 5}, sizes
     for j in range(5):
         value = 0.0
-        for k, diffs in enumerate(levels):
+        for k in range(schedule.levels):
             stream = new_stream(19).fork(j).fork(k + 1)
             pairs = np.array([coupled_level_pair(model, schedule.m[k + 1],
                                                  schedule.m[k], stream)
                               for _ in range(schedule.n[k])])
-            assert np.array_equal(diffs[j], pairs), (j, k)
+            assert np.array_equal(rows[k + 1, j], pairs), (j, k)
             assert rec.level_sum[j, k] == pairs.sum()
             assert rec.level_sq[j, k] == np.dot(pairs, pairs)
             value += float(pairs.mean())

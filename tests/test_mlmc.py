@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalar_oracles import HybridPoint, eval_hybrid, record_level_rows
 from truncmlmc import mlmc
 from truncmlmc import (CostLedger, EstimateRecord, Integrand, LevelSchedule,
                        analytic_profile, check_level_budget_bound,
@@ -151,6 +152,58 @@ def test_cube_estimators_allow_evaluators_that_return_a_view(column):
         assert np.array_equal(got.values, expected.values)
         assert np.array_equal(got.level_sum, expected.level_sum)
         assert np.array_equal(got.level_sq, expected.level_sq)
+
+
+@pytest.mark.parametrize("fixed", [False, True], ids=["mlmc", "mlmc-fixed"])
+def test_cube_levels_match_scalar_rebuilds(fixed, monkeypatch):
+    # a budget of 64 runs d = 16 in chunks of 4 and 2 replications and level
+    # 1 (n_1 = 2) in batches of 2; row j of each level is rebuilt point by
+    # point from stream j's one draw: the random base point, if any, then
+    # each level's prefixes in level order
+    d, reps = 16, 6
+    f = make_product(geometric_coefficients(d))
+    schedule = truncation_schedule(d)
+    v = np.linspace(0.05, 0.95, d)
+    rows, sizes = record_level_rows(mlmc, monkeypatch)
+    monkeypatch.setattr(mlmc, "_CHUNK_ELEMENTS", 64)
+    root = new_stream(83)
+    streams = [root.fork(j) for j in range(reps)]
+    rec = (estimate_mlmc_fixed(f, v, schedule, streams) if fixed
+           else estimate_mlmc(f, schedule, streams))
+    assert sizes == {1: [2, 2, 2], 2: [4, 2], 3: [4, 2], 4: [4, 2]}, sizes
+    draws = sum(n_l * m_l for n_l, m_l in zip(schedule.n, schedule.m[1:]))
+    for j in range(reps):
+        u = new_stream(83).fork(j).draw(draws if fixed else d + draws)
+        base, offset = (v, 0) if fixed else (u[:d], d)
+        value = 0.0
+        for k in range(schedule.levels):
+            n_l, m_lo, m_hi = schedule.n[k], schedule.m[k], schedule.m[k + 1]
+            diffs = []
+            for _ in range(n_l):
+                fresh = np.zeros(d)
+                fresh[:m_hi] = u[offset:offset + m_hi]
+                offset += m_hi
+                fine = eval_hybrid(f, HybridPoint(fresh, base, m_hi))
+                diffs.append(fine - eval_hybrid(f, HybridPoint(fresh, base, m_lo))
+                             if m_lo else fine)
+            diffs = np.array(diffs)
+            assert np.array_equal(rows[k + 1, j], diffs), (j, k)
+            assert rec.level_sum[j, k] == diffs.sum()
+            assert rec.level_sq[j, k] == np.dot(diffs, diffs)
+            value += float(diffs.mean())
+        assert offset == u.size
+        assert rec.values[j] == value
+
+
+def test_cube_estimators_reject_a_schedule_of_another_dimension():
+    # a shorter schedule would splice its last level's prefixes onto a base
+    # point that keeps coordinates no level redraws
+    f = make_additive(geometric_coefficients(8))
+    for estimate in (lambda s: estimate_mlmc(f, truncation_schedule(4), s),
+                     lambda s: estimate_mlmc_fixed(f, np.full(8, 0.5),
+                                                   truncation_schedule(4), s)):
+        with pytest.raises(ValueError, match="schedule dimension must match"):
+            estimate(new_stream(1))
 
 
 def test_mlmc_mean_unbiased_quick():
@@ -313,8 +366,8 @@ CELLS = {
 @pytest.mark.parametrize("method", sorted(CELLS))
 def test_columns_do_not_depend_on_chunk_size(method, monkeypatch):
     # a budget of 0 runs one replication per chunk; 4 * 256 runs the d = 256
-    # cube cells in chunks of 4 replications and their level 1 in sub-batches
-    # of one, and the d = 64 chain in chunks of 68 replications with every
+    # cube cells in chunks of 4 replications and their level 1 in batches of
+    # one, and the d = 64 chain in chunks of 68 replications with every
     # level but the narrowest in batches of 16 to 48; 2**62 runs every
     # replication in one chunk
     columns = {}
@@ -364,7 +417,7 @@ def test_cube_memory_is_bounded_by_the_chunk_budget(method, family, d):
     columns = sum(a.nbytes for a in (summary.values, summary.costs,
                                      summary.level_sum, summary.level_sq))
     # one chunk's draw, at most 9d uniforms per replication in a chunk sized by
-    # the narrowest level, so 9 budgets; then one level sub-batch's points, its
+    # the narrowest level, so 9 budgets; then one level batch's points, its
     # fine values and the evaluator's temporary, each at most the budget or
     # one replication's widest level
     widest = max(truncation_schedule(d).n) * d

@@ -22,11 +22,12 @@ edit:
 Every mutant runs ``python -m pytest -x -q tests`` in one temporary copy of
 the checkout (under ``$TMPDIR``; the tests read ``bench/`` and the README),
 with the target replaced by the mutated tree and no bytecode written, so the
-checkout is never edited.  The unmutated copy runs first and must pass.  One
-line per mutant is printed, in the format of ``MUTANTS.md``: the place, the
-edit, and ``killed by`` the first failing test (or by the timeout of
-``TIMEOUT`` seconds, for a mutant that loops), or ``open`` if the suite
-passed.  Whether an open mutant is equivalent is for a reader to decide.
+checkout is never edited.  The unmutated copy runs first, timed, and must
+pass; a mutant's run is stopped after ``SLACK`` times that time.  One line
+per mutant is printed, in the format of ``MUTANTS.md``: the place, the edit,
+and ``killed by`` the first failing test (or by the timeout, for a mutant
+that loops), or ``open`` if the suite passed.  Whether an open mutant is
+equivalent is for a reader to decide.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,7 +51,7 @@ FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot,
          ast.IsNot: ast.Is, ast.In: ast.NotIn, ast.NotIn: ast.In}
 SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add}
-TIMEOUT = 900.0  # seconds; the whole suite takes about 100 s on 2 vCPUs
+SLACK = 3.0  # a mutant's timeout, in runs of the unmutated suite
 
 
 def _is_int(node) -> bool:
@@ -146,16 +148,16 @@ def _target(source: str, name: str):
     raise SystemExit(f"error: no top-level function or class {name!r}")
 
 
-def _run(copy_root: Path) -> str:
+def _run(copy_root: Path, timeout: float | None) -> str:
     env = dict(os.environ, PYTHONPATH=str(copy_root / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                "tests"]
     try:
         done = subprocess.run(command, cwd=copy_root, env=env, capture_output=True,
-                              text=True, timeout=TIMEOUT)
+                              text=True, timeout=timeout)
     except subprocess.TimeoutExpired:
-        return f"killed by the {TIMEOUT:g} s timeout"
+        return f"killed by the {timeout:.0f} s timeout"
     if done.returncode == 0:
         return "open"
     failed = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.MULTILINE)
@@ -170,8 +172,10 @@ def main(argv=None) -> int:
         copy_root = Path(scratch) / "checkout"
         shutil.copytree(ROOT, copy_root, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_work"))
-        if (baseline := _run(copy_root)) != "open":
+        start = time.perf_counter()
+        if (baseline := _run(copy_root, None)) != "open":
             raise SystemExit(f"error: the unmutated suite fails ({baseline})")
+        timeout = SLACK * (time.perf_counter() - start)
         for spec in args.targets:
             module, _, name = spec.partition(":")
             path = copy_root / PACKAGE / f"{module}.py"
@@ -187,7 +191,7 @@ def main(argv=None) -> int:
                     "".join(lines[target.end_lineno:])
                 path.write_text(mutant, encoding="utf-8")
                 try:
-                    print(f"{entry} — {_run(copy_root)}", flush=True)
+                    print(f"{entry} — {_run(copy_root, timeout)}", flush=True)
                 finally:
                     path.write_text(source, encoding="utf-8")
     return 0
