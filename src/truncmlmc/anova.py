@@ -105,13 +105,6 @@ class InequalityReport:
         return self.lhs <= self.rhs + 4.0 * self.se
 
 
-def truncation_dimension(profile: VarianceProfile) -> float:
-    """sum_i D(i) / var_f; lies in [1, d] for any valid profile."""
-    if profile.var_f <= 0.0:
-        raise DegenerateIntegrandError("truncation dimension requires positive variance")
-    return float(profile.D.sum() / profile.var_f)
-
-
 def isotonic_nonincreasing(y: np.ndarray) -> np.ndarray:
     """L2 projection onto nonincreasing sequences (pool adjacent violators)."""
     blocks: list[list[float]] = []  # [sum, count]

@@ -28,10 +28,11 @@ class Integrand:
     once, on segments of rows, so it may keep no mutable state and a row's
     value may not depend on the other rows of the batch.  It may return a
     view of its input, such as ``points[:, 0]``: the package writes into no
-    array that a value it holds may alias.  ``known_mean`` and
-    ``coefficients`` are present for the built-in families and feed the
-    analytic oracles.  ``steps_per_eval`` charges extra step units per point
-    for integrands backed by a chain simulation.
+    array that a value it holds may alias.  ``coefficients`` is present for
+    the built-in families and feeds the analytic profile.  ``known_mean`` is
+    their exact mean, which no package code reads: it is the value the tests
+    compare estimates against.  ``steps_per_eval`` charges extra step units
+    per point for integrands backed by a chain simulation.
     """
 
     dimension: int
@@ -40,14 +41,6 @@ class Integrand:
     family: str | None = None  # "additive" | "product" | None
     coefficients: np.ndarray | None = None
     steps_per_eval: int = 0
-
-    def eval(self, u, ledger: CostLedger | None = None) -> float:
-        """f(u) for a single point; counts one payoff evaluation."""
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.dimension,):
-            raise ValueError(
-                f"expected a point of length {self.dimension}, got shape {u.shape}")
-        return float(self.eval_batch(u[None, :], ledger)[0])
 
     def eval_batch(self, points: np.ndarray, ledger: CostLedger | None = None) -> np.ndarray:
         """f over the rows of an (n, d) array; counts n payoff evaluations."""

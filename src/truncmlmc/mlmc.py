@@ -403,25 +403,6 @@ def total_budget(summary: EstimateRecord, eps: float) -> float:
     return budget
 
 
-def optimal_allocation(V, t, target_variance: float) -> np.ndarray:
-    """Integer n_l = ceil(lambda sqrt(V_l/t_l)) meeting sum V_l/n_l <= target.
-
-    Replication counts proportional to sqrt(V_l/t_l) minimize total cost at a
-    given variance; rounding up preserves the variance guarantee.
-    """
-    V = np.asarray(V, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if V.shape != t.shape or V.ndim != 1:
-        raise ValueError("V and t must be vectors of equal length")
-    if np.any(t <= 0.0) or np.any(V < 0.0) or target_variance <= 0.0:
-        raise ValueError("costs must be positive, variances nonnegative, target positive")
-    scale = float(np.sum(np.sqrt(V * t)))
-    if scale == 0.0:
-        return np.ones(V.size, dtype=int)
-    lam = scale / target_variance
-    return np.maximum(np.ceil(lam * np.sqrt(V / t)).astype(int), 1)
-
-
 def check_level_budget_bound(m, V, nu, V_se) -> InequalityReport:
     """Check sum_i nu_i <= (sum_l sqrt(m_l V_l))^2, given the standard errors
     ``V_se`` of the level variances ``V``.

@@ -182,7 +182,7 @@ def lemma1_diagnostic(cfg: dict[str, str], seed: int) -> list[LevelBudgetRow]:
             "lemma1", d, partial(estimate_mlmc_fixed, integrand, v, schedule), reps, root)
         V = level_variance_estimates(summary)
         counts = summary.replications * np.array(summary.level_count)
-        V_se = V * np.sqrt(2.0 / np.maximum(counts - 1.0, 1.0))
+        V_se = V * np.sqrt(2.0 / (counts - 1.0))
         nu = analytic_profile(integrand).D
         with named_cell("lemma1", d):
             report = check_level_budget_bound(schedule.m, V, nu, V_se)

@@ -2,7 +2,8 @@
 
 The package runs many replications per numpy call; these helpers do the same
 work the slow, obvious way, so tests can check the batched code against them.
-:func:`record_level_rows` gives those tests the level engine's rows.
+:func:`record_level_rows` gives those tests the level engine's rows, and
+:func:`truncation_dimension` recomputes a profile's d_t from its D(i).
 """
 
 from __future__ import annotations
@@ -17,6 +18,15 @@ from truncmlmc import (ChainModel, CostLedger, DecayReport, DegenerateIntegrandE
                        Integrand, UniformStream, VarianceProfile,
                        isotonic_nonincreasing)
 from truncmlmc.markov import _decay_report
+
+
+def eval_point(integrand: Integrand, u, ledger: CostLedger | None = None) -> float:
+    """f(u) for a single point; counts one payoff evaluation."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (integrand.dimension,):
+        raise ValueError(
+            f"expected a point of length {integrand.dimension}, got shape {u.shape}")
+    return float(integrand.eval_batch(u[None, :], ledger)[0])
 
 
 @dataclass(frozen=True)
@@ -47,11 +57,12 @@ def eval_hybrid(integrand: Integrand, point: HybridPoint,
                 ledger: CostLedger | None = None) -> float:
     """Evaluate the integrand at the spliced point (one payoff evaluation).
 
-    With ``m == d`` this is exactly ``integrand.eval(point.u)``.  The level-0
-    term of the multilevel estimators is identically zero by convention and is
-    handled by the level schedule, not by a special prefix length here.
+    With ``m == d`` this is exactly ``eval_point(integrand, point.u)``.  The
+    level-0 term of the multilevel estimators is identically zero by
+    convention and is handled by the level schedule, not by a special prefix
+    length here.
     """
-    return integrand.eval(point.spliced(), ledger)
+    return eval_point(integrand, point.spliced(), ledger)
 
 
 def scalar_integrand(f: Callable[[np.ndarray], float], d: int,
@@ -190,6 +201,13 @@ def prefix_redraw_payoff(model: ChainModel, path: ChainPath, i: int,
     ledger.step_applications += i
     ledger.payoff_evals += 1
     return chain_payoff(model, x)
+
+
+def truncation_dimension(profile: VarianceProfile) -> float:
+    """sum_i D(i) / var_f; lies in [1, d] for any valid profile."""
+    if profile.var_f <= 0.0:
+        raise DegenerateIntegrandError("truncation dimension requires positive variance")
+    return float(profile.D.sum() / profile.var_f)
 
 
 def _jansen_mean_and_se(f_a: list[float], f_i: list[float]) -> tuple[float, float]:

@@ -9,14 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalar_oracles import reference_mc_profile, reference_radial_index
+from scalar_oracles import (reference_mc_profile, reference_radial_index,
+                            truncation_dimension)
 from truncmlmc import (DegenerateIntegrandError, InequalityReport, Integrand,
                        UnsupportedIntegrandError, VarianceProfile,
                        analytic_profile, anova, chain_integrand,
                        check_pair_variance_bound, check_residual_lower_bound,
                        geometric_coefficients, isotonic_nonincreasing,
                        make_additive, make_lindley, make_product, mc_profile,
-                       new_stream, streams, truncation_dimension)
+                       new_stream, streams)
 
 
 def quadrature_profile(integrand, nodes=8):

@@ -502,6 +502,13 @@ def test_lemma1_degenerate_single_coordinate():
     assert report.rhs == pytest.approx(report.lhs, rel=0.1)
 
 
+def test_lemma1_runs_with_two_replications():
+    # the fewest that pool two increments on every level
+    rows = lemma1_diagnostic({"integrand.family": "additive", "integrand.d": "4",
+                              "reps": "2"}, seed=11)
+    assert [(row.family, row.d) for row in rows] == [("additive", 4)]
+
+
 def test_lemma1_rejects_an_empty_grid():
     cfg = {"integrand.family": "additive", "integrand.d": "4", "d_grid": ",",
            "reps": "5"}

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalar_oracles import HybridPoint, eval_hybrid, scalar_integrand
+from scalar_oracles import HybridPoint, eval_hybrid, eval_point, scalar_integrand
 from truncmlmc import (CostLedger, geometric_coefficients, make_additive,
                        make_product, new_stream)
 
@@ -13,22 +13,22 @@ unit_vectors = st.integers(min_value=1, max_value=6).flatmap(
 
 def test_additive_hand_values():
     f = make_additive([1.0, 1.0])
-    assert f.eval([0.5, 0.5]) == 0.0
-    assert f.eval([1.0, 0.0]) == pytest.approx(0.5 - 0.5)
+    assert eval_point(f, [0.5, 0.5]) == 0.0
+    assert eval_point(f, [1.0, 0.0]) == pytest.approx(0.5 - 0.5)
     assert f.known_mean == 0.0
 
 
 def test_product_hand_values():
     f = make_product([1.0, 1.0])
-    assert f.eval([1.0, 1.0]) == pytest.approx(1.5 * 1.5)
-    assert f.eval([0.5, 0.5]) == pytest.approx(1.0)
+    assert eval_point(f, [1.0, 1.0]) == pytest.approx(1.5 * 1.5)
+    assert eval_point(f, [0.5, 0.5]) == pytest.approx(1.0)
     assert f.known_mean == 1.0
 
 
 def test_dimension_mismatch_rejected():
     f = make_additive([1.0, 1.0])
     with pytest.raises(ValueError):
-        f.eval([0.1, 0.2, 0.3])
+        eval_point(f, [0.1, 0.2, 0.3])
     with pytest.raises(ValueError):
         f.eval_batch(np.zeros((4, 3)))
 
@@ -62,7 +62,7 @@ def test_hybrid_full_prefix_is_plain_eval():
     f = make_product([0.5, 0.25, 1.0])
     u = np.array([0.1, 0.9, 0.4])
     up = np.array([0.8, 0.2, 0.6])
-    assert eval_hybrid(f, HybridPoint(u, up, m=3)) == f.eval(u)
+    assert eval_hybrid(f, HybridPoint(u, up, m=3)) == eval_point(f, u)
 
 
 @given(unit_vectors, st.data())
@@ -71,7 +71,7 @@ def test_hybrid_with_identical_sources_is_plain_eval(u, data):
     u = np.asarray(u)
     m = data.draw(st.integers(min_value=0, max_value=u.size))
     f = make_product(np.full(u.size, 0.5))
-    assert eval_hybrid(f, HybridPoint(u, u, m)) == pytest.approx(f.eval(u))
+    assert eval_hybrid(f, HybridPoint(u, u, m)) == pytest.approx(eval_point(f, u))
 
 
 def test_hybrid_point_validation():
@@ -85,7 +85,7 @@ def test_batch_matches_pointwise():
     f = make_product([0.8, -0.5, 0.3])
     pts = new_stream(1).draw_matrix(50, 3)
     batch = f.eval_batch(pts)
-    assert np.allclose(batch, [f.eval(p) for p in pts])
+    assert np.allclose(batch, [eval_point(f, p) for p in pts])
 
 
 @pytest.mark.parametrize("make", [make_additive, make_product])
@@ -112,7 +112,7 @@ def test_product_evaluator_matches_its_formula(d):
 def test_payoff_evaluations_counted():
     f = make_additive([1.0, 1.0])
     ledger = CostLedger()
-    f.eval([0.1, 0.2], ledger)
+    eval_point(f, [0.1, 0.2], ledger)
     f.eval_batch(np.zeros((5, 2)) + 0.5, ledger)
     assert ledger.payoff_evals == 6
     assert ledger.coordinate_draws == 0

@@ -10,16 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scalar_oracles import (coupled_level_pair, prefix_redraw_payoff,
+from scalar_oracles import (coupled_level_pair, eval_point, prefix_redraw_payoff,
                             record_level_rows, reference_measure_decay,
-                            simulate_chain, simulate_restart)
+                            simulate_chain, simulate_restart, truncation_dimension)
 from truncmlmc import markov, mlmc, streams
 from truncmlmc.anova import NumericalFailure
 from truncmlmc import (ChainModel, CostLedger, chain_integrand, drift_integral,
                        estimate_chain_mlmc, make_lindley, markov_schedule,
                        mc_profile, measure_decay, modulated_uniform_increments,
                        new_stream, replicate, standard_mc_chain,
-                       truncation_dimension, uniform_increments)
+                       uniform_increments)
 
 LINDLEY_MEAN_INCREMENT = -0.1  # uniform(-0.6, 0.4)
 
@@ -461,7 +461,7 @@ def test_chain_integrand_reindexes_innovations():
     f = chain_integrand(model)
     u = np.array([0.9, 0.2, 0.7])
     # coordinate k is the innovation k steps before the end
-    assert f.eval(u) == pytest.approx(simulate_restart(model, d, u[::-1]))
+    assert eval_point(f, u) == pytest.approx(simulate_restart(model, d, u[::-1]))
     ledger = CostLedger()
     f.eval_batch(np.full((10, 3), 0.5), ledger)
     assert ledger.payoff_evals == 10

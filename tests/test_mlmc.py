@@ -7,16 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalar_oracles import HybridPoint, eval_hybrid, record_level_rows
+from scalar_oracles import HybridPoint, eval_hybrid, eval_point, record_level_rows
 from truncmlmc import mlmc
 from truncmlmc import (CostLedger, EstimateRecord, Integrand, LevelSchedule,
                        analytic_profile, check_level_budget_bound,
                        estimate_mlmc, estimate_mlmc_fixed, geometric_coefficients,
                        level_variance_estimates, make_additive, make_product,
-                       new_stream, optimal_allocation, predicted_variance,
-                       replicate, samples_needed, standard_mc, summarize,
-                       total_budget, truncation_schedule,
-                       work_normalized_variance)
+                       new_stream, predicted_variance, replicate,
+                       samples_needed, standard_mc, summarize, total_budget,
+                       truncation_schedule, work_normalized_variance)
 from truncmlmc.markov import estimate_chain_mlmc, make_lindley, standard_mc_chain
 from truncmlmc.runner import run_estimator_cell, run_markov_cell
 
@@ -245,7 +244,7 @@ def test_standard_mc_single_sample():
     assert rec.costs.sum() == 2 + 1
     assert rec.costs[0] == 2
     check = new_stream(41)
-    assert rec.values[0] == f.eval(check.draw(2))
+    assert rec.values[0] == eval_point(f, check.draw(2))
 
 
 def test_standard_mc_mean_and_variance():
@@ -580,26 +579,6 @@ def test_total_budget_sandwich(variance, eps, cost):
     assert budget <= upper * (1 + 1e-12)
 
 
-def test_optimal_allocation_cases():
-    assert np.array_equal(optimal_allocation([1.0], [1.0], 0.01), [100])
-    n = optimal_allocation([4.0, 1.0], [1.0, 4.0], 0.001)
-    assert n[0] == 4 * n[1]
-    assert np.array_equal(optimal_allocation([0.0, 0.0], [1.0, 1.0], 0.1), [1, 1])
-    n = optimal_allocation([0.0, 1.0], [1.0, 1.0], 0.5)
-    assert n[0] == 1
-
-
-@given(st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=1, max_size=6),
-       st.data())
-@settings(max_examples=60, deadline=None)
-def test_optimal_allocation_meets_target(V, data):
-    t = [data.draw(st.floats(min_value=0.1, max_value=20.0)) for _ in V]
-    target = data.draw(st.floats(min_value=1e-3, max_value=10.0))
-    n = optimal_allocation(V, t, target)
-    assert np.all(n >= 1)
-    assert float(np.sum(np.asarray(V) / n)) <= target * (1 + 1e-9)
-
-
 def test_level_budget_bound_single_level_equality():
     rep = check_level_budget_bound(m=[0, 1], V=[0.4], nu=[0.4, 0.0], V_se=[0.0])
     assert rep.lhs == pytest.approx(rep.rhs)
@@ -648,6 +627,17 @@ def test_level_budget_bound_se_is_the_delta_method():
     rep = check_level_budget_bound(m=[0, 1, 4], V=[1.0, 0.0], nu=[0.0] * 5,
                                    V_se=[0.1, 0.2])
     assert (rep.rhs, rep.se) == (1.0, 0.1)
+
+
+def test_level_variance_estimates_need_level_sums_and_two_samples_a_level():
+    with pytest.raises(ValueError, match="no per-level sums"):
+        level_variance_estimates(record([0.0, 1.0], 1))
+    # one replication with one increment on its first level pools one sample
+    one = EstimateRecord(values=np.array([1.0]), costs=np.array([2, 0, 0]),
+                         level_sum=np.array([[1.0, 0.5]]),
+                         level_sq=np.array([[1.0, 0.25]]), level_count=(1, 2))
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        level_variance_estimates(one)
 
 
 def _measured_level_budget(nu_scale, with_se):

@@ -135,9 +135,21 @@ def mutate(target, site) -> tuple[object, int, str, str]:
     return tree, node.lineno, before, ast.unparse(shown)
 
 
-def _short(text: str, width: int = 70) -> str:
-    text = " ".join(text.split())
-    return text if len(text) <= width else text[:width - 3] + "..."
+def _short(before: str, after: str, width: int = 70) -> tuple[str, str]:
+    """``before`` and ``after`` on one line each; where either is longer than
+    ``width``, both are cut to one shared window of ``width`` characters that
+    holds their first differing character a quarter of the way in, or less
+    where the window would run past the end of the longer text."""
+    before, after = (" ".join(text.split()) for text in (before, after))
+    longest = max(len(before), len(after))
+    if longest <= width:
+        return before, after
+    first = next((k for k, (a, b) in enumerate(zip(before, after)) if a != b),
+                 min(len(before), len(after)))
+    start = max(0, min(first - width // 4, longest - width))
+    return tuple(("..." if start else "") + text[start:start + width]
+                 + ("..." if len(text) > start + width else "")
+                 for text in (before, after))
 
 
 def _target(source: str, name: str):
@@ -185,8 +197,8 @@ def main(argv=None) -> int:
             first = min([target.lineno] + [d.lineno for d in target.decorator_list])
             for site in sites(target):
                 tree, line, before, after = mutate(target, site)
-                entry = (f"- {module}.py:{line} `{name}`: `{_short(before)}` → "
-                         f"`{_short(after)}`")
+                before, after = _short(before, after)
+                entry = f"- {module}.py:{line} `{name}`: `{before}` → `{after}`"
                 mutant = "".join(lines[:first - 1]) + ast.unparse(tree) + "\n" + \
                     "".join(lines[target.end_lineno:])
                 path.write_text(mutant, encoding="utf-8")
