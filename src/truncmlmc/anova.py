@@ -17,9 +17,11 @@ Two routes produce a profile:
   (Saltelli et al., Comput. Phys. Commun. 181, 2010): V is a row of a base
   matrix A, and V' for index i is that row with columns i..d-1 taken from a
   second matrix B, so one A and one B serve every i.  The rows run in fixed
-  segments as tasks on a thread pool, one thread per usable CPU at most, and
-  each segment's per-i sums are pooled in segment order.  The variance
-  checks run on the same design and the same pool, for their one i.
+  segments, two consecutive segments to a task on a thread pool, one thread
+  per usable CPU at most; a task evaluates its two segments in one call per
+  i, and each segment's per-i sums are pooled in segment order.  The
+  variance checks run on the same design and the same tasks, for their one
+  i.
 """
 
 from __future__ import annotations
@@ -29,12 +31,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrands import Integrand
-from .streams import CostLedger, UniformStream, run_parts
+from .streams import CostLedger, UniformStream, pool_blocks, run_parts
 
 # Elements of A (and of B) per segment of the radial design.  Unlike the
 # decay's row blocks, sized by mlmc._CHUNK_ELEMENTS, the segments set the
 # order of the design's sums, so this constant is part of the output bytes.
 _SEGMENT_ELEMENTS = 2 ** 14
+# Segments per pool task, which evaluates them in one call per index.  With
+# one segment per task, every numpy call covered 16K elements or fewer, and
+# two threads spent the run passing the GIL: mc_profile of the product family
+# at d = 32 with 20,000 pairs took 0.118 s on two threads and 0.125 s on one
+# (2 vCPUs, minima of 15 runs).  With two it takes 0.080 s on two threads and
+# 0.106 s on one.  Four bought no more wall time than two and raised the
+# oracle_bulk benchmark's peak RSS by 4.5%.  The segments, not the tasks,
+# fix the sums, so this constant sets no bit.
+_SEGMENTS_PER_TASK = 2
 
 
 class UnsupportedIntegrandError(ValueError):
@@ -184,16 +195,20 @@ def _segments(n: int, d: int) -> list[tuple[int, int]]:
 
 
 def _radial_sums(integrand: Integrand, a: np.ndarray, b: np.ndarray,
-                 ledger: CostLedger, indices: list[int]
-                 ) -> tuple[np.ndarray, np.ndarray]:
+                 ledger: CostLedger, indices: list[int],
+                 segments: list[tuple[int, int]]
+                 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Sums and centred sums of squares [len(indices)] of the Jansen terms
     ``(f(A) - f(A_B^(i)))**2`` over rows [m, d] of A and B, for each i of the
     descending ``indices``; ``A_B^(i)`` is A with columns i..d-1 taken from B.
+    One pair per ``(start, stop)`` of ``segments``, which split the m rows:
+    each segment's terms are reduced on their own.
 
     Overwrites ``a``: for each i, the columns from i up to the previous index
-    (d at first) are copied from ``b``, then f is evaluated, so i = d copies
-    nothing and its terms are exactly 0.  f(A) is copied before the first
-    column changes, since an evaluator may return a view of its input.
+    (d at first) are copied from ``b``, then f is evaluated on all m rows, so
+    i = d copies nothing and its terms are exactly 0.  f(A) is copied before
+    the first column changes, since an evaluator may return a view of its
+    input.
     """
     m, last = a.shape
     f_a = np.array(integrand.eval_batch(a, ledger))
@@ -203,10 +218,14 @@ def _radial_sums(integrand: Integrand, a: np.ndarray, b: np.ndarray,
         last = i
         np.subtract(f_a, integrand.eval_batch(a, ledger), out=terms[k])
     terms *= terms
-    sums = terms.sum(axis=1)
-    terms -= (sums / m)[:, None]
-    terms *= terms
-    return sums, terms.sum(axis=1)
+    reduced = []
+    for start, stop in segments:
+        part = terms[:, start:stop]
+        sums = part.sum(axis=1)
+        part -= (sums / (stop - start))[:, None]
+        part *= part
+        reduced.append((sums, part.sum(axis=1)))
+    return reduced
 
 
 def _radial(integrand: Integrand, indices: list[int], n: int,
@@ -217,28 +236,34 @@ def _radial(integrand: Integrand, indices: list[int], n: int,
 
     A and B, each [n, d], are drawn row-major from ``stream`` at its counter,
     A first, and the counter advances by ``2 d n``.  The rows run in
-    segments of ``_SEGMENT_ELEMENTS // d`` rows on :func:`streams.run_parts`,
-    with up to one thread per usable CPU, so the evaluator must be safe to
-    call from several threads at once.  A segment draws its rows of A and B
-    at their offsets in the stream and reduces its terms to per-i sums and
-    centred sums of squares, which are pooled in segment order.  The
-    segments depend only on (n, d), so neither the bits nor the units
-    booked on the stream's ledger depend on the thread count.
+    segments of ``_SEGMENT_ELEMENTS // d`` rows, ``_SEGMENTS_PER_TASK``
+    consecutive segments to a task on :func:`streams.run_parts`, with up to
+    one thread per usable CPU, so the evaluator must be safe to call from
+    several threads at once.  A task draws its rows of A and B at their
+    offsets in the stream, evaluates all its rows in one call per i, and
+    reduces each segment's terms to per-i sums and centred sums of squares,
+    which are pooled in segment order.  The segments depend only on (n, d),
+    so neither the bits nor the units booked on the stream's ledger depend
+    on the thread count or on how the segments are grouped into tasks.
     """
     d = integrand.dimension
     base = stream.counter
+    segments = _segments(n, d)
 
-    def run_segment(part: UniformStream, segment: tuple[int, int]):
-        start, stop = segment
+    def run_task(part: UniformStream, block: tuple[int, int]):
+        group = segments[block[0]:block[1]]
+        start, stop = group[0][0], group[-1][1]
         part.counter = base + start * d
         a = part.draw_matrix(stop - start, d)
         part.counter = base + (n + start) * d
         b = part.draw_matrix(stop - start, d)
-        return _radial_sums(integrand, a, b, part.ledger, indices)
+        return _radial_sums(integrand, a, b, part.ledger, indices,
+                            [(lo - start, hi - start) for lo, hi in group])
 
-    segments = _segments(n, d)
+    tasks = run_parts(run_task, stream,
+                      pool_blocks(len(segments), _SEGMENTS_PER_TASK), 2 * d * n)
     sums, m2 = (np.array(column) for column in
-                zip(*run_parts(run_segment, stream, segments, 2 * d * n)))
+                zip(*(pair for task in tasks for pair in task)))
     # pool the segments exactly: M2 = sum_s M2_s + sum_s m_s (mean_s - mean)^2
     rows = np.array([stop - start for start, stop in segments], dtype=float)[:, None]
     mean = sums.sum(axis=0) / n
@@ -265,10 +290,13 @@ def mc_profile(integrand: Integrand, n_pairs: int, stream: UniformStream) -> Var
     The books are ``2 d n`` draws and ``(d + 1) n`` evaluations, plus
     ``steps_per_eval (d + 1) n`` steps: at d = 32 and n = 20,000, 1.94M
     units, against 33.0M for an independent pair sample of every i.  The
-    work runs in segments on a thread pool (see :func:`_radial`), so the
-    evaluator must be safe to call from several threads at once; the profile
-    and the units booked on the stream's ledger do not depend on the thread
-    count.
+    work runs in tasks of two segments on a thread pool (see
+    :func:`_radial`), so the evaluator must be safe to call from several
+    threads at once; the profile and the units booked on the stream's
+    ledger do not depend on the thread count.  The memory is one task per
+    thread: its rows of A and B, its [d, rows] terms and the evaluator's
+    temporaries, each of about ``2 * _SEGMENT_ELEMENTS`` floats, and no
+    [d + 1, n] array.
     """
     if n_pairs < 2:
         raise ValueError("n_pairs must be at least 2")

@@ -182,6 +182,17 @@ def _loglinear_fit(x: np.ndarray, log_y: np.ndarray) -> tuple[float, float, floa
     return float(slope), float(intercept), r2
 
 
+def _mean_and_se(row: np.ndarray) -> tuple[float, float]:
+    """``row.mean()`` and ``row.std(ddof=1) / sqrt(n)``, bit for bit, with no
+    temporary: the operations of ``std``, done in place.  Overwrites ``row``
+    with its centred squares."""
+    n = row.size
+    mean = row.mean()
+    row -= mean
+    row *= row
+    return mean, np.sqrt(row.sum() / (n - 1)) / math.sqrt(n)
+
+
 def measure_decay(model: ChainModel, i_values: Sequence[int], n: int,
                   stream: UniformStream) -> DecayReport:
     """Estimate the mean squared payoff gap to the i-step restart for each i.
@@ -192,8 +203,11 @@ def measure_decay(model: ChainModel, i_values: Sequence[int], n: int,
     restart.  The paths run in blocks on :func:`streams.run_parts`: each
     block runs the whole time loop, drawing its rows of every step at their
     offsets in the stream, and writes its squared gaps into its slice of one
-    [len(i_values), n] array, whose rows are then reduced at full length.  So the estimates, the fits and the units booked
-    on the stream's ledger are the same at any block size and thread count.
+    [len(i_values), n] array, with no temporary.  The rows are then reduced
+    at full length, each in place (see :func:`_mean_and_se`), so the gaps
+    take no memory beyond that array.  The estimates, the fits and the units
+    booked on the stream's ledger are the same at any block size and thread
+    count.
     Both decay fits are least squares on log(msd) over the i with positive
     estimates.  Raises NumericalFailure when a gap or its SE is not finite.
     """
@@ -230,16 +244,15 @@ def measure_decay(model: ChainModel, i_values: Sequence[int], n: int,
         pays = [np.asarray(model.payoff(x), dtype=float) for x in states]
         ledger.payoff_evals += len(states) * m
         for k, r in enumerate(rows):
-            gap = pays[0] - pays[r]
-            sq[k, start:stop] = gap ** 2
+            gaps = sq[k, start:stop]
+            np.subtract(pays[0], pays[r], out=gaps)
+            gaps *= gaps
 
     run_parts(run_block, stream, pool_blocks(n, mlmc._CHUNK_ELEMENTS), d * n)
     msd = np.empty(len(i_vals))
     se = np.empty(len(i_vals))
     for k, row in enumerate(sq):
-        # one row at a time, so std's temporaries stay one row long
-        msd[k] = row.mean()
-        se[k] = row.std(ddof=1) / math.sqrt(n)
+        msd[k], se[k] = _mean_and_se(row)
     if not (np.isfinite(msd).all() and np.isfinite(se).all()):
         raise NumericalFailure("non-finite payoff gap")
     return _decay_report(i_vals, msd, se)

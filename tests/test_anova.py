@@ -317,8 +317,74 @@ def test_sampler_derives_each_stream_key_once(monkeypatch):
     assert derived == [1] * 5
 
 
+# with d = 8, 9,001 pairs make five segments of the radial design, the last
+# one shorter, so tasks of two segments leave one task of one
+GROUPED_PAIRS = 9_001
+# segments per task: one, the default and all of them
+TASK_SIZES = {"one": 1, "default": anova._SEGMENTS_PER_TASK, "all": 2 ** 62}
+
+
+def _radial_runs():
+    """The bits of mc_profile, of the pair check and of the black-box
+    residual check at i = 3, each with its units and its stream's counter."""
+    f = make_product(geometric_coefficients(8, 0.8))
+    black_box = Integrand(dimension=8, evaluator=f.evaluator)
+    profile = analytic_profile(f)
+    oracles = {
+        "profile": lambda stream: mc_profile(f, GROUPED_PAIRS, stream),
+        "pair": lambda stream: check_pair_variance_bound(
+            f, 3, profile, GROUPED_PAIRS, stream),
+        "residual": lambda stream: check_residual_lower_bound(
+            black_box, lambda p: p[:, 0] - 0.5, 3, GROUPED_PAIRS, stream),
+    }
+    runs = {}
+    for name, oracle in oracles.items():
+        stream = new_stream(43)
+        stream.draw(5)  # an offset into the stream that is not a Philox block
+        before = stream.ledger.snapshot()
+        out = oracle(stream)
+        fields = PROFILE_FIELDS if name == "profile" else ("lhs", "rhs", "se")
+        runs[name] = ([np.asarray(getattr(out, field)).tobytes() for field in fields],
+                      tuple(b - a for a, b in zip(before, stream.ledger.snapshot())),
+                      stream.counter)
+    return runs
+
+
+@pytest.fixture(scope="module")
+def serial_one_segment_runs():
+    assert len(anova._segments(GROUPED_PAIRS, 8)) == 5
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(streams, "_cpu_count", lambda: 1)
+        patch.setattr(anova, "_SEGMENTS_PER_TASK", 1)
+        return _radial_runs()
+
+
+@pytest.mark.parametrize("task", sorted(TASK_SIZES))
 @pytest.mark.parametrize("workers", [1, 2, 8])
-def test_mc_profile_memory_is_a_segment_per_worker(workers, monkeypatch):
+def test_radial_bits_do_not_depend_on_the_tasks(task, workers, serial_one_segment_runs,
+                                                monkeypatch):
+    monkeypatch.setattr(anova, "_SEGMENTS_PER_TASK", TASK_SIZES[task])
+    monkeypatch.setattr(streams, "_cpu_count", lambda: workers)
+    interval = sys.getswitchinterval()
+    if workers == 8:  # more threads than cores, switching often
+        sys.setswitchinterval(1e-6)
+    try:
+        runs = _radial_runs()
+    finally:
+        sys.setswitchinterval(interval)
+    # each segment is reduced on its own, so the tasks change no bit
+    assert runs == serial_one_segment_runs
+
+
+def test_segments_are_one_row_at_least():
+    assert anova._segments(5, 2) == [(0, 5)]
+    assert anova._segments(2 ** 13 + 3, 2) == [(0, 2 ** 13), (2 ** 13, 2 ** 13 + 3)]
+    assert anova._segments(3, 2 ** 13 + 1) == [(0, 1), (1, 2), (2, 3)]
+    assert anova._segments(3, 2 ** 14 + 1) == [(0, 1), (1, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_mc_profile_memory_is_a_task_per_worker(workers, monkeypatch):
     monkeypatch.setattr(streams, "_cpu_count", lambda: workers)
     f, d, n = make_additive(geometric_coefficients(32)), 32, 20_000
     mc_profile(f, 200, new_stream(1))  # lazy imports and per-thread set-up
@@ -329,11 +395,13 @@ def test_mc_profile_memory_is_a_segment_per_worker(workers, monkeypatch):
     finally:
         tracemalloc.stop()
     segments = len(anova._segments(n, d))
-    # a segment's A and B, its terms and the evaluator's temporary, each of
-    # _SEGMENT_ELEMENTS floats, with room to spare; no [d + 1, n] array
-    segment = 6 * 8 * anova._SEGMENT_ELEMENTS
+    tasks = len(streams.pool_blocks(segments, anova._SEGMENTS_PER_TASK))
+    # per segment of a task: its A and B, its terms and the evaluator's
+    # temporary, each of _SEGMENT_ELEMENTS floats, with room to spare; no
+    # [d + 1, n] array
+    task = anova._SEGMENTS_PER_TASK * 6 * 8 * anova._SEGMENT_ELEMENTS
     sums = segments * 2 * d * 8
-    assert peak < min(workers, segments) * segment + sums, (peak, segments)
+    assert peak < min(workers, tasks) * task + sums, (peak, tasks)
 
 
 def _fraction_product_tail(integrand):

@@ -363,7 +363,8 @@ def test_measure_decay_pool_threads_keep_the_error_state(monkeypatch):
 
 # A block holds the full chain, its restarts, a draw and its increments, one
 # element per path each; the step makes no temporaries, and at the end the
-# payoff gap and its square add two: about 8 arrays of a block's paths.
+# gaps are squared in place in the gap array: about 6 arrays of a block's
+# paths.  The rows are reduced in place too.
 DECAY_BLOCK_BUDGETS = 10
 
 
@@ -383,6 +384,27 @@ def test_measure_decay_memory_is_the_gap_array_and_blocks_per_worker(workers,
     blocks = len(streams.pool_blocks(n, mlmc._CHUNK_ELEMENTS))
     budget = 8 * mlmc._CHUNK_ELEMENTS
     assert peak < gaps + min(workers, blocks) * DECAY_BLOCK_BUDGETS * budget, (peak, gaps)
+
+
+@pytest.mark.parametrize("row", [
+    np.array([0.25, 3.0]),
+    np.random.default_rng(5).random(10_001) ** 4,
+    1e8 + np.random.default_rng(6).random(1_001),
+    np.full(7, 0.3),
+], ids=["two", "odd", "offset", "equal"])
+def test_mean_and_se_is_mean_and_std_in_place(row):
+    n = row.size
+    expected = (row.mean(), row.std(ddof=1) / math.sqrt(n))
+    work = row.copy()
+    tracemalloc.start()
+    try:
+        got = markov._mean_and_se(work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected and got[1] >= 0.0
+    np.testing.assert_array_equal(work, (row - expected[0]) ** 2)
+    assert peak < 1_000, peak  # no row-sized temporary
 
 
 def test_prefix_redraw_costs_and_endpoints():
