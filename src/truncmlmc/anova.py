@@ -73,7 +73,6 @@ class VarianceProfile:
     var_f: float
     d_t: float
     source: str  # "analytic" | "mc"
-    n_pairs: int | None = None
     se: np.ndarray | None = None
     raw_D: np.ndarray | None = None
 
@@ -170,13 +169,23 @@ def analytic_profile(integrand: Integrand) -> VarianceProfile:
     return VarianceProfile(D=D, var_f=var_f, d_t=dt_var / var_f, source="analytic")
 
 
+def _centred_squares(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums and centred sums of squares of ``values`` along its last axis,
+    with the operations and bits of ``mean`` and ``std(ddof=1)``: ``values``
+    is centred, then squared, in place.  The one reduction of the radial
+    design's segments, the residual check and the decay's gap rows."""
+    sums = values.sum(axis=-1)
+    # the transpose broadcasts the means without a [..., None] view's allocation
+    np.subtract(values.T, sums / values.shape[-1], out=values.T)
+    values *= values
+    return sums, values.sum(axis=-1)
+
+
 def _var_and_se(values: np.ndarray) -> tuple[float, float]:
     """Sample variance and its standard error.  Overwrites ``values``: they
     are centred, then squared twice, in place."""
     n = values.size
-    values -= values.mean()
-    values *= values
-    var = float(values.sum() / (n - 1))
+    var = float(_centred_squares(values)[1] / (n - 1))
     values *= values
     mu4 = float(values.mean())
     se = float(np.sqrt(max(mu4 - var ** 2, 0.0) / n))
@@ -202,7 +211,7 @@ def _radial_sums(integrand: Integrand, a: np.ndarray, b: np.ndarray,
     ``(f(A) - f(A_B^(i)))**2`` over rows [m, d] of A and B, for each i of the
     descending ``indices``; ``A_B^(i)`` is A with columns i..d-1 taken from B.
     One pair per ``(start, stop)`` of ``segments``, which split the m rows:
-    each segment's terms are reduced on their own.
+    each segment's terms are reduced on their own by :func:`_centred_squares`.
 
     Overwrites ``a``: for each i, the columns from i up to the previous index
     (d at first) are copied from ``b``, then f is evaluated on all m rows, so
@@ -218,14 +227,7 @@ def _radial_sums(integrand: Integrand, a: np.ndarray, b: np.ndarray,
         last = i
         np.subtract(f_a, integrand.eval_batch(a, ledger), out=terms[k])
     terms *= terms
-    reduced = []
-    for start, stop in segments:
-        part = terms[:, start:stop]
-        sums = part.sum(axis=1)
-        part -= (sums / (stop - start))[:, None]
-        part *= part
-        reduced.append((sums, part.sum(axis=1)))
-    return reduced
+    return [_centred_squares(terms[:, start:stop]) for start, stop in segments]
 
 
 def _radial(integrand: Integrand, indices: list[int], n: int,
@@ -312,7 +314,7 @@ def mc_profile(integrand: Integrand, n_pairs: int, stream: UniformStream) -> Var
     if var_f <= 0.0:
         raise DegenerateIntegrandError("sampled variance estimate is not positive")
     return VarianceProfile(D=D, var_f=var_f, d_t=float(D.sum() / var_f),
-                           source="mc", n_pairs=n_pairs, se=se, raw_D=raw)
+                           source="mc", se=se, raw_D=raw)
 
 
 def _check_arguments(integrand: Integrand, i: int, n: int) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .anova import (DegenerateIntegrandError, NumericalFailure,
                     analytic_profile, mc_profile)
-from .config import (KNOWN_KEYS, ConfigError, as_int, as_seed,
+from .config import (KNOWN_KEYS, ConfigError, as_int, as_seed, checked_value,
                      chain_from_config, decay_from_config,
                      integrand_from_config, load_config, tolerances_from_config)
 from .markov import measure_decay
@@ -76,12 +76,13 @@ def _write_csv(path: str, header, lines) -> None:
 
 
 def _merged_config(args) -> dict[str, str]:
-    """The config files, then every flag given: a flag's dest is its key."""
+    """The config files, then every flag given: a flag's dest is its key,
+    and its value is checked as a config line's is."""
     cfg: dict[str, str] = {}
     for path in (args.config, getattr(args, "integrand_cfg", None)):
         if path:
             cfg.update(load_config(path))
-    cfg.update((key, str(value)) for key, value in vars(args).items()
+    cfg.update((key, checked_value(key, str(value))) for key, value in vars(args).items()
                if key in KNOWN_KEYS and value is not None)
     return cfg
 

@@ -67,10 +67,15 @@ def parse_config_text(text: str) -> dict[str, str]:
             raise ConfigError(f"unknown config key {key!r}")
         if key in out:
             raise ConfigError(f"duplicate config key {key!r}")
-        if not value:
-            raise ConfigError(f"config key {key!r} has an empty value")
-        out[key] = value
+        out[key] = checked_value(key, value)
     return out
+
+
+def checked_value(key: str, value: str) -> str:
+    """``value`` of ``key`` from a config line or a flag; blank is refused."""
+    if not value.strip():
+        raise ConfigError(f"config key {key!r} has an empty value")
+    return value
 
 
 def load_config(path: str | Path) -> dict[str, str]:

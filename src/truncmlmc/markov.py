@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import mlmc
-from .anova import NumericalFailure
+from .anova import NumericalFailure, _centred_squares
 from .integrands import Integrand
 from .mlmc import (EstimateRecord, LevelSchedule, _chunked, _telescope,
                    dyadic_prefixes)
@@ -182,17 +182,6 @@ def _loglinear_fit(x: np.ndarray, log_y: np.ndarray) -> tuple[float, float, floa
     return float(slope), float(intercept), r2
 
 
-def _mean_and_se(row: np.ndarray) -> tuple[float, float]:
-    """``row.mean()`` and ``row.std(ddof=1) / sqrt(n)``, bit for bit, with no
-    temporary: the operations of ``std``, done in place.  Overwrites ``row``
-    with its centred squares."""
-    n = row.size
-    mean = row.mean()
-    row -= mean
-    row *= row
-    return mean, np.sqrt(row.sum() / (n - 1)) / math.sqrt(n)
-
-
 def measure_decay(model: ChainModel, i_values: Sequence[int], n: int,
                   stream: UniformStream) -> DecayReport:
     """Estimate the mean squared payoff gap to the i-step restart for each i.
@@ -204,10 +193,10 @@ def measure_decay(model: ChainModel, i_values: Sequence[int], n: int,
     block runs the whole time loop, drawing its rows of every step at their
     offsets in the stream, and writes its squared gaps into its slice of one
     [len(i_values), n] array, with no temporary.  The rows are then reduced
-    at full length, each in place (see :func:`_mean_and_se`), so the gaps
-    take no memory beyond that array.  The estimates, the fits and the units
-    booked on the stream's ledger are the same at any block size and thread
-    count.
+    at full length, in place, in one call of :func:`anova._centred_squares`,
+    so the gaps take no memory beyond that array.  The estimates, the fits
+    and the units booked on the stream's ledger are the same at any block
+    size and thread count.
     Both decay fits are least squares on log(msd) over the i with positive
     estimates.  Raises NumericalFailure when a gap or its SE is not finite.
     """
@@ -249,10 +238,9 @@ def measure_decay(model: ChainModel, i_values: Sequence[int], n: int,
             gaps *= gaps
 
     run_parts(run_block, stream, pool_blocks(n, mlmc._CHUNK_ELEMENTS), d * n)
-    msd = np.empty(len(i_vals))
-    se = np.empty(len(i_vals))
-    for k, row in enumerate(sq):
-        msd[k], se[k] = _mean_and_se(row)
+    sums, m2 = _centred_squares(sq)
+    msd = sums / n
+    se = np.sqrt(m2 / (n - 1)) / math.sqrt(n)
     if not (np.isfinite(msd).all() and np.isfinite(se).all()):
         raise NumericalFailure("non-finite payoff gap")
     return _decay_report(i_vals, msd, se)

@@ -360,14 +360,10 @@ def run_parts(fn, stream: UniformStream, blocks, drawn: int) -> list:
     parts = [UniformStream(stream.seed, stream.path, CostLedger()) for _ in blocks]
     for part in parts:
         part.counter, part.key = stream.counter, stream.key
+    contexts = [contextvars.copy_context() for _ in blocks]
     with ThreadPoolExecutor(max(1, min(_cpu_count(), len(blocks)))) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, fn, part, block)
-                   for part, block in zip(parts, blocks)]
-        try:
-            results = [future.result() for future in futures]
-        finally:
-            for future in futures:
-                future.cancel()
+        results = list(pool.map(lambda context, part, block: context.run(fn, part, block),
+                                contexts, parts, blocks))
     for part in parts:
         stream.ledger.add(part.ledger)
     stream.counter += drawn

@@ -259,7 +259,7 @@ def reference_mc_profile(integrand: Integrand, n_pairs: int,
     if var_f <= 0.0:
         raise DegenerateIntegrandError("sampled variance estimate is not positive")
     return VarianceProfile(D=D, var_f=var_f, d_t=float(D.sum() / var_f),
-                           source="mc", n_pairs=n_pairs, se=se, raw_D=raw)
+                           source="mc", se=se, raw_D=raw)
 
 
 def _step_array(model: ChainModel, t: int, states: np.ndarray,

@@ -334,6 +334,11 @@ HUGE = "1e300,1e300"
                  "'out': cannot write nodir/x.csv", id="out-missing-directory"),
     pytest.param(["anova", "--d", "2", "--out", "."], 2, "'out': cannot write .",
                  id="out-is-a-directory"),
+    # an empty flag value is refused as an empty config value is
+    pytest.param(["markov", "decay", "--d", "8", "--i", "", "--n", "10"], 2,
+                 "config key 'decay.i' has an empty value", id="decay-i-empty"),
+    pytest.param(["anova", "--d", "3", "--out", ""], 2,
+                 "config key 'out' has an empty value", id="out-empty"),
 ])
 def test_cli_exit_codes_name_the_fault(argv, code, fragment, tmp_path,
                                        monkeypatch, capsys):

@@ -13,7 +13,7 @@ import pytest
 from scalar_oracles import (coupled_level_pair, eval_point, prefix_redraw_payoff,
                             record_level_rows, reference_measure_decay,
                             simulate_chain, simulate_restart, truncation_dimension)
-from truncmlmc import markov, mlmc, streams
+from truncmlmc import anova, markov, mlmc, streams
 from truncmlmc.anova import NumericalFailure
 from truncmlmc import (ChainModel, CostLedger, chain_integrand, drift_integral,
                        estimate_chain_mlmc, make_lindley, markov_schedule,
@@ -239,6 +239,40 @@ def test_measure_decay_rejects_repeated_depths():
         measure_decay(make_lindley(16), [4, 8, 4], 100, new_stream(14))
 
 
+@pytest.mark.parametrize("depths, n, match", [
+    ([4], 1, "at least 2 coupled paths"),
+    ([-1, 4], 100, r"must lie in \[0, 16\]"),
+    ([4, 17], 100, r"must lie in \[0, 16\]"),
+], ids=["one-path", "negative-depth", "depth-past-horizon"])
+def test_measure_decay_rejects_bad_arguments(depths, n, match):
+    with pytest.raises(ValueError, match=match):
+        measure_decay(make_lindley(16), depths, n, new_stream(14))
+
+
+def test_measure_decay_runs_on_two_paths():
+    # the fewest that give a standard error
+    report = measure_decay(make_lindley(16), [0, 16], 2, new_stream(14))
+    assert np.isfinite(report.msd).all() and np.isfinite(report.se).all()
+    assert report.msd[1] == report.se[1] == 0.0
+
+
+def test_measure_decay_computes_each_step_increments_once(monkeypatch):
+    # each block computes one time index's increments per step, shared by the
+    # full chain and every restart
+    monkeypatch.setattr(mlmc, "_CHUNK_ELEMENTS", 100)
+    lindley = LINDLEY_MODELS["time-varying"](16)
+    computed = []
+
+    def increment(t, y):
+        z = lindley.increment(t, y)
+        computed.append(z.size)
+        return z
+
+    model = dataclasses.replace(lindley, increment=increment)
+    measure_decay(model, (0, 4, 16), 1_000, new_stream(15))
+    assert sum(computed) == 16 * 1_000
+
+
 def test_measure_decay_geometric_fit():
     report = measure_decay(make_lindley(128), [4, 8, 16, 32, 64], 60_000,
                            new_stream(13))
@@ -364,7 +398,8 @@ def test_measure_decay_pool_threads_keep_the_error_state(monkeypatch):
 # A block holds the full chain, its restarts, a draw and its increments, one
 # element per path each; the step makes no temporaries, and at the end the
 # gaps are squared in place in the gap array: about 6 arrays of a block's
-# paths.  The rows are reduced in place too.
+# paths.  The whole gap array is then reduced in place, in one call of
+# anova._centred_squares.
 DECAY_BLOCK_BUDGETS = 10
 
 
@@ -386,25 +421,36 @@ def test_measure_decay_memory_is_the_gap_array_and_blocks_per_worker(workers,
     assert peak < gaps + min(workers, blocks) * DECAY_BLOCK_BUDGETS * budget, (peak, gaps)
 
 
-@pytest.mark.parametrize("row", [
-    np.array([0.25, 3.0]),
-    np.random.default_rng(5).random(10_001) ** 4,
-    1e8 + np.random.default_rng(6).random(1_001),
-    np.full(7, 0.3),
-], ids=["two", "odd", "offset", "equal"])
-def test_mean_and_se_is_mean_and_std_in_place(row):
-    n = row.size
-    expected = (row.mean(), row.std(ddof=1) / math.sqrt(n))
-    work = row.copy()
+@pytest.mark.parametrize("values, bound", [
+    (np.array([0.25, 3.0]), 1_000),
+    (np.random.default_rng(5).random(10_001) ** 4, 1_000),
+    (1e8 + np.random.default_rng(6).random(1_001), 1_000),
+    (np.full(7, 0.3), 1_000),
+    # the decay's gap array: every row at once, within one row's bytes
+    (np.random.default_rng(7).random((5, 40_001)) ** 4, 8 * 40_001),
+], ids=["two", "odd", "offset", "equal", "block"])
+def test_mean_and_se_is_mean_and_std_in_place(values, bound):
+    # the mean and standard error that measure_decay makes of the helper's
+    # sums equal each row's mean and std(ddof=1) / sqrt(n), bit for bit
+    n = values.shape[-1]
+    rows = values.reshape(-1, n)
+    expected = [(row.mean(), row.std(ddof=1) / math.sqrt(n)) for row in rows]
+    # numpy caches a small buffer at its first in-place multiply
+    anova._centred_squares(values.copy())
+    work = values.copy()
     tracemalloc.start()
     try:
-        got = markov._mean_and_se(work)
+        sums, m2 = anova._centred_squares(work)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got == expected and got[1] >= 0.0
-    np.testing.assert_array_equal(work, (row - expected[0]) ** 2)
-    assert peak < 1_000, peak  # no row-sized temporary
+    got = list(zip(np.reshape(sums / n, -1).tolist(),
+                   np.reshape(np.sqrt(m2 / (n - 1)) / math.sqrt(n), -1).tolist()))
+    assert got == expected and all(se >= 0.0 for _, se in got)
+    np.testing.assert_array_equal(
+        work, np.stack([(row - mean) ** 2 for row, (mean, _) in zip(rows, expected)])
+        .reshape(values.shape))
+    assert peak < bound, peak  # no temporary of the size of the values
 
 
 def test_prefix_redraw_costs_and_endpoints():
