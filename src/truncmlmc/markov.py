@@ -28,8 +28,7 @@ import numpy as np
 from . import mlmc
 from .anova import NumericalFailure, _centred_squares
 from .integrands import Integrand
-from .mlmc import (EstimateRecord, LevelSchedule, _chunked, _telescope,
-                   dyadic_prefixes)
+from .mlmc import EstimateRecord, LevelSchedule, _telescope, dyadic_prefixes
 from .streams import UniformStream, draw_rows, pool_blocks, run_parts
 
 LINDLEY_A = -0.6
@@ -152,24 +151,29 @@ def standard_mc_chain(model: ChainModel, n: int,
                       streams: UniformStream | Sequence[UniformStream]
                       ) -> EstimateRecord:
     """Average terminal payoffs over n full-horizon paths advanced in lockstep,
-    one average per stream, in chunks sized by n."""
+    one average per stream: the one-level telescope of width 1, since a path
+    holds one state, so chunks are sized by n.  Each stream draws its n
+    innovations of step t when the step runs; the record keeps no level
+    columns."""
     if n < 1:
         raise ValueError("path count must be positive")
-    times = np.arange(model.horizon)[:, None]
+    d = model.horizon
+    times = np.arange(d)[:, None]
 
-    def run_chunk(chunk: list[UniformStream]) -> tuple[np.ndarray]:
-        ledger = chunk[0].ledger
-        states = np.full(len(chunk) * n, float(model.initial_state))
-        for t in range(model.horizon):
-            # each stream draws its n innovations of step t when the step runs
-            y = draw_rows(chunk, n).reshape(1, -1)
+    def sample(chunk: list[UniformStream], level: int, n_l: int, m_lo: int,
+               m_hi: int, rows: slice) -> np.ndarray:
+        part, ledger = chunk[rows], chunk[0].ledger
+        states = np.full(len(part) * n, float(model.initial_state))
+        for t in range(d):
+            y = draw_rows(part, n).reshape(1, -1)
             model.step(t, states, model.increment(times[t:t + 1], y)[0])
             ledger.step_applications += states.size
-        values = np.asarray(model.payoff(states), dtype=float).reshape(len(chunk), n)
         ledger.payoff_evals += states.size
-        return (values.mean(axis=1),)
+        return np.asarray(model.payoff(states), dtype=float).reshape(len(part), n)
 
-    return _chunked(run_chunk, streams, n)
+    record = _telescope(LevelSchedule((0, d), (n,)), lambda m: 1,
+                        lambda chunk: partial(sample, chunk), streams)
+    return EstimateRecord(record.values, record.costs)
 
 
 def _loglinear_fit(x: np.ndarray, log_y: np.ndarray) -> tuple[float, float, float]:

@@ -117,95 +117,69 @@ def truncation_schedule(d: int) -> LevelSchedule:
     return LevelSchedule(m=m, n=n)
 
 
-def _chunked(run_chunk: Callable[[list[UniformStream]], tuple[np.ndarray, ...]],
-             streams: UniformStream | Sequence[UniformStream], width: int,
-             level_count: tuple[int, ...] | None = None) -> EstimateRecord:
-    """The record of one replication per stream, run over consecutive streams
-    in chunks; a bare stream is one replication.
+def _telescope(schedule: LevelSchedule, width: Callable[[int], int],
+               prepare: Callable[[list[UniformStream]], Callable[..., np.ndarray]],
+               streams: UniformStream | Sequence[UniformStream]) -> EstimateRecord:
+    """The record of the telescoping sum of level means over ``schedule``,
+    one replication per stream (a bare stream is one): the one cell engine.
 
-    ``width`` counts the elements of one replication that size the chunks:
-    every chunk but the last holds ``_CHUNK_ELEMENTS // width`` replications,
-    at least one.  ``run_chunk(chunk)`` books the chunk's units on its
-    streams' ledger and returns its columns: ``values`` [R] and, for the
-    telescopes, ``level_sum`` and ``level_sq`` [R, L], one row per stream.
-    The columns are allocated once from the first chunk, and each chunk's
-    rows are copied in before the next chunk runs.  Every stream must share
-    the first one's ledger.  A chunk's units must split evenly over its
-    replications (RuntimeError), and the first chunk's share stands for every
-    replication: a later chunk whose share differs raises ValueError.
+    Level l of a replication holds n_l·``width(m_l)`` elements.  The streams
+    run in chunks sized by the narrowest level, and level l of a chunk in
+    batches of ``_CHUNK_ELEMENTS // (n_l·width(m_l))`` replications, at least
+    one of each.  ``sample = prepare(chunk)`` books the chunk's units outside
+    its levels; ``sample(level, n_l, m_lo, m_hi, rows)`` returns the
+    [len(rows), n_l] increments of the chunk's ``rows``: the payoff at prefix
+    length m_hi minus the payoff at m_lo, with no coarse term when m_lo = 0.
+    Each batch's sums and squares go into the cell's columns before the next
+    is sampled; the level means (sums over n_l, the bits of ``mean``) are
+    added to 0.0 in level order at the end, so a row's bits depend on neither
+    the chunk nor the batch.  The streams must share one ledger.  A chunk's
+    units must split evenly over its replications (RuntimeError), and a later
+    chunk whose share differs from the first's raises ValueError.
     """
     if isinstance(streams, UniformStream):
         streams = [streams]
     reps = len(streams)
     if not reps:
         raise ValueError("a chunk needs at least one stream")
-    size = max(1, _CHUNK_ELEMENTS // width)
-    columns = None
+    narrowest = min(n_l * width(m_l) for n_l, m_l in zip(schedule.n, schedule.m[1:]))
+    size = max(1, _CHUNK_ELEMENTS // narrowest)
+    level_sum = np.empty((reps, schedule.levels))
+    level_sq = np.empty((reps, schedule.levels))
+    costs = None
     for start in range(0, reps, size):
         chunk = list(streams[start:start + size])
-        if columns is None:
+        if costs is None:
             ledger = chunk[0].ledger
         if any(stream.ledger is not ledger for stream in chunk):
             raise ValueError("the streams of a chunk must share one cost ledger")
         before = ledger.snapshot()
-        result = run_chunk(chunk)
+        sample = prepare(chunk)
+        for k, n_l in enumerate(schedule.n):
+            m_lo, m_hi = schedule.m[k], schedule.m[k + 1]
+            batch = max(1, _CHUNK_ELEMENTS // (n_l * width(m_hi)))
+            for lo in range(0, len(chunk), batch):
+                rows = slice(lo, min(len(chunk), lo + batch))
+                diffs = sample(k + 1, n_l, m_lo, m_hi, rows)
+                shape = (rows.stop - lo, n_l)
+                if diffs.shape != shape:
+                    raise ValueError(f"a batch of level {k + 1} returned increments of "
+                                     f"shape {diffs.shape}, not {shape}")
+                level_sum[start + lo:start + rows.stop, k] = diffs.sum(axis=1)
+                level_sq[start + lo:start + rows.stop, k] = np.vecdot(diffs, diffs)
         delta = np.subtract(ledger.snapshot(), before)
         if np.any(delta % len(chunk)):
             raise RuntimeError(f"cost units {delta.tolist()} do not split evenly "
                                f"over {len(chunk)} replications")
-        if any(len(column) != len(chunk) for column in result):
-            raise ValueError(f"a chunk of {len(chunk)} streams returned columns of "
-                             f"{[len(column) for column in result]} rows")
-        if columns is None:
-            columns = [np.empty((reps,) + column.shape[1:], column.dtype)
-                       for column in result]
+        if costs is None:
             costs = delta // len(chunk)
         elif not np.array_equal(delta // len(chunk), costs):
             raise ValueError(f"a chunk's replications cost {(delta // len(chunk)).tolist()} "
                              f"units, the first chunk's {costs.tolist()}")
-        for k, column in enumerate(columns):
-            column[start:start + len(chunk)] = result[k]
-        del result
-    values, *levels = columns
-    return EstimateRecord(values, costs, *levels, level_count=level_count)
-
-
-def _telescope(schedule: LevelSchedule, width: Callable[[int], int],
-               prepare: Callable[[list[UniformStream]], Callable[..., np.ndarray]],
-               streams: UniformStream | Sequence[UniformStream]) -> EstimateRecord:
-    """The record of the telescoping sum of level means over ``schedule``,
-    one replication per stream: the one level engine.
-
-    Level l of a replication holds n_l·``width(m_l)`` elements.  Chunks are
-    sized by the narrowest level; in each, ``sample = prepare(chunk)`` books
-    the chunk's units outside its levels, and level l runs in batches of
-    ``_CHUNK_ELEMENTS // (n_l·width(m_l))`` replications, at least one.
-    ``sample(level, n_l, m_lo, m_hi, rows)`` returns the [len(rows), n_l]
-    increments of the chunk's ``rows``: the payoff at prefix length m_hi
-    minus the payoff at m_lo, with no coarse term when m_lo = 0.  Each batch
-    is reduced into the columns before the next is sampled, and a level's
-    means (its sums over n_l, the bits of ``mean``) are added to 0.0 in
-    level order, so a row's bits depend on neither the chunk nor the batch.
-    """
-    def run_chunk(chunk: list[UniformStream]) -> tuple[np.ndarray, ...]:
-        sample = prepare(chunk)
-        reps = len(chunk)
-        values = np.zeros(reps)
-        level_sum = np.empty((reps, schedule.levels))
-        level_sq = np.empty((reps, schedule.levels))
-        for k, n_l in enumerate(schedule.n):
-            m_lo, m_hi = schedule.m[k], schedule.m[k + 1]
-            size = max(1, _CHUNK_ELEMENTS // (n_l * width(m_hi)))
-            for start in range(0, reps, size):
-                rows = slice(start, min(reps, start + size))
-                diffs = sample(k + 1, n_l, m_lo, m_hi, rows)
-                level_sum[rows, k] = diffs.sum(axis=1)
-                level_sq[rows, k] = np.vecdot(diffs, diffs)
-            values += level_sum[:, k] / n_l
-        return values, level_sum, level_sq
-
-    narrowest = min(n_l * width(m_l) for n_l, m_l in zip(schedule.n, schedule.m[1:]))
-    return _chunked(run_chunk, streams, narrowest, schedule.n)
+    values = np.zeros(reps)
+    for k, n_l in enumerate(schedule.n):
+        values += level_sum[:, k] / n_l
+    return EstimateRecord(values, costs, level_sum, level_sq, schedule.n)
 
 
 def _cube_telescope(integrand: Integrand, v: np.ndarray | None,
@@ -288,17 +262,23 @@ def estimate_mlmc_fixed(integrand: Integrand, v, schedule: LevelSchedule,
 def standard_mc(integrand: Integrand, n: int,
                 streams: UniformStream | Sequence[UniformStream]) -> EstimateRecord:
     """Plain averages of f over n uniform points (n*d draws, n payoff
-    evaluations), one per stream, in chunks sized by n·d."""
+    evaluations), one per stream: the one-level telescope whose one level
+    holds n points of d coordinates, so chunks are sized by n·d.  Each chunk
+    makes one draw; its record keeps no level columns."""
     if n < 1:
         raise ValueError("sample count must be positive")
     d = integrand.dimension
 
-    def run_chunk(chunk: list[UniformStream]) -> tuple[np.ndarray]:
-        points = draw_rows(chunk, n * d).reshape(len(chunk) * n, d)
-        values = integrand.eval_batch(points, chunk[0].ledger).reshape(len(chunk), n)
-        return (values.mean(axis=1),)
+    def prepare(chunk: list[UniformStream]):
+        points, ledger = draw_rows(chunk, n * d).reshape(len(chunk), n, d), chunk[0].ledger
 
-    return _chunked(run_chunk, streams, n * d)
+        def sample(level: int, n_l: int, m_lo: int, m_hi: int, rows: slice) -> np.ndarray:
+            return integrand.eval_batch(points[rows].reshape(-1, d), ledger).reshape(-1, n)
+
+        return sample
+
+    record = _telescope(LevelSchedule((0, d), (n,)), lambda m: d, prepare, streams)
+    return EstimateRecord(record.values, record.costs)
 
 
 def summarize(record: EstimateRecord) -> EstimateRecord:
@@ -337,8 +317,9 @@ def replicate(estimator: Callable[[Sequence[UniformStream]], EstimateRecord],
     and summarize them in one record.
 
     The estimator runs once, on a sequence that makes each fork when it is
-    read.  The package's estimators read it a chunk at a time, in chunks they
-    size themselves, so a cell holds its columns plus one chunk's arrays.
+    read.  The package's estimators read it a chunk at a time, in chunks that
+    :func:`_telescope` sizes, so a cell holds its columns plus one chunk's
+    arrays.
     Row j depends on its own stream only, so the columns do not depend on the
     chunk or batch sizes.
     """

@@ -476,6 +476,21 @@ def test_markov_decay_fit_columns(tmp_path, monkeypatch):
     assert float(kappas.pop()) < 1.0
 
 
+@pytest.mark.parametrize("depths", ["0", "0,4"])
+def test_markov_decay_fits_are_nan_below_two_positive_gaps(depths, tmp_path, monkeypatch):
+    # at d = 4 the restart at i = d is the chain itself, so its gap is 0; with
+    # fewer than two positive gaps there is no line to fit, and every fit
+    # column reads nan while the gaps stay finite
+    monkeypatch.chdir(tmp_path)
+    assert main(["markov", "decay", "--d", "4", "--i", depths, "--n", "10",
+                 "--out", "d.csv"]) == 0
+    rows = read_csv("d.csv")
+    assert [row[0] for row in rows[1:]] == depths.split(",")
+    assert float(rows[1][1]) > 0.0 and float(rows[1][2]) > 0.0
+    assert all(row[1:3] == ["0", "0"] for row in rows[2:])
+    assert all(row[3:] == ["nan"] * 6 for row in rows[1:])
+
+
 def test_markov_time_varying_flag(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["markov", "--d", "16", "--gamma", "-2", "--time-varying",

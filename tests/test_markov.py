@@ -106,6 +106,14 @@ LINDLEY_MODELS = {"uniform": make_lindley,
                       d, modulated_uniform_increments(d))}
 
 
+def time_indexed_lindley(d):
+    """The Lindley chain whose step weights each increment by its time index."""
+    def step(t, x, z):
+        x += (t + 1.0) * z
+
+    return dataclasses.replace(make_lindley(d), step=step)
+
+
 def test_chain_levels_match_scalar_coupled_pairs(monkeypatch):
     _check_levels_match_scalar_coupled_pairs(make_lindley(16), monkeypatch)
 
@@ -119,11 +127,7 @@ def test_time_indexed_step_levels_match_scalar_coupled_pairs(monkeypatch):
     # both package models' steps ignore t; this one weights each increment by
     # its time index and never forgets it, so a restart stepped at the wrong
     # time indices pays other bits
-    def step(t, x, z):
-        x += (t + 1.0) * z
-
-    model = dataclasses.replace(make_lindley(16), step=step)
-    _check_levels_match_scalar_coupled_pairs(model, monkeypatch)
+    _check_levels_match_scalar_coupled_pairs(time_indexed_lindley(16), monkeypatch)
 
 
 def _check_levels_match_scalar_coupled_pairs(model, monkeypatch):
@@ -216,6 +220,46 @@ def test_standard_mc_chain_costs():
     rec = standard_mc_chain(make_lindley(6), 50, [new_stream(10, ledger)])
     assert ledger.snapshot() == (300, 300, 50)
     assert rec.costs.sum() == 650
+
+
+@pytest.mark.parametrize("build", [LINDLEY_MODELS["time-varying"], time_indexed_lindley],
+                         ids=["time-varying", "time-indexed"])
+def test_chain_mc_matches_scalar_paths(build, monkeypatch):
+    # a budget of 7 runs n = 1 path of width 1 in one chunk of 5 replications
+    # and n = 3 in chunks of 2; stream j draws its n innovations of step t
+    # when the step runs, so path p of replication j steps at time t on
+    # uniform t·n + p of its stream
+    d, reps = 8, 5
+    model = build(d)
+    zeta = model.increment
+
+    def increment(t, y):
+        # the increment map's contract: one time index per row of y
+        assert np.shape(t) == (len(y), 1), (np.shape(t), np.shape(y))
+        return zeta(t, y)
+
+    model = dataclasses.replace(model, increment=increment)
+    rows, sizes = record_level_rows(markov, monkeypatch)
+    monkeypatch.setattr(mlmc, "_CHUNK_ELEMENTS", 7)
+    for n, batches in ((1, [5]), (3, [2, 2, 1])):
+        sizes.clear()
+        root = new_stream(95)
+        rec = standard_mc_chain(model, n, [root.fork(j) for j in range(reps)])
+        assert sizes == {1: batches}, (n, sizes)
+        assert rec.level_sum is None and rec.costs.tolist() == [d * n, d * n, n]
+        for j in range(reps):
+            u = new_stream(95).fork(j).draw(d * n).reshape(d, n)
+            pays = np.array([simulate_restart(model, d, u[:, p]) for p in range(n)])
+            assert np.array_equal(rows[1, j], pays), (n, j)
+            assert rec.values[j] == pays.mean(), (n, j)
+
+
+def test_plain_estimators_need_a_sample():
+    f = chain_integrand(make_lindley(4))
+    with pytest.raises(ValueError, match="^path count must be positive$"):
+        standard_mc_chain(make_lindley(4), 0, new_stream(1))
+    with pytest.raises(ValueError, match="^sample count must be positive$"):
+        mlmc.standard_mc(f, 0, new_stream(1))
 
 
 def test_measure_decay_endpoints_and_monotonicity():

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from functools import partial
 
@@ -256,13 +257,21 @@ def test_standard_mc_mean_and_variance():
     assert abs(summary.sample_variance - 1 / 6) < 4 * se
 
 
-def chunk_of(values, draw_units):
-    """A chunk runner that returns ``values`` and books ``draw_units``
-    uniforms, whatever its streams."""
-    def run_chunk(chunk):
+def booking(draw_units, increment=0.0):
+    """A ``prepare`` that books ``draw_units`` uniforms per chunk and whose
+    batches return ``increment`` for every row, whatever their streams."""
+    def prepare(chunk):
         chunk[0].ledger.coordinate_draws += draw_units
-        return (np.array(values, dtype=float),)
-    return run_chunk
+        return lambda level, n_l, m_lo, m_hi, rows: np.full(
+            (rows.stop - rows.start, n_l), increment)
+    return prepare
+
+
+def one_level(prepare, streams, width=1, n=1):
+    """The engine on the one-level schedule of n increments at prefix length
+    1, each replication ``width`` elements wide."""
+    return mlmc._telescope(LevelSchedule((0, 1), (n,)), lambda m: width, prepare,
+                           streams)
 
 
 def forks(reps, seed=1):
@@ -273,8 +282,7 @@ def forks(reps, seed=1):
 def test_replicate_constant_closure():
     # a width of the whole budget runs one replication per chunk, as the
     # closure returns
-    summary = summarize(mlmc._chunked(chunk_of([3.0], 5), forks(2),
-                                      mlmc._CHUNK_ELEMENTS))
+    summary = summarize(one_level(booking(5, 3.0), forks(2), mlmc._CHUNK_ELEMENTS))
     assert summary.mean == 3.0
     assert summary.sample_variance == 0.0
     assert summary.mean_cost == 5.0
@@ -294,15 +302,14 @@ def test_summary_mean_matches_recorded_values():
 def test_replicate_runs_full_chunks_from_the_first(monkeypatch):
     # a width of 2 against a budget of 12 gives chunks of 6 replications
     monkeypatch.setattr(mlmc, "_CHUNK_ELEMENTS", 12)
-    f = make_additive([1.0, 1.0])
     for reps in (2, 6, 7, 40):
         chunks = []
 
-        def run_chunk(chunk):
+        def prepare(chunk):
             chunks.append(len(chunk))
-            return (standard_mc(f, 1, chunk).values,)
+            return booking(0)(chunk)
 
-        mlmc._chunked(run_chunk, forks(reps, 3), 2)
+        one_level(prepare, forks(reps, 3), 2)
         assert len(chunks) == math.ceil(reps / 6), (reps, chunks)
         assert chunks == [min(6, reps - start) for start in range(0, reps, 6)]
 
@@ -332,10 +339,9 @@ def test_replicate_rejects_a_record_of_another_length():
 
 def test_replicate_rejects_chunks_of_unequal_cost():
     # the first chunk's cost row stands for every replication of the cell
-    chunks = iter([chunk_of([1.0], 5), chunk_of([2.0], 6)])
+    chunks = iter([booking(5, 1.0), booking(6, 2.0)])
     with pytest.raises(ValueError, match="cost"):
-        mlmc._chunked(lambda chunk: next(chunks)(chunk), forks(2),
-                      mlmc._CHUNK_ELEMENTS)
+        one_level(lambda chunk: next(chunks)(chunk), forks(2), mlmc._CHUNK_ELEMENTS)
 
 
 def test_fixed_base_levels_satisfy_variance_identity():
@@ -489,14 +495,19 @@ def test_chain_mc_memory_is_bounded_by_the_chunk_budget():
 
 def test_chunk_costs_must_split_evenly():
     with pytest.raises(RuntimeError, match="split evenly"):
-        mlmc._chunked(chunk_of([0.0, 0.0], 5), forks(2), 1)
+        one_level(booking(5), forks(2))
 
 
 def test_chunks_must_return_one_row_per_stream():
-    # numpy would broadcast one row into every stream's row of the columns
-    for columns in ([np.zeros(1)], [np.zeros(2), np.zeros((1, 3)), np.zeros((2, 3))]):
-        with pytest.raises(ValueError, match="2 streams returned columns"):
-            mlmc._chunked(lambda chunk: columns, forks(2), 1)
+    # a batch of 3 streams at a level of n_l = 2 must return [3, 2]
+    # increments: numpy would broadcast the sums of (1, 2) into every
+    # stream's row, and sum (3, 1) as if it held a replication's n_l
+    for shape in ((1, 2), (3, 1), (3,), (3, 2, 1)):
+        def prepare(chunk):
+            return lambda level, n_l, m_lo, m_hi, rows: np.ones(shape)
+        message = f"a batch of level 1 returned increments of shape {shape}, not (3, 2)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            one_level(prepare, forks(3), n=2)
 
 
 class CountingLedger(CostLedger):

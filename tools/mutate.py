@@ -38,6 +38,7 @@ import copy
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -180,6 +181,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("targets", nargs="+", metavar="module:name")
     args = parser.parse_args(argv)
+    # SIGTERM's default action would end the process before the copy is
+    # removed; as SystemExit it kills the running suite and unwinds the copy
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     with tempfile.TemporaryDirectory(prefix="mutate-") as scratch:
         copy_root = Path(scratch) / "checkout"
         shutil.copytree(ROOT, copy_root, ignore=shutil.ignore_patterns(
