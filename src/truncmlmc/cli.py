@@ -60,7 +60,8 @@ def _write_csv(path: str, header, lines) -> None:
 
     No cell is quoted: a string cell that held the delimiter, a quote or a
     line break would have changed the comma or line count, and is refused.
-    A path that cannot be opened for writing is a fault of the ``out`` key.
+    A path that cannot be opened or written is a fault of the ``out`` key;
+    the target is left as it is.
     """
     lines = [",".join(header), *lines]
     text = "\n".join(lines) + "\n"
@@ -68,11 +69,11 @@ def _write_csv(path: str, header, lines) -> None:
             or text.count(",") != len(lines) * (len(header) - 1)):
         raise ValueError(f"{path}: a CSV cell holds a delimiter, a quote or a line break")
     try:
-        handle = open(path, "w", newline="", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"config key 'out': cannot write {path}: {exc.strerror}") from exc
-    with handle:
-        handle.write(text)
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            handle.write(text)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ConfigError(f"config key 'out': cannot write {path}: {reason}") from exc
 
 
 def _merged_config(args) -> dict[str, str]:

@@ -81,7 +81,7 @@ def checked_value(key: str, value: str) -> str:
 def load_config(path: str | Path) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_config_text(text)
 

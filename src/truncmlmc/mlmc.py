@@ -192,7 +192,9 @@ def _cube_telescope(integrand: Integrand, v: np.ndarray | None,
     A level's points hold d coordinates each.  Each replication's uniforms
     come from one draw: the random base point first, if any, then every
     level's prefixes in level order, so under the truncation schedule (at
-    most 9d draws per replication) a chunk draws at most 9 budgets.
+    most 9d draws per replication) a chunk draws at most 9 budgets.  A level
+    whose prefix is the whole point (m_l = d) evaluates its drawn rows as
+    they are: plain MC is that one level, and never reads its base point.
     """
     if schedule.dimension != integrand.dimension:
         raise ValueError("schedule dimension must match the integrand")
@@ -212,15 +214,19 @@ def _cube_telescope(integrand: Integrand, v: np.ndarray | None,
             base = np.broadcast_to(v, (reps, d))
 
         def sample(level: int, n_l: int, m_lo: int, m_hi: int, rows: slice) -> np.ndarray:
-            points = np.repeat(base[rows, None, :], n_l, axis=1)
-            points[:, :, :m_hi] = drawn[rows, offsets[level - 1]:offsets[level]].reshape(
-                -1, n_l, m_hi)
-            flat = points.reshape(-1, d)
+            prefixes = drawn[rows, offsets[level - 1]:offsets[level]]
+            if m_hi == d:  # the prefix is the whole point
+                flat = prefixes.reshape(-1, d)
+            else:
+                points = np.repeat(base[rows, None, :], n_l, axis=1)
+                points[:, :, :m_hi] = prefixes.reshape(-1, n_l, m_hi)
+                flat = points.reshape(-1, d)
             # copied out before the coarse splice rewrites the points, of
             # which the evaluator may return a view
             diffs = integrand.eval_batch(flat, ledger).reshape(-1, n_l).copy()
             if m_lo:
-                points[:, :, m_lo:m_hi] = base[rows, None, m_lo:m_hi]
+                # into flat's own view: flat may be a copy of the drawn rows
+                flat.reshape(-1, n_l, d)[:, :, m_lo:m_hi] = base[rows, None, m_lo:m_hi]
                 diffs -= integrand.eval_batch(flat, ledger).reshape(-1, n_l)
             return diffs
 
@@ -262,22 +268,13 @@ def estimate_mlmc_fixed(integrand: Integrand, v, schedule: LevelSchedule,
 def standard_mc(integrand: Integrand, n: int,
                 streams: UniformStream | Sequence[UniformStream]) -> EstimateRecord:
     """Plain averages of f over n uniform points (n*d draws, n payoff
-    evaluations), one per stream: the one-level telescope whose one level
-    holds n points of d coordinates, so chunks are sized by n·d.  Each chunk
-    makes one draw; its record keeps no level columns."""
+    evaluations), one per stream: the cube telescope of one level whose
+    fresh prefix is the whole point, m_1 = d, so its fixed base point is
+    never read.  Its record keeps no level columns."""
     if n < 1:
         raise ValueError("sample count must be positive")
     d = integrand.dimension
-
-    def prepare(chunk: list[UniformStream]):
-        points, ledger = draw_rows(chunk, n * d).reshape(len(chunk), n, d), chunk[0].ledger
-
-        def sample(level: int, n_l: int, m_lo: int, m_hi: int, rows: slice) -> np.ndarray:
-            return integrand.eval_batch(points[rows].reshape(-1, d), ledger).reshape(-1, n)
-
-        return sample
-
-    record = _telescope(LevelSchedule((0, d), (n,)), lambda m: d, prepare, streams)
+    record = _cube_telescope(integrand, np.zeros(d), LevelSchedule((0, d), (n,)), streams)
     return EstimateRecord(record.values, record.costs)
 
 

@@ -334,6 +334,14 @@ HUGE = "1e300,1e300"
                  "'out': cannot write nodir/x.csv", id="out-missing-directory"),
     pytest.param(["anova", "--d", "2", "--out", "."], 2, "'out': cannot write .",
                  id="out-is-a-directory"),
+    # a write that fails after its open, and a path that open refuses
+    pytest.param(["anova", "--d", "4", "--out", "/dev/full"], 2,
+                 "'out': cannot write /dev/full: No space left on device",
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                          reason="no /dev/full device"),
+                 id="out-device-full"),
+    pytest.param(["anova", "--d", "4", "--out", "a\0b.csv"], 2,
+                 "'out': cannot write a\0b.csv: embedded null byte", id="out-nul"),
     # an empty flag value is refused as an empty config value is
     pytest.param(["markov", "decay", "--d", "8", "--i", "", "--n", "10"], 2,
                  "config key 'decay.i' has an empty value", id="decay-i-empty"),
@@ -352,6 +360,16 @@ def test_cli_exit_codes_name_the_fault(argv, code, fragment, tmp_path,
     # one line on stderr: the message, and no warning
     assert err.count("\n") == 1, err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
+
+
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # the exit-code fuzz writes its config files as UTF-8 and cannot find this
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.cfg").write_bytes(b"\xff\xfe")
+    assert main(["anova", "--d", "4", "--seed", "1", "--config", "x.cfg"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config file x.cfg: 'utf-8' codec"), err
+    assert err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])

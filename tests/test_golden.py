@@ -8,8 +8,10 @@ that alters output bytes on purpose declares it in CHANGES.md and re-pins with
 No integrand evaluator goes through BLAS: the additive family is an
 elementwise product and a row sum, so a row's bits do not depend on the batch
 it is evaluated in (tests/test_integrands.py checks this).  The per-level sums
-of squares are BLAS dot products of one replication's increments; the hashes
-were pinned with numpy 2.4 and OpenBLAS 0.3.31 (DYNAMIC_ARCH, x86-64).
+of squares are ``np.vecdot`` rows of one replication's increments, in
+``mlmc._telescope``; ROADMAP item 2 lists them among the machine-dependent
+reductions.  The hashes were pinned with numpy 2.4 and OpenBLAS 0.3.31
+(DYNAMIC_ARCH, x86-64).
 """
 
 import hashlib

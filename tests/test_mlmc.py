@@ -121,6 +121,15 @@ def test_single_level_schedule_averages_full_evaluations():
     a = estimate_mlmc_fixed(f, [0.0, 0.0], schedule, [new_stream(5)])
     b = estimate_mlmc_fixed(f, [0.9, 0.9], schedule, [new_stream(5)])
     assert a.values[0] == b.values[0]
+    # plain MC is that one level (0, d) at any base point, bit for bit
+    d, n = 5, 7
+    f = make_product(geometric_coefficients(d))
+    forks = lambda root: [root.fork(j) for j in range(3)]
+    plain = standard_mc(f, n, forks(new_stream(5)))
+    for v in (np.zeros(d), np.linspace(0.1, 0.9, d)):
+        level = estimate_mlmc_fixed(f, v, LevelSchedule((0, d), (n,)), forks(new_stream(5)))
+        assert np.array_equal(plain.values, level.values)
+        assert np.array_equal(plain.costs, level.costs)
 
 
 def test_level_telescoping_degeneracy():
@@ -428,6 +437,22 @@ def test_cube_memory_is_bounded_by_the_chunk_budget(method, family, d):
     widest = max(truncation_schedule(d).n) * d
     budgets = 9 + 3 * max(1.0, widest / mlmc._CHUNK_ELEMENTS)
     assert peak < 1.5 * columns + budgets * 8 * mlmc._CHUNK_ELEMENTS, (peak, columns)
+
+
+def test_plain_mc_memory_above_the_chunk_budget():
+    # n·d = 64 budgets: one replication per chunk and batch, whose n points
+    # are its drawn row, evaluated in place rather than copied again
+    n, d = 4096, 256
+    integrand = make_product(geometric_coefficients(d))
+    root = new_stream(78)
+    standard_mc(integrand, n, [root.fork(0)])  # first-call allocations
+    tracemalloc.start()
+    try:
+        standard_mc(integrand, n, [root.fork(j) for j in range(4)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * n * d, peak
 
 
 def test_replication_columns_are_filled_in_place():

@@ -106,7 +106,7 @@ def test_invalid_arguments_rejected():
     s = new_stream(1)
     with pytest.raises(ValueError):
         s.fork(-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonnegative"):
         s.draw(-1)
     with pytest.raises(ValueError):
         UniformStream(1, (0, -1))
@@ -245,6 +245,12 @@ def test_chunk_rows_continue_each_stream():
     assert root.ledger.coordinate_draws == sum(range(9)) + 9 * 7
 
 
+def test_chunk_draws_are_booked_on_each_streams_ledger():
+    a, b = new_stream(1), new_stream(2)
+    draw_rows([a.fork(0), b.fork(0), a.fork(1), b.fork(1), b.fork(2)], 4)
+    assert a.ledger.coordinate_draws == 8 and b.ledger.coordinate_draws == 12
+
+
 def _draw_tree(seed: int) -> list[np.ndarray]:
     root = new_stream(seed)
     out = []
@@ -289,6 +295,20 @@ def test_no_rows_make_no_blocks_and_no_calls():
     assert stream.counter == 0 and stream.ledger.snapshot() == (0, 0, 0)
     with pytest.raises(ValueError, match="nonnegative"):
         pool_blocks(-1, 1)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_pool_blocks_split_rows_evenly_within_the_budget(cpus, monkeypatch):
+    monkeypatch.setattr(streams, "_cpu_count", lambda: cpus)
+    for n in range(1, 30):
+        for budget in range(8):
+            blocks = pool_blocks(n, budget)
+            starts, stops = zip(*blocks)
+            assert starts == (0,) + stops[:-1] and stops[-1] == n
+            sizes = [stop - start for start, stop in blocks]
+            assert 1 <= min(sizes) and max(sizes) <= max(1, budget), (n, budget)
+            assert max(sizes) - min(sizes) <= 1
+            assert len(blocks) == n or len(blocks) % min(cpus, len(blocks)) == 0
 
 
 @pytest.mark.parametrize("workers", [1, 2, 8])
