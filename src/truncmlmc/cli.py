@@ -8,14 +8,20 @@ Each flag's argparse dest is its config key.  ``main`` merges the config
 files and the given flags into one config and reads its seed; a subcommand's
 handler returns its default file name, CSV header, rows and message, and
 ``main`` writes the CSV and prints the message.  The ``config`` readers check
-every value.  The handler and the CSV write run under the one numpy error
+every value, and every statistic is checked before the handler returns: only
+rows of checked columns are formatted lazily, a block at a time, as the CSV
+is written.  The handler and the CSV write run under the one numpy error
 state of the run, set in ``main``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
+from contextlib import suppress
+from itertools import chain, islice
 
 import numpy as np
 
@@ -23,7 +29,8 @@ from .anova import (DegenerateIntegrandError, NumericalFailure,
                     analytic_profile, mc_profile)
 from .config import (KNOWN_KEYS, ConfigError, as_int, as_seed, checked_value,
                      chain_from_config, decay_from_config,
-                     integrand_from_config, load_config, tolerances_from_config)
+                     integrand_from_config, load_config, shown_path,
+                     tolerances_from_config)
 from .markov import measure_decay
 from .mlmc import EstimateRecord, total_budget, work_normalized_variance
 from .runner import (FORK_LABELS, CellResult, lemma1_diagnostic, named_cell,
@@ -54,26 +61,64 @@ RUN_LEVEL_ROW = ",".join(("%s", "%d", _G, "%d"))
 GRID_SUMMARY_ROW = ",".join(("%s", "%d", _G, "summary") + ("",) * 6 + (_G,) * 5)
 GRID_REP_ROW = ",".join(("%s", "%d", "", "rep", "%s") + ("",) * 5)
 
+# Lines per written block, and about the rows per formatted slice of a cell:
+# a run holds its cells' columns and one block, not the whole file.
+_BLOCK_LINES = 1024
 
-def _write_csv(path: str, header, lines) -> None:
-    """Write the header and the rows, each already formatted by its template.
+
+def _csv_blocks(path: str, header, lines):
+    """The header and the rows as texts of at most ``_BLOCK_LINES`` lines,
+    each checked before it is yielded.
 
     No cell is quoted: a string cell that held the delimiter, a quote or a
     line break would have changed the comma or line count, and is refused.
-    A path that cannot be opened or written is a fault of the ``out`` key;
-    the target is left as it is.
     """
-    lines = [",".join(header), *lines]
-    text = "\n".join(lines) + "\n"
-    if ('"' in text or "\r" in text or text.count("\n") != len(lines)
-            or text.count(",") != len(lines) * (len(header) - 1)):
-        raise ValueError(f"{path}: a CSV cell holds a delimiter, a quote or a line break")
+    commas = len(header) - 1
+    lines = chain([",".join(header)], lines)
+    while block := list(islice(lines, _BLOCK_LINES)):
+        text = "\n".join(block) + "\n"
+        if ('"' in text or "\r" in text or text.count("\n") != len(block)
+                or text.count(",") != len(block) * commas):
+            raise ValueError(f"{shown_path(path)}: a CSV cell holds a delimiter, "
+                             "a quote or a line break")
+        yield text
+
+
+def _unwritable(path: str, exc: OSError | ValueError) -> ConfigError:
+    reason = exc.strerror if isinstance(exc, OSError) else exc
+    return ConfigError(f"config key 'out': cannot write {shown_path(path)}: {reason}")
+
+
+def _write_csv(path: str, header, lines) -> None:
+    """Write the header and the rows, each already formatted by its template,
+    one checked block of lines at a time.
+
+    The target is opened only once the header's block has passed its check.
+    A path that cannot be opened, written or closed is a fault of the ``out``
+    key (a ValueError from ``open`` is a NUL in the path).  If anything fails
+    after the open, the target is removed when it is the regular file this
+    call opened, so no partial file is left; a device or a FIFO is never
+    removed.
+    """
+    blocks = _csv_blocks(path, header, lines)
+    text = next(blocks)
     try:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle = open(path, "w", newline="", encoding="utf-8")
+        opened = os.fstat(handle.fileno())
+    except (OSError, ValueError) as exc:
+        raise _unwritable(path, exc) from exc
+    try:
+        with handle:
             handle.write(text)
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        reason = exc.strerror if isinstance(exc, OSError) else exc
-        raise ConfigError(f"config key 'out': cannot write {path}: {reason}") from exc
+            for text in blocks:
+                handle.write(text)
+    except BaseException as exc:
+        with suppress(OSError):
+            if stat.S_ISREG(opened.st_mode) and os.path.samestat(opened, os.lstat(path)):
+                os.remove(path)
+        if isinstance(exc, OSError):
+            raise _unwritable(path, exc) from exc
+        raise
 
 
 def _merged_config(args) -> dict[str, str]:
@@ -89,20 +134,22 @@ def _merged_config(args) -> dict[str, str]:
 
 
 def _run_lines(cell: CellResult):
-    """The RUN_HEADER rows of a cell, formatted, without line ends."""
+    """The RUN_HEADER rows of a cell, formatted, without line ends, one slice
+    of about ``_BLOCK_LINES`` rows at a time."""
     summary = cell.summary
-    # each replication's value and cost are formatted once, not once per level
     cost = summary.cost_units
-    reps = [RUN_REP % (rep, value, cost)
-            for rep, value in enumerate(summary.values.tolist())]
-    if summary.level_sum is None:
-        for rep in reps:
-            yield rep + ",,,"
-        return
-    levels = list(enumerate(summary.level_count, start=1))
-    for rep, sums in zip(reps, summary.level_sum.tolist()):
-        for (level, count), level_sum in zip(levels, sums):
-            yield RUN_LEVEL_ROW % (rep, level, level_sum, count)
+    levels = list(enumerate(summary.level_count or (), start=1))
+    step = _BLOCK_LINES // max(1, len(levels))  # at most 64 levels
+    for start in range(0, summary.replications, step):
+        # each replication's value and cost are formatted once, not once per level
+        reps = [RUN_REP % (rep, value, cost) for rep, value in
+                enumerate(summary.values[start:start + step].tolist(), start)]
+        if summary.level_sum is None:
+            yield from (rep + ",,," for rep in reps)
+            continue
+        for rep, sums in zip(reps, summary.level_sum[start:start + step].tolist()):
+            for (level, count), level_sum in zip(levels, sums):
+                yield RUN_LEVEL_ROW % (rep, level, level_sum, count)
 
 
 def cmd_anova(args, cfg, seed):
@@ -145,16 +192,16 @@ def cmd_estimate(args, cfg, seed):
     # no single method requested: run the configured (method, d, eps) grid
     eps_list = tolerances_from_config(cfg)  # read before any cell runs
     cells = run_cells(cfg, seed)
-    lines = []
+    summaries = []  # every statistic is checked before a byte is written
     for cell in cells:
         with named_cell(cell.method, cell.d):
-            lines.extend(GRID_SUMMARY_ROW % (cell.method, cell.d, eps,
-                                             *_statistics(cell.summary, eps))
-                         for eps in eps_list)
-    for cell in cells:
-        lines.extend(GRID_REP_ROW % (cell.method, cell.d, line)
-                     for line in _run_lines(cell))
-    return "runs.csv", GRID_HEADER, lines, f"estimate grid: {len(cells)} cells"
+            summaries.extend(GRID_SUMMARY_ROW % (cell.method, cell.d, eps,
+                                                 *_statistics(cell.summary, eps))
+                             for eps in eps_list)
+    reps = (GRID_REP_ROW % (cell.method, cell.d, line)
+            for cell in cells for line in _run_lines(cell))
+    return ("runs.csv", GRID_HEADER, chain(summaries, reps),
+            f"estimate grid: {len(cells)} cells")
 
 
 def cmd_bench(args, cfg, seed):
@@ -301,7 +348,7 @@ def main(argv=None) -> int:
     except (NumericalFailure, DegenerateIntegrandError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    print(f"{message} -> {out}")
+    print(f"{message} -> {shown_path(out)}")
     return 0
 
 

@@ -78,11 +78,18 @@ def checked_value(key: str, value: str) -> str:
     return value
 
 
+def shown_path(path: str | Path) -> str:
+    """``path`` for a one-line message: each character that is not printable
+    (a line break, a NUL, an undecodable byte) is escaped as ``repr`` escapes
+    it, and every printable one is kept as it is."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(path))
+
+
 def load_config(path: str | Path) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
+        raise ConfigError(f"cannot read config file {shown_path(path)}: {exc}") from exc
     return parse_config_text(text)
 
 

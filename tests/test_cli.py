@@ -2,7 +2,9 @@ import contextlib
 import csv
 import io
 import os
+import stat
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -340,8 +342,12 @@ HUGE = "1e300,1e300"
                  marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
                                           reason="no /dev/full device"),
                  id="out-device-full"),
+    # a character that is not printable is escaped, so the message stays one line
     pytest.param(["anova", "--d", "4", "--out", "a\0b.csv"], 2,
-                 "'out': cannot write a\0b.csv: embedded null byte", id="out-nul"),
+                 "'out': cannot write a\\x00b.csv: embedded null byte", id="out-nul"),
+    pytest.param(["anova", "--d", "4", "--out", "nodir/a\nb.csv"], 2,
+                 "'out': cannot write nodir/a\\nb.csv: No such file or directory",
+                 id="out-newline"),
     # an empty flag value is refused as an empty config value is
     pytest.param(["markov", "decay", "--d", "8", "--i", "", "--n", "10"], 2,
                  "config key 'decay.i' has an empty value", id="decay-i-empty"),
@@ -370,6 +376,22 @@ def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, monkeypatch, c
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot read config file x.cfg: 'utf-8' codec"), err
     assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("flag", ["--config", "--integrand"])
+def test_config_path_with_a_nul_is_a_config_error(flag, tmp_path, monkeypatch, capsys):
+    # a shell cannot pass a NUL, but main(argv) can
+    monkeypatch.chdir(tmp_path)
+    assert main(["anova", "--d", "4", "--seed", "1", flag, "a\0b.cfg"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: cannot read config file a\\x00b.cfg: embedded null byte\n")
+
+
+def test_success_line_escapes_a_line_break_in_the_out_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["anova", "--d", "2", "--seed", "1", "--out", "a\nb.csv"]) == 0
+    assert capsys.readouterr().out.endswith(" -> a\\nb.csv\n")
+    assert (tmp_path / "a\nb.csv").exists()
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
@@ -447,6 +469,114 @@ def test_csv_writer_refuses_cells_that_need_quoting(name, tmp_path):
                    [cli.LEMMA_ROW % ("additive", 4, 1.0, 2.0, 0.5, "true")])
     assert list(csv.reader(out.read_text(encoding="utf-8").splitlines())) == [
         list(cli.LEMMA_HEADER), ["additive", "4", "1", "2", "0.5", "true"]]
+
+
+GOOD_LEMMA = cli.LEMMA_ROW % ("additive", 4, 1.0, 2.0, 0.5, "true")
+BAD_LEMMA = cli.LEMMA_ROW % ("a,b", 4, 1.0, 2.0, 0.5, "true")
+
+
+@pytest.mark.parametrize("rows", [0, 1, cli._BLOCK_LINES - 2, cli._BLOCK_LINES - 1,
+                                  cli._BLOCK_LINES, 3 * cli._BLOCK_LINES + 5])
+def test_csv_writer_writes_every_block_in_order(rows, tmp_path):
+    out = tmp_path / "lemma.csv"
+    lines = [cli.LEMMA_ROW % ("additive", k, 1.0, 2.0, 0.5, "true") for k in range(rows)]
+    cli._write_csv(str(out), cli.LEMMA_HEADER, iter(lines))
+    assert out.read_text(encoding="utf-8") == "\n".join(
+        [",".join(cli.LEMMA_HEADER), *lines]) + "\n"
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_csv_writer_refuses_a_later_block_and_leaves_no_file(existing, tmp_path):
+    # the first blocks pass their checks and are written; the refused one
+    # removes the file that this call opened, and an old file at the path
+    out = tmp_path / "lemma.csv"
+    if existing:
+        out.write_text("old\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="delimiter, a quote or a line break"):
+        cli._write_csv(str(out), cli.LEMMA_HEADER,
+                       [GOOD_LEMMA] * (2 * cli._BLOCK_LINES) + [BAD_LEMMA])
+    assert not out.exists()
+
+
+def test_csv_writer_removes_its_file_when_the_rows_raise(tmp_path):
+    out = tmp_path / "lemma.csv"
+
+    def rows():
+        yield from [GOOD_LEMMA] * (cli._BLOCK_LINES + 1)
+        raise NumericalFailure("late")
+
+    with pytest.raises(NumericalFailure, match="late"):
+        cli._write_csv(str(out), cli.LEMMA_HEADER, rows())
+    assert not out.exists()
+
+
+def test_csv_writer_never_removes_a_fifo(tmp_path):
+    # a FIFO, as a device, is written and kept; the reader lets the open
+    # return, and the one written block fits in the pipe's buffer
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        with pytest.raises(ValueError, match="delimiter, a quote or a line break"):
+            cli._write_csv(str(fifo), cli.LEMMA_HEADER,
+                           [GOOD_LEMMA] * cli._BLOCK_LINES + [BAD_LEMMA])
+        written = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert written.startswith(",".join(cli.LEMMA_HEADER).encode() + b"\n")
+    assert written.count(b"\n") == cli._BLOCK_LINES
+
+
+def test_csv_writer_keeps_a_symbolic_link(tmp_path):
+    # only the regular file this call opened by its own name is removed
+    target = tmp_path / "target.csv"
+    link = tmp_path / "link.csv"
+    target.write_text("old\n", encoding="utf-8")
+    link.symlink_to(target)
+    with pytest.raises(ValueError, match="delimiter, a quote or a line break"):
+        cli._write_csv(str(link), cli.LEMMA_HEADER,
+                       [GOOD_LEMMA] * cli._BLOCK_LINES + [BAD_LEMMA])
+    assert link.is_symlink() and target.exists()
+
+
+@pytest.mark.parametrize("method", ["mc", "mlmc"])
+def test_run_lines_format_every_slice_as_the_whole_columns(method):
+    # more replications than one slice holds, and a partial last slice
+    cell = run_estimator_cell(method, make_additive([1.0] * 4), 2 * cli._BLOCK_LINES + 3,
+                              new_stream(5))
+    summary = cell.summary
+    cost = summary.cost_units
+    if summary.level_sum is None:
+        expected = [f"{rep},{value:.17g},{cost},,,"
+                    for rep, value in enumerate(summary.values)]
+    else:
+        expected = [f"{rep},{value:.17g},{cost},{level},{sums[level - 1]:.17g},{count}"
+                    for rep, (value, sums) in enumerate(zip(summary.values,
+                                                            summary.level_sum))
+                    for level, count in enumerate(summary.level_count, start=1)]
+    assert list(cli._run_lines(cell)) == expected
+
+
+def test_cli_run_memory_is_bounded_by_the_columns_and_one_block(tmp_path, monkeypatch):
+    # 4n replications cost 3n more rows of the cell's columns than n: values,
+    # and level_sum and level_sq [R, L]; the CSV lines are formatted and
+    # written one block at a time, whatever the replication count
+    monkeypatch.chdir(tmp_path)
+    n, levels = 2000, 6  # d = 64 has 6 levels
+    allowance = 256 * 1024
+    argv = ["estimate", "--family", "product", "--d", "64", "--method", "mlmc",
+            "--seed", "3", "--reps"]
+    assert main(argv + [str(n)]) == 0  # first-call allocations
+    peaks = []
+    for reps in (n, 4 * n):
+        tracemalloc.start()
+        try:
+            assert main(argv + [str(reps)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 3 * n * (8 + 16 * levels) + allowance, peaks
 
 
 def test_cli_rejects_unsupported_dimension(tmp_path, monkeypatch):
