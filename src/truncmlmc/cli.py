@@ -96,29 +96,32 @@ def _write_csv(path: str, header, lines) -> None:
     The target is opened only once the header's block has passed its check.
     A path that cannot be opened, written or closed is a fault of the ``out``
     key (a ValueError from ``open`` is a NUL in the path).  If anything fails
-    after the open, the target is removed when it is the regular file this
-    call opened, so no partial file is left; a device or a FIFO is never
-    removed.
+    after the open, a regular file that the path names is removed and one
+    behind a link is emptied; a device or a FIFO is never touched.
     """
     blocks = _csv_blocks(path, header, lines)
     text = next(blocks)
     try:
-        handle = open(path, "w", newline="", encoding="utf-8")
-        opened = os.fstat(handle.fileno())
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        opened = os.fstat(fd)
     except (OSError, ValueError) as exc:
         raise _unwritable(path, exc) from exc
     try:
-        with handle:
-            handle.write(text)
-            for text in blocks:
-                handle.write(text)
-    except BaseException as exc:
-        with suppress(OSError):
-            if stat.S_ISREG(opened.st_mode) and os.path.samestat(opened, os.lstat(path)):
-                os.remove(path)
-        if isinstance(exc, OSError):
-            raise _unwritable(path, exc) from exc
-        raise
+        try:
+            with open(fd, "w", newline="", encoding="utf-8", closefd=False) as handle:
+                handle.writelines(chain((text,), blocks))
+        except BaseException:
+            if stat.S_ISREG(opened.st_mode):
+                with suppress(OSError):
+                    if os.path.samestat(opened, os.lstat(path)):
+                        os.remove(path)
+                    else:  # emptied through the descriptor: the link stays
+                        os.ftruncate(fd, 0)
+            raise
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
 
 
 def _merged_config(args) -> dict[str, str]:

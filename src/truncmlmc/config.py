@@ -89,7 +89,8 @@ def load_config(path: str | Path) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
-        raise ConfigError(f"cannot read config file {shown_path(path)}: {exc}") from exc
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ConfigError(f"cannot read config file {shown_path(path)}: {reason}") from exc
     return parse_config_text(text)
 
 

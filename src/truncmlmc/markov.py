@@ -9,11 +9,10 @@ the chain forgets its past.  Coordinates are indexed backwards in time
 (coordinate k of the equivalent cube integrand is the innovation k steps
 before the end), which puts the influential inputs first.
 
-Increments are computed once for a whole block of time steps and paths,
-and the step then updates arrays of states in place, so whole batches of
-paths, and a level's fine and coarse restarts together, advance per call.
-The restart decay runs its blocks of paths on the package's one pool
-runner, :func:`streams.run_parts`.
+Every chain simulation (the levels, plain chain MC, the decay and the chain
+integrand) runs through one kernel, :func:`_restart_payoffs`: the restarts
+started so far are the leading rows of one [k, paths] state array, which one
+call per time step updates in place on the increments the restarts share.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from . import mlmc
 from .anova import NumericalFailure, _centred_squares
 from .integrands import Integrand
 from .mlmc import EstimateRecord, LevelSchedule, _telescope, dyadic_prefixes
-from .streams import UniformStream, draw_rows, pool_blocks, run_parts
+from .streams import CostLedger, UniformStream, draw_rows, pool_blocks, run_parts
 
 LINDLEY_A = -0.6
 LINDLEY_B = 0.4
@@ -44,10 +43,10 @@ class ChainModel:
     increments: ``t`` is a column of time indices, ``y`` is [k, paths] with
     row r drawn for time ``t[r, 0]``, and the result has ``y``'s shape.  The
     engine only reads the increments, so the result may be ``y`` itself.
-    ``step(t, x, z)`` advances the states ``x`` by one time step, writing
-    into ``x``; ``z`` is the increments of time ``t`` and broadcasts against
-    ``x``, whose leading axis may stack several restarts that share them.
-    ``payoff(x)`` returns the terminal payoffs.
+    ``step(t, x, z)`` advances the [k, paths] states ``x`` by one time step,
+    writing into ``x``; its rows are k restarts that share ``z``, the
+    [paths] increments of time ``t``.  ``payoff(x)`` returns the terminal
+    payoffs of [k, paths] states.
 
     All three must be deterministic, constant-cost, and elementwise over
     their array arguments.  They must also be row-independent and keep no
@@ -83,6 +82,32 @@ class DecayReport:
     geom_r2: float
 
 
+def _restart_payoffs(model: ChainModel, depths: Sequence[int],
+                     increments: Iterable[np.ndarray], paths: int,
+                     ledger: CostLedger | None = None) -> np.ndarray:
+    """Terminal payoffs [len(depths), paths] of the chains restarted from the
+    initial state at the nonincreasing ``depths`` before the horizon.
+
+    ``increments`` yields the restarts' shared [paths] increments of each
+    step from ``horizon - depths[0]`` on, each pulled once, when its step
+    runs.  The restarts started so far are the leading rows of one state
+    array, so a step is one ``model.step`` call.  Books paths·sum(depths)
+    steps and len(depths)·paths payoffs on ``ledger``, if given.
+    """
+    d = model.horizon
+    states = np.full((len(depths), paths), float(model.initial_state))
+    rows = iter(increments)
+    # phase j runs from restart j's start to the next one's, on rows 0..j
+    for j, (start, end) in enumerate(zip(depths, (*depths[1:], 0))):
+        x = states[:j + 1]
+        for t, z in zip(range(d - start, d - end), rows):
+            model.step(t, x, z)
+    if ledger is not None:
+        ledger.step_applications += paths * sum(depths)
+        ledger.payoff_evals += states.size
+    return np.asarray(model.payoff(states), dtype=float).reshape(states.shape)
+
+
 def markov_schedule(d: int, gamma: float) -> LevelSchedule:
     """Dyadic prefixes with n_l = ceil(d 2^(l(gamma-1)/2)) replications per level.
 
@@ -111,13 +136,11 @@ def estimate_chain_mlmc(model: ChainModel, gamma: float,
     expected terminal payoff.
 
     Level l of a replication holds n_l·m_l innovations, the width by which
-    :func:`mlmc._telescope` sizes its chunks and level batches.  Each batch
-    forks its replications' streams, draws and computes their increments
-    once, and steps all their paths together.
+    :func:`mlmc._telescope` sizes its chunks and level batches.  A batch
+    computes its increments in one block and steps all its paths together.
     """
     d = model.horizon
     schedule = markov_schedule(d, gamma)
-    x0 = float(model.initial_state)
     times = np.arange(d)[:, None]
 
     def sample(chunk: list[UniformStream], level: int, n_l: int, m_lo: int,
@@ -128,19 +151,10 @@ def estimate_chain_mlmc(model: ChainModel, gamma: float,
         ys = np.ascontiguousarray(ys.reshape(-1, m_hi).T)
         z = model.increment(times[d - m_hi:], ys)
         del ys  # only the increments stay alive while the states step
-        paths = z.shape[1]
-        # row 0 is the fine restart; row 1, the coarse one, starts m_lo steps
-        # before the end and then steps with row 0 in one call
-        states = np.full((2 if m_lo else 1, paths), x0)
-        fine = states[0]
-        for k in range(m_hi - m_lo):
-            model.step(d - m_hi + k, fine, z[k])
-        for k in range(m_hi - m_lo, m_hi):
-            model.step(d - m_hi + k, states, z[k])
-        ledger = chunk[0].ledger
-        ledger.step_applications += paths * (m_hi + m_lo)
-        ledger.payoff_evals += states.size
-        pays = np.asarray(model.payoff(states), dtype=float).reshape(len(states), -1, n_l)
+        # the fine restart, and from m_lo steps before the end the coarse one
+        depths = (m_hi, m_lo) if m_lo else (m_hi,)
+        pays = _restart_payoffs(model, depths, z, z.shape[1], chunk[0].ledger)
+        pays = pays.reshape(len(depths), -1, n_l)
         return pays[0] - pays[1] if m_lo else pays[0]
 
     return _telescope(schedule, lambda m: m, lambda chunk: partial(sample, chunk),
@@ -152,9 +166,8 @@ def standard_mc_chain(model: ChainModel, n: int,
                       ) -> EstimateRecord:
     """Average terminal payoffs over n full-horizon paths advanced in lockstep,
     one average per stream: the one-level telescope of width 1, since a path
-    holds one state, so chunks are sized by n.  Each stream draws its n
-    innovations of step t when the step runs; the record keeps no level
-    columns."""
+    holds one state.  Each stream draws its n innovations of step t when the
+    step runs; the record keeps no level columns."""
     if n < 1:
         raise ValueError("path count must be positive")
     d = model.horizon
@@ -162,14 +175,11 @@ def standard_mc_chain(model: ChainModel, n: int,
 
     def sample(chunk: list[UniformStream], level: int, n_l: int, m_lo: int,
                m_hi: int, rows: slice) -> np.ndarray:
-        part, ledger = chunk[rows], chunk[0].ledger
-        states = np.full(len(part) * n, float(model.initial_state))
-        for t in range(d):
-            y = draw_rows(part, n).reshape(1, -1)
-            model.step(t, states, model.increment(times[t:t + 1], y)[0])
-            ledger.step_applications += states.size
-        ledger.payoff_evals += states.size
-        return np.asarray(model.payoff(states), dtype=float).reshape(len(part), n)
+        part = chunk[rows]
+        increments = (model.increment(times[t:t + 1], draw_rows(part, n).reshape(1, -1))[0]
+                      for t in range(d))
+        return _restart_payoffs(model, (d,), increments, len(part) * n,
+                                chunk[0].ledger).reshape(len(part), n)
 
     record = _telescope(LevelSchedule((0, d), (n,)), lambda m: 1,
                         lambda chunk: partial(sample, chunk), streams)
@@ -190,19 +200,16 @@ def measure_decay(model: ChainModel, i_values: Sequence[int], n: int,
                   stream: UniformStream) -> DecayReport:
     """Estimate the mean squared payoff gap to the i-step restart for each i.
 
-    All restarts ride along one batch of full-chain paths, sharing the
-    trailing increments; step t draws the stream's next n uniforms, and its
-    increments are computed once for the full chain and every started
-    restart.  The paths run in blocks on :func:`streams.run_parts`: each
-    block runs the whole time loop, drawing its rows of every step at their
-    offsets in the stream, and writes its squared gaps into its slice of one
-    [len(i_values), n] array, with no temporary.  The rows are then reduced
-    at full length, in place, in one call of :func:`anova._centred_squares`,
-    so the gaps take no memory beyond that array.  The estimates, the fits
-    and the units booked on the stream's ledger are the same at any block
-    size and thread count.
-    Both decay fits are least squares on log(msd) over the i with positive
-    estimates.  Raises NumericalFailure when a gap or its SE is not finite.
+    The restarts ride along the full chain, sharing its trailing increments,
+    in one :func:`_restart_payoffs` call per block of paths on
+    :func:`streams.run_parts`.  At step t a block draws its rows of the
+    stream's next n uniforms at their offsets, and at the end it writes its
+    squared gaps into its slice of one [len(i_values), n] array, which is
+    then reduced at full length, in place, by :func:`anova._centred_squares`.
+    The estimates, the fits and the units booked on the stream's ledger are
+    the same at any block size and thread count.  Both decay fits are least
+    squares on log(msd) over the i with positive estimates.  Raises
+    NumericalFailure when a gap or its SE is not finite.
     """
     if n < 2:
         raise ValueError("need at least 2 coupled paths")
@@ -212,33 +219,24 @@ def measure_decay(model: ChainModel, i_values: Sequence[int], n: int,
         raise ValueError(f"restart depths must lie in [0, {d}]")
     if len(set(i_vals)) != len(i_vals):
         raise ValueError("restart depths must not repeat")
-    x0 = float(model.initial_state)
     base = stream.counter
     sq = np.empty((len(i_vals), n))
-    # the full chain, then the restarts by descending depth, so the ones
-    # started by step t are the leading active[t] state arrays
-    depths = sorted(i_vals, reverse=True)
-    rows = [1 + depths.index(i) for i in i_vals]
-    active = [1 + sum(i >= d - t for i in depths) for t in range(d)]
+    # the full chain, then the restarts by descending depth
+    depths = (d, *sorted(i_vals, reverse=True))
     times = np.arange(d)[:, None]
 
     def run_block(part: UniformStream, block: tuple[int, int]) -> None:
         start, stop = block
-        m, ledger = stop - start, part.ledger
-        # an array per chain: one [1 + len(i), m] array per block raised the
-        # peak RSS of a d = 256, n = 100,000 decay on 2 threads by 0.8 MB
-        states = [np.full(m, x0) for _ in range(1 + len(depths))]
-        for t in range(d):
-            part.counter = base + t * n + start
-            z = model.increment(times[t:t + 1], part.draw(m)[None])[0]
-            for x in states[:active[t]]:
-                model.step(t, x, z)
-            ledger.step_applications += active[t] * m
-        pays = [np.asarray(model.payoff(x), dtype=float) for x in states]
-        ledger.payoff_evals += len(states) * m
-        for k, r in enumerate(rows):
+
+        def increments():
+            for t in range(d):
+                part.counter = base + t * n + start
+                yield model.increment(times[t:t + 1], part.draw(stop - start)[None])[0]
+
+        pays = _restart_payoffs(model, depths, increments(), stop - start, part.ledger)
+        for k, i in enumerate(i_vals):
             gaps = sq[k, start:stop]
-            np.subtract(pays[0], pays[r], out=gaps)
+            np.subtract(pays[0], pays[depths.index(i, 1)], out=gaps)
             gaps *= gaps
 
     run_parts(run_block, stream, pool_blocks(n, mlmc._CHUNK_ELEMENTS), d * n)
@@ -358,9 +356,6 @@ def chain_integrand(model: ChainModel) -> Integrand:
     def evaluator(points: np.ndarray) -> np.ndarray:
         # time-major: row t holds every point's coordinate d - t
         z = model.increment(times, np.ascontiguousarray(points.T[::-1]))
-        states = np.full(points.shape[0], float(model.initial_state))
-        for t in range(d):
-            model.step(t, states, z[t])
-        return np.asarray(model.payoff(states), dtype=float)
+        return _restart_payoffs(model, (d,), z, points.shape[0])[0]
 
     return Integrand(dimension=d, evaluator=evaluator, steps_per_eval=d)

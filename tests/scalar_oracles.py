@@ -153,6 +153,21 @@ def coupled_level_pair(model: ChainModel, m_hi: int, m_lo: int,
     return hi - simulate_restart(model, m_lo, ys[m_hi - m_lo:], ledger)
 
 
+def independent_restart_payoffs(model: ChainModel, depths: Sequence[int],
+                                z: np.ndarray) -> np.ndarray:
+    """Payoffs [len(depths), paths] of each restart stepped on its own: a
+    one-dimensional state array per depth i, from the initial state, on the
+    last i rows of the increments ``z``, whose row k is time d - len(z) + k."""
+    d, rows = model.horizon, len(z)
+    pays = np.empty((len(depths), z.shape[1]))
+    for j, i in enumerate(depths):
+        x = np.full(z.shape[1], float(model.initial_state))
+        for k in range(rows - i, rows):
+            model.step(d - rows + k, x, z[k])
+        pays[j] = np.asarray(model.payoff(x), dtype=float)
+    return pays
+
+
 def record_level_rows(module, monkeypatch):
     """Patch ``module._telescope`` to keep every level batch's increments.
 

@@ -387,6 +387,14 @@ def test_config_path_with_a_nul_is_a_config_error(flag, tmp_path, monkeypatch, c
         "config error: cannot read config file a\\x00b.cfg: embedded null byte\n")
 
 
+@pytest.mark.parametrize("flag", ["--config", "--integrand"])
+def test_missing_config_file_names_its_path_once(flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["anova", "--d", "2", "--seed", "1", flag, "nope.cfg"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: cannot read config file nope.cfg: No such file or directory\n")
+
+
 def test_success_line_escapes_a_line_break_in_the_out_path(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["anova", "--d", "2", "--seed", "1", "--out", "a\nb.csv"]) == 0
@@ -485,6 +493,17 @@ def test_csv_writer_writes_every_block_in_order(rows, tmp_path):
         [",".join(cli.LEMMA_HEADER), *lines]) + "\n"
 
 
+def test_csv_writer_creates_its_file_as_open_does(tmp_path):
+    # mode 0o666 less the umask, here none
+    out = tmp_path / "lemma.csv"
+    umask = os.umask(0)
+    try:
+        cli._write_csv(str(out), cli.LEMMA_HEADER, [GOOD_LEMMA])
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(os.stat(out).st_mode) == 0o666
+
+
 @pytest.mark.parametrize("existing", [False, True])
 def test_csv_writer_refuses_a_later_block_and_leaves_no_file(existing, tmp_path):
     # the first blocks pass their checks and are written; the refused one
@@ -529,7 +548,8 @@ def test_csv_writer_never_removes_a_fifo(tmp_path):
 
 
 def test_csv_writer_keeps_a_symbolic_link(tmp_path):
-    # only the regular file this call opened by its own name is removed
+    # only the regular file this call opened by its own name is removed; the
+    # file behind a link is kept, emptied of the blocks written before the fault
     target = tmp_path / "target.csv"
     link = tmp_path / "link.csv"
     target.write_text("old\n", encoding="utf-8")
@@ -538,6 +558,7 @@ def test_csv_writer_keeps_a_symbolic_link(tmp_path):
         cli._write_csv(str(link), cli.LEMMA_HEADER,
                        [GOOD_LEMMA] * cli._BLOCK_LINES + [BAD_LEMMA])
     assert link.is_symlink() and target.exists()
+    assert target.read_bytes() == b""
 
 
 @pytest.mark.parametrize("method", ["mc", "mlmc"])

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scalar_oracles import (coupled_level_pair, eval_point, prefix_redraw_payoff,
+from scalar_oracles import (coupled_level_pair, eval_point,
+                            independent_restart_payoffs, prefix_redraw_payoff,
                             record_level_rows, reference_measure_decay,
                             simulate_chain, simulate_restart, truncation_dimension)
 from truncmlmc import anova, markov, mlmc, streams
@@ -155,6 +156,102 @@ def _check_levels_match_scalar_coupled_pairs(model, monkeypatch):
         assert rec.values[j] == value
 
 
+def counting_model(model, calls):
+    """``model`` whose step records the time index and the state shape of
+    each call in ``calls``."""
+    def step(t, x, z):
+        calls.append((t, x.shape))
+        model.step(t, x, z)
+
+    return dataclasses.replace(model, step=step)
+
+
+# nonincreasing depths at d = 12: one restart, the full chain, repeats, 0
+KERNEL_DEPTHS = [(0,), (12,), (12, 12), (12, 5, 5, 0), (7, 3, 3, 1, 0, 0), (12, 11, 0)]
+KERNEL_MODELS = {"uniform": make_lindley, "time-varying": LINDLEY_MODELS["time-varying"],
+                 "time-indexed": time_indexed_lindley}
+
+
+@pytest.mark.parametrize("build", list(KERNEL_MODELS.values()), ids=list(KERNEL_MODELS))
+@pytest.mark.parametrize("depths", KERNEL_DEPTHS, ids=str)
+def test_kernel_matches_independent_restarts(depths, build):
+    # the restarts stacked in one state array pay the bits of each restart
+    # stepped on its own; a row array and a generator of rows give the same,
+    # the generator pulled once per step, and each step is one call on the
+    # restarts started by then
+    d, paths = 12, 9
+    calls = []
+    model = counting_model(build(d), calls)
+    z = model.increment(np.arange(d)[d - depths[0]:, None],
+                        new_stream(41).draw_matrix(depths[0], paths))
+    expected = independent_restart_payoffs(build(d), depths, z)
+    pulled = []
+
+    def rows():
+        for row in z:
+            pulled.append(row)
+            yield row
+        raise AssertionError("a row past the horizon was pulled")
+
+    for increments in (z, rows()):
+        calls.clear()
+        got = markov._restart_payoffs(model, depths, increments, paths)
+        assert np.array_equal(got, expected), (depths, increments)
+        assert calls == [(t, (sum(i >= d - t for i in depths), paths))
+                         for t in range(d - depths[0], d)]
+    assert len(pulled) == depths[0]
+
+
+def test_kernel_books_its_steps_and_payoffs():
+    model, paths = make_lindley(12), 9
+    for depths in KERNEL_DEPTHS:
+        ledger = CostLedger()
+        markov._restart_payoffs(model, depths, np.zeros((depths[0], paths)), paths, ledger)
+        assert ledger.snapshot() == (0, paths * sum(depths), paths * len(depths)), depths
+    # the chain integrand's evaluations are booked once, by eval_batch
+    ledger = CostLedger()
+    chain_integrand(model).eval_batch(np.full((10, 12), 0.5), ledger)
+    assert ledger.snapshot() == (0, 120, 10)
+
+
+def test_level_batches_make_one_step_call_per_time_step():
+    # one replication runs each level in one batch: m_hi calls, the coarse
+    # restart stacked on the fine one for the last m_lo of them
+    d = 64
+    calls = []
+    estimate_chain_mlmc(counting_model(make_lindley(d), calls), -2.0, new_stream(3))
+    schedule = markov_schedule(d, -2.0)
+    expected = [(t, (1 + (m_lo > 0 and t >= d - m_lo), n_l))
+                for n_l, m_lo, m_hi in zip(schedule.n, schedule.m, schedule.m[1:])
+                for t in range(d - m_hi, d)]
+    assert calls == expected
+
+
+def test_plain_chain_mc_batches_make_one_step_call_per_time_step(monkeypatch):
+    # a budget of 7 runs 5 replications of n = 3 paths in batches of 2, 2, 1
+    monkeypatch.setattr(mlmc, "_CHUNK_ELEMENTS", 7)
+    d, calls = 8, []
+    root = new_stream(95)
+    standard_mc_chain(counting_model(make_lindley(d), calls), 3,
+                      [root.fork(j) for j in range(5)])
+    assert calls == [(t, (1, rows)) for rows in (6, 6, 3) for t in range(d)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_decay_blocks_make_one_step_call_per_time_step(workers, monkeypatch):
+    # d calls per block, not one per chain and step (380 per block here)
+    monkeypatch.setattr(mlmc, "_CHUNK_ELEMENTS", 100)
+    monkeypatch.setattr(streams, "_cpu_count", lambda: workers)
+    d, depths, n = 256, (4, 8, 16, 32, 64), 1_000
+    calls = []
+    measure_decay(counting_model(make_lindley(d), calls), depths, n, new_stream(5))
+    blocks = streams.pool_blocks(n, 100)
+    expected = [(t, (1 + sum(i >= d - t for i in depths), stop - start))
+                for start, stop in blocks for t in range(d)]
+    assert len(calls) == d * len(blocks)
+    assert sorted(calls) == sorted(expected)
+
+
 def test_markov_schedule_examples():
     s = markov_schedule(64, -2.0)
     assert s.n == (23, 8, 3, 1, 1, 1)
@@ -278,7 +375,7 @@ def test_measure_decay_memoryless_chain():
 
 
 def test_measure_decay_rejects_repeated_depths():
-    # each restart would be stepped once per occurrence of its depth
+    # a repeated depth would repeat its report row and count twice in the fits
     with pytest.raises(ValueError, match="repeat"):
         measure_decay(make_lindley(16), [4, 8, 4], 100, new_stream(14))
 
