@@ -27,9 +27,9 @@ import numpy as np
 
 from .anova import (DegenerateIntegrandError, NumericalFailure,
                     analytic_profile, mc_profile)
-from .config import (KNOWN_KEYS, ConfigError, as_int, as_seed, checked_value,
-                     chain_from_config, decay_from_config,
-                     integrand_from_config, load_config, shown_path,
+from .config import (KNOWN_KEYS, ConfigError, as_seed, chain_from_config,
+                     checked_value, decay_from_config, integer,
+                     integrand_from_config, load_config, read, shown_path,
                      tolerances_from_config)
 from .markov import measure_decay
 from .mlmc import EstimateRecord, total_budget, work_normalized_variance
@@ -126,12 +126,12 @@ def _write_csv(path: str, header, lines) -> None:
 
 def _merged_config(args) -> dict[str, str]:
     """The config files, then every flag given: a flag's dest is its key,
-    and its value is checked as a config line's is."""
+    and its string is checked and read as a config line's value is."""
     cfg: dict[str, str] = {}
     for path in (args.config, getattr(args, "integrand_cfg", None)):
         if path:
             cfg.update(load_config(path))
-    cfg.update((key, checked_value(key, str(value))) for key, value in vars(args).items()
+    cfg.update((key, checked_value(key, value)) for key, value in vars(args).items()
                if key in KNOWN_KEYS and value is not None)
     return cfg
 
@@ -161,7 +161,7 @@ def cmd_anova(args, cfg, seed):
         profile = analytic_profile(integrand)
         se = np.zeros(integrand.dimension + 1)
     else:
-        pairs = as_int(cfg, "pairs", 100_000, least=2)
+        pairs = read(cfg, "pairs", integer(2), 100_000)
         stream = new_stream(seed).fork(FORK_LABELS["anova"]).fork(integrand.dimension)
         profile = mc_profile(integrand, pairs, stream)
         se = profile.se
@@ -237,8 +237,7 @@ def cmd_markov(args, cfg, seed):
                  for k, i in enumerate(report.i_values)],
                 f"markov decay: gamma_hat={report.fitted_gamma:.17g} "
                 f"kappa_hat={report.geom_kappa:.17g}")
-    cell = run_markov_cell(cfg, as_int(cfg, "chain.d", least=2),
-                           as_int(cfg, "reps", 1000, least=2), root)
+    cell = run_markov_cell(cfg, read(cfg, "reps", integer(2), 1000), root)
     return "markov.csv", RUN_HEADER, _run_lines(cell), _cell_message("markov", cell)
 
 
@@ -253,12 +252,11 @@ def cmd_lemma1(args, cfg, seed):
 def _add_integrand_flags(parser) -> None:
     parser.add_argument("--integrand", dest="integrand_cfg", metavar="CFG",
                         help="flat config file with integrand.* keys")
-    parser.add_argument("--family", dest="integrand.family",
-                        choices=("additive", "product"))
-    parser.add_argument("--d", dest="integrand.d", type=int)
+    parser.add_argument("--family", dest="integrand.family", help="additive or product")
+    parser.add_argument("--d", dest="integrand.d")
     parser.add_argument("--coeffs", dest="integrand.coeffs",
                         help="comma-separated coefficients, one per coordinate")
-    parser.add_argument("--decay-r", dest="integrand.decay_r", type=float)
+    parser.add_argument("--decay-r", dest="integrand.decay_r")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,19 +266,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "truncation dimension; deterministic CSV benchmarks.  Each "
                     "flag sets the config key shown as its metavar.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int,
-                        help="root seed (decimal integer in [0, 2**64))")
+    common.add_argument("--seed", help="root seed (decimal integer in [0, 2**64))")
     common.add_argument("--out", help="output CSV path")
     common.add_argument("--config", help="flat key=value config file")
-    common.add_argument("--threads", type=int,
-                        help="accepted and ignored; cells run in grid order")
+    common.add_argument("--threads",
+                        help="any value, accepted and ignored; cells run in grid order")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("anova", parents=[common],
                        help="residual-variance profile D(0..d) and d_t to CSV")
     _add_integrand_flags(p)
     p.add_argument("--method", choices=("analytic", "mc"), default="analytic")
-    p.add_argument("--pairs", type=int, help="sample pairs per index (mc method)")
+    p.add_argument("--pairs", help="sample pairs per index (mc method)")
     p.set_defaults(handler=cmd_anova)
 
     p = sub.add_parser("estimate", parents=[common],
@@ -288,10 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_integrand_flags(p)
     p.add_argument("--method", choices=("mc", "mlmc", "mlmc-fixed"),
                    help="single estimator; omit to run the config's method grid")
-    p.add_argument("--reps", type=int)
-    p.add_argument("--mc-n", dest="mc_n", type=int,
-                   help="points per replication for the mc method")
-    p.add_argument("--fix-v", dest="fix_v", choices=("midpoint", "sample", "explicit"))
+    p.add_argument("--reps")
+    p.add_argument("--mc-n", dest="mc_n", help="points per replication for the mc method")
+    p.add_argument("--fix-v", dest="fix_v", help="midpoint, sample or explicit")
     p.add_argument("--v-values", dest="fix_v_values",
                    help="explicit base point for --fix-v explicit")
     p.set_defaults(handler=cmd_estimate)
@@ -300,34 +296,33 @@ def build_parser() -> argparse.ArgumentParser:
                        help="method/dimension scaling table at one tolerance")
     _add_integrand_flags(p)
     p.add_argument("--d-grid", dest="d_grid", help="comma-separated dimensions")
-    p.add_argument("--eps", type=float)
+    p.add_argument("--eps")
     p.add_argument("--methods", help="comma-separated estimators")
-    p.add_argument("--reps", type=int)
-    p.add_argument("--mc-n", dest="mc_n", type=int)
+    p.add_argument("--reps")
+    p.add_argument("--mc-n", dest="mc_n")
     p.set_defaults(handler=cmd_bench)
 
     p = sub.add_parser("markov", parents=[common],
                        help="chain-functional estimator or restart-gap decay")
     p.add_argument("mode", nargs="?", choices=("estimate", "decay"),
                    default="estimate")
-    p.add_argument("--preset", dest="chain.preset", choices=("lindley",))
-    p.add_argument("--d", dest="chain.d", type=int)
-    p.add_argument("--gamma", dest="chain.gamma", type=float)
-    p.add_argument("--a", dest="chain.a", type=float)
-    p.add_argument("--b", dest="chain.b", type=float)
+    p.add_argument("--preset", dest="chain.preset")
+    p.add_argument("--d", dest="chain.d")
+    p.add_argument("--gamma", dest="chain.gamma")
+    p.add_argument("--a", dest="chain.a")
+    p.add_argument("--b", dest="chain.b")
     p.add_argument("--time-varying", dest="chain.time_varying", action="store_const",
                    const="true")
-    p.add_argument("--reps", type=int)
+    p.add_argument("--reps")
     p.add_argument("--i", dest="decay.i", help="restart depths for decay mode")
-    p.add_argument("--n", dest="decay.n", type=int,
-                   help="coupled paths per depth for decay mode")
+    p.add_argument("--n", dest="decay.n", help="coupled paths per depth for decay mode")
     p.set_defaults(handler=cmd_markov)
 
     p = sub.add_parser("lemma1", parents=[common],
                        help="level-budget inequality with measured level variances")
     _add_integrand_flags(p)
     p.add_argument("--d-grid", dest="d_grid", help="comma-separated dimensions")
-    p.add_argument("--reps", type=int)
+    p.add_argument("--reps")
     p.set_defaults(handler=cmd_lemma1)
     return parser
 

@@ -15,9 +15,9 @@ from functools import partial
 import numpy as np
 
 from .anova import InequalityReport, analytic_profile
-from .config import (METHODS, ConfigError, as_choice_list, as_int, as_int_list,
-                     chain_from_config, fixed_point_from_config,
-                     integrand_from_config)
+from .config import (METHODS, ConfigError, chain_from_config, choice,
+                     fixed_point_from_config, integer, integrand_from_config,
+                     items, read)
 from .integrands import Integrand
 from .markov import estimate_chain_mlmc
 from .mlmc import (EstimateRecord, LevelSchedule, NumericalFailure,
@@ -117,9 +117,10 @@ def run_estimator_cell(method: str, integrand: Integrand, reps: int,
     return CellResult(method, d, _replicate_cell(method, d, estimator, reps, root))
 
 
-def run_markov_cell(cfg: dict[str, str], d: int, reps: int,
-                    root: UniformStream) -> CellResult:
-    model, gamma = chain_from_config(cfg, d)
+def run_markov_cell(cfg: dict[str, str], reps: int, root: UniformStream) -> CellResult:
+    """Run the configured chain's cell, at its horizon d, on its labelled stream."""
+    model, gamma = chain_from_config(cfg)
+    d = model.horizon
     summary = _replicate_cell("markov", d, partial(estimate_chain_mlmc, model, gamma),
                               reps, root)
     return CellResult("markov", d, summary)
@@ -127,22 +128,18 @@ def run_markov_cell(cfg: dict[str, str], d: int, reps: int,
 
 def _d_grid(cfg: dict[str, str]) -> tuple[int, ...]:
     """The dimensions to run: the config's ``d_grid``, else ``integrand.d``
-    alone; an empty grid is a ConfigError."""
-    d_grid = as_int_list(cfg, "d_grid", None, least=1)
-    if d_grid is None:
-        d_grid = (as_int(cfg, "integrand.d", least=1),)
-    if not d_grid:
-        raise ConfigError("config key 'd_grid': empty grid")
-    return tuple(d_grid)
+    alone."""
+    return (read(cfg, "d_grid", items(integer(1)), None)
+            or (read(cfg, "integrand.d", integer(1)),))
 
 
 def run_cells(cfg: dict[str, str], seed: int) -> list[CellResult]:
     """Run the config's (method, d) cells in grid order; ``reps``, ``mc_n``
     and the fixed point are the config's, each read and checked once."""
-    methods = as_choice_list(cfg, "methods", METHODS, ("mc", "mlmc"))
+    methods = read(cfg, "methods", items(choice(METHODS)), ("mc", "mlmc"))
     d_grid = _d_grid(cfg)
-    reps = as_int(cfg, "reps", 1000, least=2)
-    mc_n = as_int(cfg, "mc_n", 1, least=1)
+    reps = read(cfg, "reps", integer(2), 1000)
+    mc_n = read(cfg, "mc_n", integer(1), 1)
     fix_v, fix_v_values = fixed_point_from_config(cfg)
     root = new_stream(seed)
     return [run_estimator_cell(method, integrand_from_config(cfg, d), reps, root,
@@ -169,7 +166,7 @@ def lemma1_diagnostic(cfg: dict[str, str], seed: int) -> list[LevelBudgetRow]:
     the rule of :class:`anova.InequalityReport`.
     """
     d_grid = _d_grid(cfg)
-    reps = as_int(cfg, "reps", 2000, least=2)
+    reps = read(cfg, "reps", integer(2), 2000)
     root = new_stream(seed)
     rows = []
     for d in d_grid:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -14,9 +15,10 @@ from hypothesis import strategies as st
 
 from truncmlmc import Integrand, cli, make_additive, new_stream, streams
 from truncmlmc.cli import main
-from truncmlmc.config import (ConfigError, as_bool, as_float_list, as_int,
-                              chain_from_config, integrand_from_config,
-                              parse_config_text)
+from truncmlmc.config import (KNOWN_KEYS, ConfigError, boolean, chain_from_config,
+                              finite, fixed_point_from_config, integer,
+                              integrand_from_config, items, parse_config_text,
+                              read)
 from truncmlmc.runner import (NumericalFailure, lemma1_diagnostic, run_cells,
                               run_estimator_cell, variance_bound)
 
@@ -37,9 +39,20 @@ def test_parse_config_round_trip():
     eps = 0.1,0.02
     chain.time_varying = true
     """)
-    assert as_int(cfg, "seed") == 7
-    assert as_float_list(cfg, "eps") == (0.1, 0.02)
-    assert as_bool(cfg, "chain.time_varying") is True
+    assert read(cfg, "seed", integer()) == 7
+    assert read(cfg, "eps", items(finite)) == (0.1, 0.02)
+    assert read(cfg, "chain.time_varying", boolean) is True
+
+
+@pytest.mark.parametrize("text, value", [
+    ("true", True), ("Yes", True), ("1", True), ("false", False), ("NO", False),
+    ("0", False), ("maybe", None), ("2", None)])
+def test_boolean_reads_six_words(text, value):
+    if value is None:
+        with pytest.raises(ValueError, match=f"expected a boolean, got '{text}'"):
+            boolean(text)
+    else:
+        assert boolean(text) is value
 
 
 @pytest.mark.parametrize("text", [
@@ -71,10 +84,23 @@ def test_integrand_from_config():
 def test_chain_from_config():
     model, gamma = chain_from_config({"chain.d": "8"})
     assert model.horizon == 8 and gamma == -2.0
+    assert chain_from_config({"chain.d": "2"})[0].horizon == 2
+    with pytest.raises(ConfigError, match="'chain.d': expected at least 2, got 1"):
+        chain_from_config({"chain.d": "1"})
     with pytest.raises(ConfigError):
         chain_from_config({"chain.d": "8", "chain.gamma": "-0.5"})
     with pytest.raises(ConfigError):
         chain_from_config({"chain.d": "8", "chain.a": "0.4", "chain.b": "-0.6"})
+    # the bounds themselves are refused
+    with pytest.raises(ConfigError, match="need b > a"):
+        chain_from_config({"chain.d": "8", "chain.a": "0.3", "chain.b": "0.3"})
+    with pytest.raises(ConfigError, match="must be below -1"):
+        chain_from_config({"chain.d": "8", "chain.gamma": "-1"})
+
+
+def test_fixed_point_entries_may_lie_on_the_bounds():
+    assert fixed_point_from_config({"fix_v": "explicit", "fix_v_values": "0,1"}) == (
+        "explicit", (0.0, 1.0))
 
 
 def test_run_config_rejects_empty_methods():
@@ -267,7 +293,7 @@ HUGE = "1e300,1e300"
     pytest.param(["lemma1", "--family", "product", "--d-grid", "1", "--reps", "5"],
                  2, "method=lemma1 d=1", id="lemma1-d1"),
     pytest.param(["lemma1", "--family", "additive", "--d", "4", "--d-grid", ",",
-                  "--reps", "5"], 2, "'d_grid': empty grid", id="lemma1-empty-grid"),
+                  "--reps", "5"], 2, "'d_grid': empty list", id="lemma1-empty-grid"),
     pytest.param(["estimate", "--family", "additive", "--d", "2", "--method",
                   "mlmc-fixed", "--fix-v", "explicit", "--v-values", "0.5,1.5",
                   "--reps", "5"], 2, "'fix_v_values'", id="fix-v-range"),
@@ -331,6 +357,8 @@ HUGE = "1e300,1e300"
     pytest.param(["bench", "--d-grid", "4,-2", "--reps", "4"], 2, "'d_grid'",
                  id="bench-d-grid-negative"),
     pytest.param(["lemma1", "--d-grid", "0"], 2, "'d_grid'", id="lemma1-d-grid-zero"),
+    pytest.param(["estimate", "--d", "0", "--method", "mc", "--reps", "5"], 2,
+                 "'integrand.d': expected at least 1, got 0", id="estimate-d-zero"),
     # an output path that cannot be opened names the out key
     pytest.param(["anova", "--d", "2", "--out", "nodir/x.csv"], 2,
                  "'out': cannot write nodir/x.csv", id="out-missing-directory"),
@@ -417,6 +445,16 @@ def test_seeds_outside_64_bits_are_config_errors(seed, tmp_path, monkeypatch, ca
     assert main(argv + ["--seed", str(2 ** 64 - 1)]) == 0
 
 
+def test_the_default_seed_is_0(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["estimate", "--method", "mlmc", "--d", "4", "--reps", "4"]
+    assert main(argv + ["--out", "default.csv"]) == 0
+    assert main(argv + ["--seed", "0", "--out", "0.csv"]) == 0
+    assert main(argv + ["--seed", "1", "--out", "1.csv"]) == 0
+    default = (tmp_path / "default.csv").read_bytes()
+    assert default == (tmp_path / "0.csv").read_bytes() != (tmp_path / "1.csv").read_bytes()
+
+
 @pytest.mark.parametrize("argv", [["estimate", "--method", "mc"],
                                   ["estimate", "--method", "mlmc"],
                                   ["estimate", "--method", "mlmc-fixed"],
@@ -435,6 +473,99 @@ def test_one_fixed_point_reader_for_every_method(argv, text, message, tmp_path,
     config.write_text(f"integrand.d = 4\nreps = 4\nseed = 1\n{text}\n")
     assert main(argv + ["--config", str(config)]) == 2
     assert capsys.readouterr().err == f"config error: config key {message}\n"
+
+
+def _flag_and_config_line(argv, flag, key, value, tmp_path, capsys):
+    """Exit codes and stderr of ``argv`` with ``flag value`` (if the key has
+    a flag), then with ``key = value`` as a config line."""
+    config = tmp_path / "key.cfg"
+    config.write_text(f"{key} = {value}\n")
+    runs = []
+    for extra in ([[flag, value]] if flag else []) + [["--config", str(config)]]:
+        code = main(argv + extra)
+        runs.append((code, capsys.readouterr().err))
+    return runs
+
+
+@pytest.mark.parametrize("argv, flag, key", [
+    (["bench", "--d-grid", "4", "--reps", "4"], "--methods", "methods"),
+    (["bench", "--reps", "4"], "--d-grid", "d_grid"),
+    (["bench", "--d-grid", "4", "--reps", "4"], "--eps", "eps"),
+    (["estimate", "--d", "4", "--reps", "4"], None, "eps"),
+    (["markov", "decay", "--d", "8", "--n", "10"], "--i", "decay.i"),
+    (["anova", "--d", "2"], "--coeffs", "integrand.coeffs"),
+    (["estimate", "--d", "4", "--method", "mc", "--reps", "4"], "--v-values",
+     "fix_v_values"),
+], ids=["methods", "d-grid", "eps", "eps-grid", "decay-i", "coeffs", "v-values"])
+def test_an_empty_list_is_refused(argv, flag, key, tmp_path, monkeypatch, capsys):
+    # "," holds no entry: a grid with no tolerance would write no summary
+    # rows, and a decay with no depth a CSV of no rows
+    monkeypatch.chdir(tmp_path)
+    runs = _flag_and_config_line(argv + ["--seed", "1"], flag, key, ",", tmp_path, capsys)
+    assert runs == [(2, f"config error: config key {key!r}: empty list\n")] * len(runs)
+    assert [path.name for path in tmp_path.iterdir()] == ["key.cfg"]
+
+
+@pytest.mark.parametrize("argv, flag, key, value, message", [
+    (["anova"], "--d", "integrand.d", "x",
+     "'integrand.d': invalid literal for int() with base 10: 'x'"),
+    (["estimate", "--d", "4", "--method", "mc"], "--reps", "reps", "1.5",
+     "'reps': invalid literal for int() with base 10: '1.5'"),
+    (["anova", "--d", "2"], "--family", "integrand.family", "foo",
+     "'integrand.family': expected one of ['additive', 'product'], got 'foo'"),
+    (["estimate", "--d", "4", "--method", "mc", "--reps", "4"], "--fix-v", "fix_v",
+     "bad", "'fix_v': expected one of ['explicit', 'midpoint', 'sample'], got 'bad'"),
+    (["markov", "--d", "8", "--reps", "4"], "--preset", "chain.preset", "x",
+     "'chain.preset': expected one of ['lindley'], got 'x'"),
+    (["markov", "--d", "8", "--reps", "4"], "--gamma", "chain.gamma", "x",
+     "'chain.gamma': could not convert string to float: 'x'"),
+    (["bench", "--d-grid", "4", "--reps", "4"], "--eps", "eps", "nan",
+     "'eps': expected a finite number, got nan"),
+    (["markov", "decay", "--d", "8", "--i", "2,4"], "--n", "decay.n", "0",
+     "'decay.n': expected at least 2, got 0"),
+    (["anova", "--d", "2"], "--seed", "seed", "-1", None),
+], ids=["d", "reps", "family", "fix-v", "preset", "gamma", "eps", "n", "seed"])
+def test_a_flag_and_a_config_line_give_the_same_fault(argv, flag, key, value, message,
+                                                      tmp_path, monkeypatch, capsys):
+    # one reader checks a value whichever way it came: no argparse usage block
+    monkeypatch.chdir(tmp_path)
+    runs = _flag_and_config_line(argv, flag, key, value, tmp_path, capsys)
+    line = (f"config error: config key {message}\n" if message
+            else f"config error: seed {value}: must lie in [0, 2**64)\n")
+    assert runs == [(2, line)] * 2
+
+
+# the dests of parser arguments that are not config keys
+CLI_ONLY_DESTS = {"help", "command", "handler", "config", "integrand_cfg", "method",
+                  "mode"}
+
+
+def _parsers(parser):
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def test_every_flag_sets_a_config_key_as_a_string():
+    # _merged_config keeps only dests that are config keys and would drop
+    # any other silently; a key's flag leaves its string to the config reader
+    for parser in _parsers(cli.build_parser()):
+        assert set(parser._defaults) <= CLI_ONLY_DESTS
+        for action in parser._actions:
+            assert action.dest in KNOWN_KEYS | CLI_ONLY_DESTS, action.dest
+            if action.dest in KNOWN_KEYS:
+                assert (action.type, action.choices, action.metavar) == (None,) * 3
+                assert action.const in (None, "true")
+
+
+def test_any_threads_value_is_accepted_and_ignored(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["anova", "--d", "3", "--seed", "1"]
+    assert main(argv + ["--out", "a.csv"]) == 0
+    assert main(argv + ["--threads", "x", "--out", "b.csv"]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_markov_schedule_keeps_a_replication_where_the_power_underflows(
@@ -701,7 +832,7 @@ def test_lemma1_runs_with_two_replications():
 def test_lemma1_rejects_an_empty_grid():
     cfg = {"integrand.family": "additive", "integrand.d": "4", "d_grid": ",",
            "reps": "5"}
-    with pytest.raises(ConfigError, match="empty grid"):
+    with pytest.raises(ConfigError, match="'d_grid': empty list"):
         lemma1_diagnostic(cfg, seed=11)
 
 
@@ -725,27 +856,32 @@ def test_estimate_fix_v_modes_differ(tmp_path, monkeypatch):
 FUZZ_FLOATS = ("nan", "inf", "-inf", "0", "-1", "1e200", "1e-200", "1e308", "-1e308",
                "1e-308")
 FUZZ_SEEDS = ("-1", str(2 ** 64))
+# words that are no integer, no list of one, or not even one value
+MALFORMED = ("x", "1.5", ",", "")
 
 
 def _floats(*valid):
-    """One of ``valid`` about half the time, else a value from FUZZ_FLOATS."""
-    return st.one_of(st.sampled_from(valid), st.sampled_from(FUZZ_FLOATS))
+    """One of ``valid`` about half the time, else a value from FUZZ_FLOATS
+    or a malformed word."""
+    return st.one_of(st.sampled_from(valid), st.sampled_from(FUZZ_FLOATS + MALFORMED))
 
 
 def _float_list(size, *valid):
-    """``size`` entries from ``valid``, or 1 to ``size`` entries of which any
-    may be out of range."""
-    return st.one_of(st.lists(st.sampled_from(valid), min_size=size, max_size=size),
-                     st.lists(_floats(*valid), min_size=1, max_size=size)).map(",".join)
+    """``size`` entries from ``valid``, 1 to ``size`` entries of which any
+    may be out of range or malformed, or a malformed word."""
+    return st.one_of(st.lists(st.sampled_from(valid), min_size=size, max_size=size)
+                     .map(",".join),
+                     st.lists(_floats(*valid), min_size=1, max_size=size).map(",".join),
+                     st.sampled_from(MALFORMED))
 
 
 def _int_list(top):
-    return st.lists(st.integers(-1, top), min_size=1, max_size=3).map(
-        lambda values: ",".join(map(str, values)))
+    return st.one_of(st.lists(_ints(top), min_size=1, max_size=3).map(",".join),
+                     st.sampled_from(MALFORMED))
 
 
 def _ints(top):
-    return st.integers(-1, top).map(str)
+    return st.one_of(st.integers(-1, top).map(str), st.sampled_from(MALFORMED))
 
 
 def _config_keys(size):
@@ -765,14 +901,15 @@ def _config_keys(size):
 def bounded_argvs(draw):
     """A CLI argv and a config text with d and the d grid at most 16, reps at
     most 8 and pairs, mc_n and decay paths at most 64; every numeric flag or
-    key may be out of range, and the ``--out`` path may not be writable."""
+    key may be out of range or malformed, a name flag may name no option, and
+    the ``--out`` path may not be writable."""
     command = draw(st.sampled_from(("anova", "estimate", "bench", "markov", "lemma1")))
     argv = [command]
     d = draw(st.integers(-1, 16))
     size = max(d, 1)
     config = {key: draw(values) for key, values in _config_keys(size).items()
               if draw(st.booleans())}
-    flags = {"--d": st.just(str(d)),
+    flags = {"--d": st.one_of(st.just(str(d)), st.sampled_from(MALFORMED)),
              "--seed": st.one_of(st.sampled_from(("0", "12", str(2 ** 64 - 1))),
                                  st.sampled_from(FUZZ_SEEDS))}
     if command == "markov":
@@ -784,7 +921,7 @@ def bounded_argvs(draw):
         flags.update({"--gamma": _floats("-2", "-1.5"), "--a": _floats("-1", "-0.5"),
                       "--b": _floats("1", "0.5"), "--time-varying": st.none()})
     else:
-        flags.update({"--family": st.sampled_from(("additive", "product")),
+        flags.update({"--family": st.sampled_from(("additive", "product", "bogus")),
                       "--coeffs": _float_list(size, "0.5", "-0.5", "1"),
                       "--decay-r": _floats("0.5", "0.9")})
     if command == "anova":
@@ -796,7 +933,8 @@ def bounded_argvs(draw):
         flags["--mc-n"] = _ints(64)
     if command == "estimate":
         flags.update({"--method": st.sampled_from(("mc", "mlmc", "mlmc-fixed")),
-                      "--fix-v": st.sampled_from(("midpoint", "sample", "explicit")),
+                      "--fix-v": st.sampled_from(("midpoint", "sample", "explicit",
+                                                  "bogus")),
                       "--v-values": _float_list(size, "0.5", "0.1")})
     if command in ("bench", "lemma1"):
         flags["--d-grid"] = _int_list(16)
@@ -820,8 +958,8 @@ def bounded_argvs(draw):
 @given(bounded_argvs())
 @settings(max_examples=300, deadline=None)
 def test_every_exit_code_is_truthful(case):
-    # 0, or a one-line config error (2) or numerical failure (3); argparse's
-    # own usage errors exit 2 through SystemExit
+    # 0, or a one-line config error (2) or numerical failure (3); a usage
+    # error of argparse, which prints its usage block, fails here too
     argv, text = case
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
@@ -836,5 +974,5 @@ def test_every_exit_code_is_truthful(case):
             except SystemExit as exc:
                 code = exc.code
     assert code in (0, 2, 3), (argv, text, code, err.getvalue())
-    if code in (2, 3) and "usage:" not in err.getvalue():
+    if code in (2, 3):
         assert err.getvalue().count("\n") == 1, (argv, text, err.getvalue())

@@ -373,7 +373,7 @@ CELLS = {
         geometric_coefficients(256)), 30, root),
     "mlmc-fixed": lambda root: run_estimator_cell("mlmc-fixed", make_additive(
         geometric_coefficients(256)), 30, root, fix_v="sample"),
-    "markov": lambda root: run_markov_cell({"chain.d": "64"}, 64, 600, root),
+    "markov": lambda root: run_markov_cell({"chain.d": "64"}, 600, root),
 }
 
 
@@ -402,10 +402,10 @@ def test_replication_memory_is_bounded_by_the_chunk_budget(d, reps):
     # narrowest runs in batches of them, and the widest in batches of 16
     cfg = {"chain.d": str(d)}
     root = new_stream(73)
-    run_markov_cell(cfg, d, 50, root)  # first-call allocations
+    run_markov_cell(cfg, 50, root)  # first-call allocations
     tracemalloc.start()
     try:
-        summary = run_markov_cell(cfg, d, reps, root).summary
+        summary = run_markov_cell(cfg, reps, root).summary
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -457,10 +457,10 @@ def test_plain_mc_memory_above_the_chunk_budget():
 
 def test_replication_columns_are_filled_in_place():
     root = new_stream(74)
-    run_markov_cell({"chain.d": "64"}, 64, 50, root)  # first-call allocations
+    run_markov_cell({"chain.d": "64"}, 50, root)  # first-call allocations
     tracemalloc.start()
     try:
-        summary = run_markov_cell({"chain.d": "64"}, 64, 8000, root).summary
+        summary = run_markov_cell({"chain.d": "64"}, 8000, root).summary
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

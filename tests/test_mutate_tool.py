@@ -1,5 +1,6 @@
 """``tools/mutate.py`` prints each mutant's edit so that its two sides differ,
-and removes its checkout copy when it is stopped by SIGTERM."""
+runs a module's own tests before the whole suite, and removes its checkout
+copy when it is stopped by SIGTERM."""
 
 import importlib.util
 import os
@@ -48,3 +49,47 @@ def test_sigterm_removes_the_checkout_copy(tmp_path):
     finally:
         tool.kill()
     assert not list(tmp_path.glob("mutate-*"))
+
+
+def _runs(module, failing, tmp_path, monkeypatch):
+    """The test paths of each pytest run that ``_run`` makes for ``module``
+    in a checkout with a few test files, where the runs of ``failing``
+    fail, and its outcome."""
+    tool = _tool()
+    for name in ("test_cli.py", "test_mlmc.py"):
+        (tmp_path / "tests").mkdir(exist_ok=True)
+        (tmp_path / "tests" / name).touch()
+    runs = []
+
+    def run(command, cwd, **kwargs):
+        runs.append(command[-1])
+        failed = command[-1] in failing
+        return subprocess.CompletedProcess(
+            command, int(failed), f"FAILED {command[-1]}::test_x - x\n" if failed else "")
+
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    return runs, tool._run(tmp_path, None, module)
+
+
+def test_a_mutant_runs_its_own_tests_first(tmp_path, monkeypatch):
+    runs, outcome = _runs("mlmc", {"tests/test_mlmc.py"}, tmp_path, monkeypatch)
+    assert (runs, outcome) == (["tests/test_mlmc.py"],
+                               "killed by tests/test_mlmc.py::test_x")
+
+
+def test_the_whole_suite_runs_when_the_own_tests_pass(tmp_path, monkeypatch):
+    runs, outcome = _runs("mlmc", {"tests"}, tmp_path, monkeypatch)
+    assert (runs, outcome) == (["tests/test_mlmc.py", "tests"], "killed by tests::test_x")
+    runs, outcome = _runs("mlmc", set(), tmp_path, monkeypatch)
+    assert (runs, outcome) == (["tests/test_mlmc.py", "tests"], "open")
+
+
+def test_config_and_runner_are_tested_by_the_cli_tests(tmp_path, monkeypatch):
+    for module in ("config", "runner", "cli"):
+        runs, _ = _runs(module, set(), tmp_path, monkeypatch)
+        assert runs == ["tests/test_cli.py", "tests"], module
+
+
+def test_a_module_without_a_test_file_runs_the_suite(tmp_path, monkeypatch):
+    assert _runs("streams", set(), tmp_path, monkeypatch)[0] == ["tests"]
+    assert _runs(None, set(), tmp_path, monkeypatch)[0] == ["tests"]  # the baseline

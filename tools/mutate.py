@@ -19,11 +19,15 @@ edit:
 * drop a ``raise`` statement;
 * replace a returned comparison or boolean with ``True`` and with ``False``.
 
-Every mutant runs ``python -m pytest -x -q tests`` in one temporary copy of
-the checkout (under ``$TMPDIR``; the tests read ``bench/`` and the README),
-with the target replaced by the mutated tree and no bytecode written, so the
-checkout is never edited.  The unmutated copy runs first, timed, and must
-pass; a mutant's run is stopped after ``SLACK`` times that time.  One line
+Every mutant runs ``python -m pytest -x -q`` on the target module's own
+test file, ``tests/test_<module>.py`` (``OWN_TESTS`` maps the modules whose
+tests live elsewhere), and only if that passes on the whole of ``tests``, so
+that most mutants are killed in seconds and a survivor still runs every
+test.  The runs use one temporary copy of the checkout (under ``$TMPDIR``;
+the tests read ``bench/`` and the README), with the target replaced by the
+mutated tree and no bytecode written, so the checkout is never edited.  The
+unmutated suite runs first, timed, and must pass; each run of a mutant is
+stopped after ``SLACK`` times that time.  One line
 per mutant is printed, in the format of ``MUTANTS.md``: the place, the edit,
 and ``killed by`` the first failing test (or by the timeout, for a mutant
 that loops), or ``open`` if the suite passed.  Whether an open mutant is
@@ -53,6 +57,8 @@ FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.IsNot: ast.Is, ast.In: ast.NotIn, ast.NotIn: ast.In}
 SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add}
 SLACK = 3.0  # a mutant's timeout, in runs of the unmutated suite
+# the test file of each module whose tests are not in tests/test_<module>.py
+OWN_TESTS = {"config": "tests/test_cli.py", "runner": "tests/test_cli.py"}
 
 
 def _is_int(node) -> bool:
@@ -161,11 +167,23 @@ def _target(source: str, name: str):
     raise SystemExit(f"error: no top-level function or class {name!r}")
 
 
-def _run(copy_root: Path, timeout: float | None) -> str:
+def _run(copy_root: Path, timeout: float | None, module: str | None = None) -> str:
+    """The outcome of ``module``'s own test file, if it has one, and only if
+    that passes, of the whole suite: two runs, because one run given the
+    file and ``tests`` collects the file in the directory's order, not first."""
+    own = OWN_TESTS.get(module, f"tests/test_{module}.py")
+    paths = [own] if module and (copy_root / own).is_file() else []
+    for tests in paths + ["tests"]:
+        if (outcome := _pytest(copy_root, timeout, tests)) != "open":
+            return outcome
+    return "open"
+
+
+def _pytest(copy_root: Path, timeout: float | None, tests: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(copy_root / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-               "tests"]
+               tests]
     try:
         done = subprocess.run(command, cwd=copy_root, env=env, capture_output=True,
                               text=True, timeout=timeout)
@@ -207,7 +225,7 @@ def main(argv=None) -> int:
                     "".join(lines[target.end_lineno:])
                 path.write_text(mutant, encoding="utf-8")
                 try:
-                    print(f"{entry} — {_run(copy_root, timeout)}", flush=True)
+                    print(f"{entry} — {_run(copy_root, timeout, module)}", flush=True)
                 finally:
                     path.write_text(source, encoding="utf-8")
     return 0
