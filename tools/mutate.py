@@ -27,11 +27,11 @@ test.  The runs use one temporary copy of the checkout (under ``$TMPDIR``;
 the tests read ``bench/`` and the README), with the target replaced by the
 mutated tree and no bytecode written, so the checkout is never edited.  The
 unmutated suite runs first, timed, and must pass; each run of a mutant is
-stopped after ``SLACK`` times that time.  One line
-per mutant is printed, in the format of ``MUTANTS.md``: the place, the edit,
-and ``killed by`` the first failing test (or by the timeout, for a mutant
-that loops), or ``open`` if the suite passed.  Whether an open mutant is
-equivalent is for a reader to decide.
+stopped after ``SLACK`` times that time.  One line per mutant is printed,
+in the format of ``MUTANTS.md``: the place, the edit, and ``killed by`` the
+first failing test (or by the timeout, for a mutant that loops), or
+``open`` if the suite passed.  Whether an open mutant is equivalent is for
+a reader to decide.
 """
 
 from __future__ import annotations
